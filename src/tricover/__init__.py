@@ -35,6 +35,7 @@ from .covers import (
     least_label_chooser,
     make_triple,
     minimalize,
+    required_cords,
     section_count,
     seeded_chooser,
     support_map,

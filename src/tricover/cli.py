@@ -12,7 +12,7 @@ import argparse
 import sys
 from pathlib import Path
 
-from . import jsonio, lab, report
+from . import covers, jsonio, lab, report, shelling
 from .covergraph import (
     build_cover_graph,
     decomposition_from_section,
@@ -20,12 +20,14 @@ from .covergraph import (
     verify_counting,
 )
 from .covers import (
+    all_cords,
     canonical_cover,
-    is_minimal,
     is_triplet_cover,
     iter_sections,
+    required_cords,
     seeded_chooser,
     support_map,
+    unsupported_vertex,
 )
 from .errors import (
     CapacityError,
@@ -39,7 +41,7 @@ from .errors import (
 )
 from .newick import parse_newick, write_newick
 from .reconstruct import PartialDistances, reconstruct
-from .shelling import cord_closure, is_shellable, verify_shelling
+from .shelling import cord_closure, verify_shelling
 
 _FORMAT_ERRORS = (NewickError, TreeError, CoverError, OSError, ValueError)
 
@@ -92,10 +94,11 @@ def _cmd_reconstruct(args) -> int:
 def _cmd_decompose(args) -> int:
     tree = _load_tree(args.tree)
     cover = jsonio.load_cover(args.cover)
-    if not is_triplet_cover(tree, cover):
+    support = support_map(tree, cover)
+    if unsupported_vertex(tree, support) is not None:
         print("not a triplet cover", file=sys.stderr)
         return 2
-    section = next(iter_sections(support_map(tree, cover)))
+    section = next(iter_sections(support))
     decomposition = decomposition_from_section(section)
     graph = build_cover_graph(cover)
     payload = jsonio.decomposition_to_json(
@@ -104,7 +107,7 @@ def _cmd_decompose(args) -> int:
         counting=verify_counting(decomposition),
     )
     payload["section"] = [list(t) for t in sorted(section)]
-    payload["applies_to_minimal_cover"] = is_minimal(tree, cover)
+    payload["applies_to_minimal_cover"] = required_cords(support) == cover.cords
     _emit(payload, args.json)
     return 0
 
@@ -115,15 +118,11 @@ def _cmd_shell(args) -> int:
     if not is_triplet_cover(tree, cover):
         print("not a triplet cover", file=sys.stderr)
         return 2
-    shellable, steps = is_shellable(tree, cover)
-    if shellable:
-        payload = jsonio.shelling_to_json(steps)
-        payload["shellable"] = True
-    else:
-        _, prefix = cord_closure(tree, cover)
-        payload = jsonio.shelling_to_json(prefix)
-        payload["shellable"] = False
-        payload["stalled_after"] = len(prefix)
+    closed, steps = cord_closure(tree, cover)
+    payload = jsonio.shelling_to_json(steps)
+    payload["shellable"] = closed == all_cords(cover.taxa)
+    if not payload["shellable"]:
+        payload["stalled_after"] = len(steps)
     _emit(payload, args.json)
     return 0
 
@@ -197,19 +196,19 @@ def build_parser() -> argparse.ArgumentParser:
     common.add_argument(
         "--limit-sections",
         type=int,
-        default=report.DEFAULT_LIMIT_SECTIONS,
+        default=shelling.SECTION_ENUM_LIMIT,
         help="section enumeration ceiling (default %(default)s)",
     )
     common.add_argument(
         "--ample-cap",
         type=int,
-        default=report.DEFAULT_AMPLE_CAP,
+        default=shelling.AMPLE_TRIPLE_CAP,
         help="ample-patchwork triple ceiling (default %(default)s)",
     )
     common.add_argument(
         "--hall-cap",
         type=int,
-        default=report.DEFAULT_HALL_CAP,
+        default=covers.HALL_SUBSET_CAP,
         help="Hall-type subset-enumeration ceiling (default %(default)s)",
     )
     sub = parser.add_subparsers(dest="command", required=True)

@@ -138,9 +138,8 @@ def support_map(tree: PhyloTree, cover: TripletCover) -> SupportMap:
     # Supports of distinct vertices are disjoint (each triple's median is
     # the supported vertex); guard the bookkeeping.
     total = sum(len(s) for s in result.values())
-    assert total == len(set().union(*result.values()) if result else set()), (
-        "supports of distinct vertices must be disjoint"
-    )
+    if total != len(frozenset().union(*result.values())):
+        raise CoverError("supports of distinct vertices must be disjoint")
     return result
 
 
@@ -153,71 +152,73 @@ def is_triplet_cover(tree: PhyloTree, cover: TripletCover) -> bool:
     )
 
 
-def first_unsupported_vertex(tree: PhyloTree, cover: TripletCover) -> int | None:
-    """The unsupported interior vertex with the least canonical triple, if any."""
-    _check_same_taxa(tree, cover)
-    bad = [
-        v
-        for v in tree.interior_vertices()
-        if not _supporting_triples(tree, cover.cords, v, first_only=True)
-    ]
-    if not bad:
-        return None
-    return min(bad, key=tree.component_triple)
+def unsupported_vertex(tree: PhyloTree, support: SupportMap) -> Triple | None:
+    """The least :meth:`PhyloTree.component_triple` of an unsupported
+    vertex, or None when every vertex is supported."""
+    return min(
+        (tree.component_triple(v) for v, triples in support.items() if not triples),
+        default=None,
+    )
+
+
+def cover_support(tree: PhyloTree, cover: TripletCover, op: str) -> SupportMap:
+    """The support map, for a triplet cover only: otherwise raises
+    :class:`NotTripletCoverError` naming the least unsupported vertex."""
+    support = support_map(tree, cover)
+    name = unsupported_vertex(tree, support)
+    if name is not None:
+        raise NotTripletCoverError(
+            f"{op} requires a triplet cover; interior vertex {name} is unsupported"
+        )
+    return support
 
 
 def supported_triples(tree: PhyloTree, cover: TripletCover) -> frozenset[Triple]:
     """Disjoint union of all supports (every triangle of the cover graph)."""
-    support = support_map(tree, cover)
-    out: set[Triple] = set()
+    return frozenset().union(*support_map(tree, cover).values())
+
+
+def required_cords(support: SupportMap) -> frozenset[Cord]:
+    """Cords lying in every triple of some vertex's support: on a triplet
+    cover, exactly the cords whose removal leaves a vertex unsupported."""
+    out: set[Cord] = set()
     for triples in support.values():
-        out |= triples
+        if triples:
+            out |= set.intersection(*(set(combinations(t, 2)) for t in triples))
     return frozenset(out)
 
 
-def _require_cover(tree: PhyloTree, cover: TripletCover, op: str):
-    if not is_triplet_cover(tree, cover):
-        v = first_unsupported_vertex(tree, cover)
-        name = tree.component_triple(v) if v is not None else None
-        raise NotTripletCoverError(
-            f"{op} requires a triplet cover; interior vertex {name} is unsupported"
-        )
-
-
 def is_minimal(tree: PhyloTree, cover: TripletCover) -> bool:
-    """True iff removing any single cord destroys the cover property."""
-    _require_cover(tree, cover, "is_minimal")
-    return not any(
-        is_triplet_cover(tree, cover.without(c)) for c in sorted(cover.cords)
-    )
+    """True iff removing any single cord destroys the cover property, i.e.
+    every cord is required."""
+    return required_cords(cover_support(tree, cover, "is_minimal")) == cover.cords
 
 
-def minimalize(
-    tree: PhyloTree, cover: TripletCover, order: Iterable[Cord] | str = "lex"
-) -> TripletCover:
-    """Greedily remove cords (lexicographically by default) while the result
-    stays a triplet cover.  One ordered pass suffices: covering is monotone,
-    so a cord that survives its own trial can never become removable later.
+def minimalize(tree: PhyloTree, cover: TripletCover) -> TripletCover:
+    """Greedily remove cords in lexicographic order while the result stays a
+    triplet cover.  One ordered pass suffices: covering is monotone, so a
+    cord that survives its own trial can never become removable later.
+
+    Each vertex keeps its live support (the triples avoiding every dropped
+    cord); a cord drops when no live support would become empty.
     """
-    _require_cover(tree, cover, "minimalize")
-    if order == "lex":
-        trial_order = sorted(cover.cords)
-    else:
-        trial_order = list(order)  # type: ignore[arg-type]
-        if set(trial_order) != set(cover.cords):
-            raise CoverError("removal order must enumerate exactly the cords")
-    current = cover
-    for c in trial_order:
-        candidate = current.without(c)
-        if is_triplet_cover(tree, candidate):
-            current = candidate
-    return current
+    live = cover_support(tree, cover, "minimalize")
+    kept = set(cover.cords)
+    for a, b in sorted(cover.cords):
+        trial = {
+            v: [t for t in triples if a not in t or b not in t]
+            for v, triples in live.items()
+        }
+        if all(trial.values()):
+            live = trial
+            kept.remove((a, b))
+    return TripletCover(cover.taxa, frozenset(kept))
 
 
 def is_sparse(tree: PhyloTree, cover: TripletCover) -> bool:
     """True iff the supported-triple set has exactly |X|-2 members."""
-    _require_cover(tree, cover, "is_sparse")
-    return len(supported_triples(tree, cover)) == len(cover.taxa) - 2
+    support = cover_support(tree, cover, "is_sparse")
+    return sum(len(triples) for triples in support.values()) == len(cover.taxa) - 2
 
 
 def is_hall_type(

@@ -25,12 +25,6 @@ def format_rational(value: Fraction) -> str:
     return str(Fraction(value))
 
 
-def parse_rational(text) -> Fraction:
-    if isinstance(text, float):
-        raise CoverError(f"floats are not accepted, write {text!r} as a string")
-    return Fraction(text)
-
-
 def dumps_canonical(payload) -> str:
     return json.dumps(payload, indent=2, sort_keys=True) + "\n"
 
@@ -104,7 +98,7 @@ def distances_from_json(payload) -> PartialDistances:
         key = cord(x, y)
         if key in items:
             raise CoverError(f"duplicate distance for {x},{y}")
-        items[key] = parse_rational(value)
+        items[key] = value
     return PartialDistances.make(payload["taxa"], items)
 
 

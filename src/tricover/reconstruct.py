@@ -19,7 +19,7 @@ from typing import Mapping
 
 from .covers import Cord, TripletCover, cord
 from .errors import CoverError, NotRealizableError
-from .tree import PhyloTree
+from .tree import PhyloTree, exact_rational
 
 
 @dataclass(frozen=True)
@@ -36,7 +36,7 @@ class PartialDistances:
         for (x, y), raw in dict(items).items():
             if x not in taxon_set or y not in taxon_set:
                 raise CoverError(f"distance for {x},{y} uses an unknown taxon")
-            value = Fraction(raw)
+            value = exact_rational(raw, CoverError)
             if value <= 0:
                 raise CoverError(f"distance for {x},{y} must be positive, got {raw}")
             values[cord(x, y)] = value

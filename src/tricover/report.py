@@ -18,34 +18,34 @@ from .covergraph import (
     verify_counting,
 )
 from .covers import (
+    HALL_SUBSET_CAP,
     TripletCover,
-    first_unsupported_vertex,
     is_hall_type,
-    is_minimal,
-    is_sparse,
-    is_triplet_cover,
     iter_sections,
+    required_cords,
     section_count,
     support_map,
-    supported_triples,
+    unsupported_vertex,
 )
 from .errors import CapacityError
-from .shelling import is_shellable, shellable_via_patchwork
+from .shelling import (
+    AMPLE_TRIPLE_CAP,
+    SECTION_ENUM_LIMIT,
+    _patchwork_search,
+    is_shellable,
+)
 from .tree import PhyloTree
-
-DEFAULT_LIMIT_SECTIONS = 10_000
-DEFAULT_AMPLE_CAP = 16
-DEFAULT_HALL_CAP = 22
 
 
 def classify(
     tree: PhyloTree,
     cover: TripletCover,
-    limit_sections: int = DEFAULT_LIMIT_SECTIONS,
-    ample_cap: int = DEFAULT_AMPLE_CAP,
-    hall_cap: int = DEFAULT_HALL_CAP,
+    limit_sections: int = SECTION_ENUM_LIMIT,
+    ample_cap: int = AMPLE_TRIPLE_CAP,
+    hall_cap: int = HALL_SUBSET_CAP,
 ) -> dict:
-    """Full classification report as a JSON-ready dictionary."""
+    """Full classification report as a JSON-ready dictionary.  Every
+    support-derived verdict is read from one support map."""
     notes: list[str] = []
     n = len(cover.taxa)
     report: dict = {
@@ -55,11 +55,11 @@ def classify(
         "mu": cover.min_multiplicity(),
     }
 
-    covered = is_triplet_cover(tree, cover)
-    report["is_cover"] = covered
-    if not covered:
-        bad = first_unsupported_vertex(tree, cover)
-        report["unsupported_vertex"] = list(tree.component_triple(bad))
+    support = support_map(tree, cover)
+    bad = unsupported_vertex(tree, support)
+    report["is_cover"] = bad is None
+    if bad is not None:
+        report["unsupported_vertex"] = list(bad)
         for key in (
             "is_minimal",
             "is_minimum",
@@ -79,11 +79,11 @@ def classify(
         return report
 
     report["unsupported_vertex"] = None
-    triple_family = supported_triples(tree, cover)
+    triple_family = frozenset().union(*support.values())
     report["triple_set"] = [list(t) for t in sorted(triple_family)]
-    report["is_minimal"] = is_minimal(tree, cover)
+    report["is_minimal"] = required_cords(support) == cover.cords
     report["is_minimum"] = len(cover) == 2 * n - 3
-    report["is_sparse"] = is_sparse(tree, cover)
+    report["is_sparse"] = len(triple_family) == n - 2
 
     try:
         report["hall_type"] = is_hall_type(cover.taxa, triple_family, cap=hall_cap)
@@ -91,7 +91,6 @@ def classify(
         report["hall_type"] = None
         notes.append(f"hall_type skipped: {exc}")
 
-    support = support_map(tree, cover)
     report["section_count"] = section_count(support)
 
     graph = build_cover_graph(cover)
@@ -118,9 +117,7 @@ def classify(
     )
 
     try:
-        verdict, _ = shellable_via_patchwork(
-            tree, cover, limit_sections=limit_sections, ample_cap=ample_cap
-        )
+        verdict, _ = _patchwork_search(support, limit_sections, ample_cap)
         if verdict is None:
             report["ample_patchwork"] = "indeterminate"
             notes.append(

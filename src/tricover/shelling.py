@@ -16,14 +16,15 @@ from random import Random
 
 from .covers import (
     Cord,
+    SupportMap,
     Triple,
     TripletCover,
     all_cords,
     cord,
+    cover_support,
     is_triplet_cover,
     iter_sections,
     section_count,
-    support_map,
 )
 from .errors import CapacityError, NotTripletCoverError, SectionError, WitnessError
 from .tree import PhyloTree, Quartet, make_quartet, quartet_from_distances
@@ -43,7 +44,6 @@ class ShellingStep:
 
 
 def _find_step(
-    tree: PhyloTree,
     dist,
     have: set[Cord],
     taxa: list[str],
@@ -95,7 +95,7 @@ def cord_closure(
             shuffled = sorted(all_cords(taxa))
             rng.shuffle(shuffled)
             pair_order = {p: i for i, p in enumerate(shuffled)}
-        step = _find_step(tree, dist, have, taxa, missing, pair_order)
+        step = _find_step(dist, have, taxa, missing, pair_order)
         if step is None:
             break
         have.add(step.cord)
@@ -234,7 +234,8 @@ def is_ample(
                 # Tight disjoint halves of a tight family overlap in exactly
                 # two taxa; guard the arithmetic while we are here.
                 overlap = union_of(sub) & union_of(rest)
-                assert overlap.bit_count() == 2, "tight split must share 2 taxa"
+                if overlap.bit_count() != 2:
+                    raise SectionError("tight split must share 2 taxa")
                 split_choice[mask] = (sub, rest)
                 return True
         split_choice[mask] = None
@@ -270,17 +271,21 @@ def shellable_via_patchwork(
     exhaustive miss, and (None, None) when the section count exceeds the
     enumeration limit without a hit (indeterminate, distinct from False).
     """
-    support = support_map(tree, cover)
-    if any(not triples for triples in support.values()):
-        raise NotTripletCoverError("patchwork test requires a triplet cover")
-    total = section_count(support)
+    support = cover_support(tree, cover, "shellable_via_patchwork")
+    return _patchwork_search(support, limit_sections, ample_cap)
+
+
+def _patchwork_search(
+    support: SupportMap, limit_sections: int, ample_cap: int
+) -> tuple[bool | None, frozenset[Triple] | None]:
+    """:func:`shellable_via_patchwork` over a triplet cover's support map."""
     for i, section in enumerate(iter_sections(support)):
         if i >= limit_sections:
             break
         ample, _ = is_ample(section, cap=ample_cap)
         if ample:
             return True, section
-    if total <= limit_sections:
+    if section_count(support) <= limit_sections:
         return False, None
     return None, None
 

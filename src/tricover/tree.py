@@ -13,7 +13,7 @@ from __future__ import annotations
 from collections import deque
 from fractions import Fraction
 from itertools import combinations
-from typing import Iterable, Iterator
+from typing import Iterable
 
 from .errors import TreeError
 
@@ -36,15 +36,15 @@ def is_valid_label(label: str) -> bool:
     )
 
 
-def as_length(value) -> Fraction:
-    """Coerce to an exact rational and require it to be strictly positive."""
+def exact_rational(value, error: type[Exception] = TreeError) -> Fraction:
+    """Exact rational from an int, a Fraction or a string ("7/2", "0.25");
+    floats are refused, since the float 0.1 is not 1/10.  Raises ``error``."""
+    if isinstance(value, float):
+        raise error(f"floats are not accepted, write {value!r} as a string")
     try:
-        q = Fraction(value)
+        return Fraction(value)
     except (ValueError, ZeroDivisionError, TypeError) as exc:
-        raise TreeError(f"bad edge length {value!r}: {exc}") from None
-    if q <= 0:
-        raise TreeError(f"non-positive edge length {value!r}")
-    return q
+        raise error(f"bad rational {value!r}: {exc}") from None
 
 
 def make_quartet(pair_one: tuple[str, str], pair_two: tuple[str, str]) -> Quartet:
@@ -73,7 +73,9 @@ class PhyloTree:
         for u, v, length in edges:
             if u == v:
                 raise TreeError(f"self-loop at vertex {u}")
-            q = as_length(length)
+            q = exact_rational(length)
+            if q <= 0:
+                raise TreeError(f"non-positive edge length {length!r}")
             adj.setdefault(u, {})
             adj.setdefault(v, {})
             if v in adj[u]:
@@ -241,7 +243,8 @@ class PhyloTree:
         common = (
             set(self._path(u, v)) & set(self._path(u, w)) & set(self._path(v, w))
         )
-        assert len(common) == 1, f"median of {x},{y},{z} not unique: {common}"
+        if len(common) != 1:
+            raise TreeError(f"median of {x},{y},{z} not unique: {common}")
         return common.pop()
 
     # -- components and splits -------------------------------------------
@@ -402,7 +405,8 @@ class PhyloTree:
             path_q = set(self._path(ids[q[0]], ids[q[1]]))
             if not path_p & path_q:
                 resolved.append(make_quartet(p, q))
-        assert len(resolved) == 1, f"quartet on {a},{b},{x},{y} not resolved"
+        if len(resolved) != 1:
+            raise TreeError(f"quartet on {a},{b},{x},{y} not resolved")
         return resolved[0]
 
     def cherries(self) -> frozenset[tuple[str, str]]:
@@ -439,10 +443,7 @@ def quartet_from_distances(
         (d(a, y) + d(b, x), ((a, y), (b, x))),
     ]
     sums.sort(key=lambda item: item[0])
-    assert sums[0][0] < sums[1][0], f"degenerate quartet {a},{b},{x},{y}"
+    if sums[0][0] == sums[1][0]:
+        raise TreeError(f"degenerate quartet {a},{b},{x},{y}")
     return make_quartet(*sums[0][1])
 
-
-def iter_quadruples(taxa: Iterable[str]) -> Iterator[tuple[str, str, str, str]]:
-    """Sorted 4-subsets of a taxon set."""
-    return combinations(sorted(taxa), 4)

@@ -6,7 +6,7 @@ import sys
 
 import pytest
 
-from tricover import jsonio, parse_newick
+from tricover import CoverError, cli, jsonio, parse_newick, shelling
 from tricover.cli import main
 from tricover.covers import TripletCover
 from tricover.reconstruct import PartialDistances
@@ -145,6 +145,8 @@ def test_float_distances_rejected(fig_files, tmp_path):
          "--out", str(tmp_path / "out.nwk")]
     )
     assert code == 1
+    with pytest.raises(CoverError, match="floats are not accepted"):
+        jsonio.load_distances(dist_path)
 
 
 def test_generate_analyze_reconstruct_roundtrip(tmp_path):
@@ -236,6 +238,39 @@ def test_shell_and_verify_pipeline(fig_files, tmp_path, capsys):
     )
     assert code == 2
     assert "rejected" in capsys.readouterr().err
+
+
+def test_shell_non_shellable_runs_closure_once(fig_files, tmp_path, monkeypatch):
+    # No non-shellable cover is known at test sizes, so the forced-addition
+    # search is cut off after its first step: the closure then stalls with a
+    # one-step prefix, exactly as it would on a non-shellable cover.
+    tree_path, cover_path = fig_files
+    real_find_step = shelling._find_step
+    real_closure = shelling.cord_closure
+    found = []
+    closures = []
+
+    def first_step_only(*args):
+        step = None if found else real_find_step(*args)
+        found.append(step)
+        return step
+
+    def counted_closure(*args):
+        closures.append(args)
+        return real_closure(*args)
+
+    monkeypatch.setattr(shelling, "_find_step", first_step_only)
+    for module in (shelling, cli):
+        monkeypatch.setattr(module, "cord_closure", counted_closure)
+    out = tmp_path / "prefix.json"
+    code = main(["shell", "--tree", str(tree_path), "--cover", str(cover_path),
+                 "--json", str(out)])
+    assert code == 0
+    assert len(closures) == 1
+    payload = json.loads(out.read_text())
+    assert payload["shellable"] is False
+    assert payload["stalled_after"] == 1
+    assert payload["steps"] == jsonio.shelling_to_json(found[:1])["steps"]
 
 
 def test_fixtures_minimum_target(tmp_path):

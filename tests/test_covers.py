@@ -32,7 +32,7 @@ from tricover import (
     support_map,
     supported_triples,
 )
-from tricover.covers import first_unsupported_vertex
+from tricover.covers import cover_support, required_cords, unsupported_vertex
 from tricover.lab import random_binary_tree
 
 
@@ -87,8 +87,12 @@ def test_is_triplet_cover(fig_tree, fig_cover):
     assert is_triplet_cover(fig_tree, fig_cover)
     broken = fig_cover.without(("c", "e"))
     assert not is_triplet_cover(fig_tree, broken)
-    v = first_unsupported_vertex(fig_tree, broken)
-    assert fig_tree.component_triple(v) == ("a", "c", "d")
+    assert unsupported_vertex(fig_tree, support_map(fig_tree, broken)) == (
+        "a", "c", "d"
+    )
+    assert unsupported_vertex(fig_tree, support_map(fig_tree, fig_cover)) is None
+    with pytest.raises(NotTripletCoverError, match=r"\('a', 'c', 'd'\)"):
+        cover_support(fig_tree, broken, "test")
 
 
 def test_three_leaf_cover():
@@ -158,12 +162,17 @@ def test_minimalize_full_cover_size_bounds(fig_tree):
     assert is_minimal(fig_tree, result)
 
 
-def test_minimalize_respects_explicit_order(fig_tree, fig_cover):
-    grown = fig_cover.add_cords([("a", "d"), ("a", "e")])
-    reverse = sorted(grown.cords, reverse=True)
-    result = minimalize(fig_tree, grown, order=reverse)
-    assert is_minimal(fig_tree, result)
-    assert result.cords <= grown.cords
+def test_required_cords_reference(fig_tree, fig_cover):
+    # Every cord of the sparse reference cover lies in the single triple of
+    # some support.  Adding ad gives the middle vertex a second triple, acd,
+    # next to bce; they share no cord, so ad and be become optional.
+    assert required_cords(support_map(fig_tree, fig_cover)) == fig_cover.cords
+    grown = fig_cover.add_cords([("a", "d")])
+    required = required_cords(support_map(fig_tree, grown))
+    assert required == fig_cover.cords - {("b", "e")}
+    assert required == {
+        c for c in grown.cords if not is_triplet_cover(fig_tree, grown.without(c))
+    }
 
 
 def test_is_sparse(fig_tree, fig_cover):

@@ -216,3 +216,12 @@ def test_reduction_preserves_realizability():
     matrix = smaller.distance_matrix()
     for c, value in reduced_dist.values.items():
         assert matrix[c] == value
+
+
+def test_distances_exact_and_never_float():
+    dist = PartialDistances.make("abc", {("a", "b"): "0.1", ("b", "c"): 3})
+    assert dist[("a", "b")] == Fraction(1, 10)
+    with pytest.raises(CoverError, match="floats are not accepted"):
+        PartialDistances.make("abc", {("a", "b"): 0.1})
+    with pytest.raises(CoverError, match="bad rational"):
+        PartialDistances.make("abc", {("a", "b"): "1/0"})

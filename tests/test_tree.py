@@ -5,15 +5,20 @@ graph isomorphism with leaf labels, and the four-point condition is checked
 on randomly generated trees via hypothesis-drawn seeds.
 """
 
+import os
+import subprocess
+import sys
 from fractions import Fraction
 from itertools import combinations
+from pathlib import Path
 
 import networkx as nx
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from tricover import TreeError, parse_newick
+import tricover
+from tricover import PhyloTree, TreeError, parse_newick
 from tricover.lab import enumerate_binary_trees, random_binary_tree
 from tricover.tree import make_quartet, quartet_from_distances
 
@@ -282,3 +287,35 @@ def test_cherries(fig_tree):
     assert quartet.cherries() == frozenset({("a", "b"), ("c", "d")})
     for seed in range(5):
         assert len(random_binary_tree(6, seed).cherries()) >= 2
+
+
+def test_edge_lengths_exact_and_never_float():
+    star = PhyloTree([(0, 1, "0.1"), (0, 2, Fraction(7, 2)), (0, 3, 2)],
+                     {1: "a", 2: "b", 3: "c"})
+    assert star.edge_length(0, 1) == Fraction(1, 10)
+    with pytest.raises(TreeError, match="floats are not accepted"):
+        PhyloTree([(0, 1, 0.1), (0, 2, 1), (0, 3, 1)], {1: "a", 2: "b", 3: "c"})
+    with pytest.raises(TreeError, match="bad rational"):
+        PhyloTree([(0, 1, "x"), (0, 2, 1), (0, 3, 1)], {1: "a", 2: "b", 3: "c"})
+
+
+def test_degenerate_quartet_raises_under_optimize():
+    # Invariants are typed errors, not asserts, so ``python -O`` keeps them.
+    code = (
+        "from itertools import combinations\n"
+        "from tricover import TreeError\n"
+        "from tricover.tree import quartet_from_distances\n"
+        "dist = {pair: 1 for pair in combinations('abxy', 2)}\n"
+        "try:\n"
+        "    print(quartet_from_distances(dist, 'a', 'b', 'x', 'y'))\n"
+        "except TreeError as exc:\n"
+        "    print('TreeError:', exc)\n"
+    )
+    src = str(Path(tricover.__file__).resolve().parents[1])
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    proc = subprocess.run(
+        [sys.executable, "-O", "-c", code], capture_output=True, text=True, env=env
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == "TreeError: degenerate quartet a,b,x,y\n"
