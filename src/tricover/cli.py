@@ -41,7 +41,7 @@ from .errors import (
 )
 from .newick import parse_newick, write_newick
 from .reconstruct import PartialDistances, reconstruct
-from .shelling import cord_closure, verify_shelling
+from .shelling import _closure, verify_shelling
 
 _FORMAT_ERRORS = (NewickError, TreeError, CoverError, OSError, ValueError)
 
@@ -118,7 +118,7 @@ def _cmd_shell(args) -> int:
     if not is_triplet_cover(tree, cover):
         print("not a triplet cover", file=sys.stderr)
         return 2
-    closed, steps = cord_closure(tree, cover)
+    closed, steps = _closure(tree, cover)
     payload = jsonio.shelling_to_json(steps)
     payload["shellable"] = closed == all_cords(cover.taxa)
     if not payload["shellable"]:

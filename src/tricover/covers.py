@@ -221,14 +221,43 @@ def is_sparse(tree: PhyloTree, cover: TripletCover) -> bool:
     return sum(len(triples) for triples in support.values()) == len(cover.taxa) - 2
 
 
+def _augment(match: dict[int, int], sets: list[int], i: int) -> bool:
+    """Give set ``i`` a representative in ``match`` (taxon bit -> set index)
+    along an alternating path, found breadth first; False when there is none,
+    which leaves ``match`` as it was."""
+    held = {i: 0}  # set index -> the bit it held when the search reached it
+    came_from: dict[int, int] = {}  # taxon bit -> set index that reached it
+    seen = 0
+    queue = [i]
+    for j in queue:
+        fresh = sets[j] & ~seen
+        seen |= fresh
+        while fresh:
+            bit = fresh & -fresh
+            fresh ^= bit
+            came_from[bit] = j
+            if bit not in match:
+                while bit:
+                    owner = came_from[bit]
+                    previous = held[owner]
+                    match[bit] = owner
+                    bit = previous
+                return True
+            held[match[bit]] = bit
+            queue.append(match[bit])
+    return False
+
+
 def is_hall_type(
     taxa: Iterable[str], triples: Iterable[Triple], cap: int = HALL_SUBSET_CAP
 ) -> bool:
-    """Brute-force Hall-type test: the triples must cover the taxon set and
-    every nonempty subfamily C' must satisfy |union C'| >= |C'| + 2.
+    """Hall-type test: the triples must cover the taxon set and every
+    nonempty subfamily C' must satisfy |union C'| >= |C'| + 2.
 
-    Subsets are enumerated explicitly; families larger than ``cap`` raise
-    :class:`CapacityError`.
+    By Hall's theorem that holds iff, for every triple t, the family with t
+    taken three times has distinct representatives: one matching of the
+    family, then two augmenting paths per triple.  Families larger than
+    ``cap`` raise :class:`CapacityError`.
     """
     taxon_list = sorted(set(taxa))
     triple_list = sorted(set(triples))
@@ -251,16 +280,15 @@ def is_hall_type(
     if union_all != full:
         return False
 
-    def extend(start: int, union_mask: int, count: int) -> bool:
-        for j in range(start, k):
-            nu = union_mask | masks[j]
-            if nu.bit_count() < count + 3:
-                return False
-            if not extend(j + 1, nu, count + 1):
-                return False
-        return True
-
-    return extend(0, 0, 0)
+    match: dict[int, int] = {}
+    if not all(_augment(match, masks, i) for i in range(k)):
+        return False
+    for i in range(k):
+        tripled = masks + [masks[i], masks[i]]
+        trial = dict(match)
+        if not (_augment(trial, tripled, k) and _augment(trial, tripled, k + 1)):
+            return False
+    return True
 
 
 def section_count(support: SupportMap) -> int:

@@ -16,19 +16,20 @@ from typing import Callable, Iterator
 
 from .covers import (
     Chooser,
+    SupportMap,
     TripletCover,
     canonical_cover,
     cord,
-    is_minimal,
-    is_sparse,
     is_triplet_cover,
     minimalize,
+    required_cords,
     seeded_chooser,
+    support_map,
+    unsupported_vertex,
 )
-from .covers import supported_triples
 from .errors import CapacityError
 from .reconstruct import PartialDistances
-from .shelling import is_ample, is_shellable
+from .shelling import _shellable, is_ample
 from .tree import PhyloTree
 
 ENUMERATION_CAP = 8
@@ -257,19 +258,31 @@ class InstanceRecord:
     provenance: dict
 
 
+def _cover_support(tree: PhyloTree, cover: TripletCover) -> SupportMap | None:
+    """The support map when the cords form a triplet cover, else None."""
+    support = support_map(tree, cover)
+    return support if unsupported_vertex(tree, support) is None else None
+
+
+def _sparse(cover: TripletCover, support: SupportMap) -> bool:
+    """Whether a triplet cover's support map has |X| - 2 triples."""
+    return sum(len(triples) for triples in support.values()) == len(cover.taxa) - 2
+
+
 def basic_flags(tree: PhyloTree, cover: TripletCover) -> dict:
-    """Cheap classification flags for fixture records."""
-    covered = is_triplet_cover(tree, cover)
+    """Cheap classification flags for fixture records, read from one
+    support map."""
+    support = _cover_support(tree, cover)
     flags = {
-        "is_cover": covered,
+        "is_cover": support is not None,
         "cord_count": len(cover),
         "mu": cover.min_multiplicity(),
     }
-    if covered:
-        flags["is_minimal"] = is_minimal(tree, cover)
+    if support is not None:
+        flags["is_minimal"] = required_cords(support) == cover.cords
         flags["is_minimum"] = len(cover) == 2 * len(cover.taxa) - 3
-        flags["is_sparse"] = is_sparse(tree, cover)
-        flags["is_shellable"] = is_shellable(tree, cover)[0]
+        flags["is_sparse"] = _sparse(cover, support)
+        flags["is_shellable"] = _shellable(tree, cover)[0]
     return flags
 
 
@@ -380,27 +393,31 @@ def search_fixture(
 
 
 def predicate_minimal_not_sparse(tree: PhyloTree, cover: TripletCover) -> bool:
+    support = _cover_support(tree, cover)
     return (
-        is_triplet_cover(tree, cover)
-        and not is_sparse(tree, cover)
-        and is_minimal(tree, cover)
+        support is not None
+        and not _sparse(cover, support)
+        and required_cords(support) == cover.cords
     )
 
 
 def predicate_sparse_minimal_mu4(tree: PhyloTree, cover: TripletCover) -> bool:
+    if cover.min_multiplicity() != 4:
+        return False
+    support = _cover_support(tree, cover)
     return (
-        cover.min_multiplicity() == 4
-        and is_triplet_cover(tree, cover)
-        and is_sparse(tree, cover)
-        and is_minimal(tree, cover)
+        support is not None
+        and _sparse(cover, support)
+        and required_cords(support) == cover.cords
     )
 
 
 def predicate_sparse_not_shellable(tree: PhyloTree, cover: TripletCover) -> bool:
+    support = _cover_support(tree, cover)
     return (
-        is_triplet_cover(tree, cover)
-        and is_sparse(tree, cover)
-        and not is_shellable(tree, cover)[0]
+        support is not None
+        and _sparse(cover, support)
+        and not _shellable(tree, cover)[0]
     )
 
 
@@ -413,12 +430,12 @@ def predicate_sparse_shellable_not_ample(
 ) -> bool:
     """Shellable although no section has an ample patchwork: the sufficiency
     test is not necessary."""
-    if not (is_triplet_cover(tree, cover) and is_sparse(tree, cover)):
+    support = _cover_support(tree, cover)
+    if support is None or not _sparse(cover, support):
         return False
-    section = supported_triples(tree, cover)
-    if is_ample(section)[0]:
+    if is_ample(frozenset().union(*support.values()))[0]:
         return False
-    return is_shellable(tree, cover)[0]
+    return _shellable(tree, cover)[0]
 
 
 FIXTURE_PREDICATES = {

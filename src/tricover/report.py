@@ -32,7 +32,7 @@ from .shelling import (
     AMPLE_TRIPLE_CAP,
     SECTION_ENUM_LIMIT,
     _patchwork_search,
-    is_shellable,
+    _shellable,
 )
 from .tree import PhyloTree
 
@@ -110,7 +110,7 @@ def classify(
         whole, _ = is_two_tree(graph)
         report["decomposition"]["graph_is_two_tree"] = whole
 
-    shellable, steps = is_shellable(tree, cover)
+    shellable, steps = _shellable(tree, cover)
     report["shellable"] = shellable
     report["shelling_added"] = (
         [list(step.cord) for step in steps] if shellable else None

@@ -11,8 +11,10 @@ are taken.  The order-randomised variant exists to let tests confirm that.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from heapq import heappop, heappush
 from itertools import combinations
 from random import Random
+from typing import Iterator
 
 from .covers import (
     Cord,
@@ -26,8 +28,14 @@ from .covers import (
     iter_sections,
     section_count,
 )
-from .errors import CapacityError, NotTripletCoverError, SectionError, WitnessError
-from .tree import PhyloTree, Quartet, make_quartet, quartet_from_distances
+from .errors import (
+    CapacityError,
+    NotTripletCoverError,
+    SectionError,
+    TreeError,
+    WitnessError,
+)
+from .tree import PhyloTree, Quartet, make_quartet
 
 AMPLE_TRIPLE_CAP = 16
 SECTION_ENUM_LIMIT = 10_000
@@ -43,29 +51,139 @@ class ShellingStep:
     quartet: Quartet
 
 
-def _find_step(
-    dist,
-    have: set[Cord],
-    taxa: list[str],
-    missing: list[Cord],
-    pair_order: dict | None,
-) -> ShellingStep | None:
-    for a, b in missing:
-        others = [t for t in taxa if t not in (a, b)]
-        pairs = list(combinations(others, 2))
-        if pair_order is not None:
-            pairs.sort(key=lambda p: pair_order[p])
-        for p, q in pairs:
-            needed = (cord(a, p), cord(a, q), cord(b, p), cord(b, q), cord(p, q))
-            if any(c not in have for c in needed):
-                continue
-            topo = quartet_from_distances(dist, a, b, p, q)
-            if topo == make_quartet((a, p), (b, q)):
-                return ShellingStep(cord(a, b), (p, q), topo)
-            if topo == make_quartet((a, q), (b, p)):
-                return ShellingStep(cord(a, b), (q, p), topo)
-            # Quartet keeps a and b together: this witness cannot force a,b.
-    return None
+def _bits(mask: int) -> Iterator[int]:
+    """Indices of the set bits of ``mask``, ascending."""
+    while mask:
+        low = mask & -mask
+        yield low.bit_length() - 1
+        mask ^= low
+
+
+def _hops(tree: PhyloTree, taxa: list[str]) -> list[list[int]]:
+    """Path lengths in edges between the taxa, by index: one BFS per leaf.
+
+    The four-point rule compares only sums of path lengths, and on a binary
+    tree with positive lengths the displayed pairing has the strictly least
+    sum for any such lengths, unit ones included; so these exact integers
+    decide the same quartets as the rational distances.
+    """
+    leaf_index = {tree.leaf(x): i for i, x in enumerate(taxa)}
+    rows = []
+    for x in taxa:
+        row = [0] * len(taxa)
+        seen = {tree.leaf(x)}
+        frontier = [tree.leaf(x)]
+        depth = 0
+        while frontier:
+            depth += 1
+            ahead = []
+            for w in frontier:
+                for u in tree.neighbors(w):
+                    if u not in seen:
+                        seen.add(u)
+                        ahead.append(u)
+                        if u in leaf_index:
+                            row[leaf_index[u]] = depth
+            frontier = ahead
+        rows.append(row)
+    return rows
+
+
+def _forced_steps(
+    tree: PhyloTree, cover: TripletCover, rng: Random | None = None
+) -> Iterator[ShellingStep]:
+    """The closure's forced additions in order, for a verified triplet cover.
+
+    A worklist closure: the heap ``ready`` holds every missing cord that has
+    a valid witness now, keyed by the cord, or by a random draw first when
+    ``rng`` is given; a witness stays valid as cords are added, so a cord
+    never leaves the heap but by being added.  The least is added with its
+    least valid witness (a random one with ``rng``).  A new cord uv only
+    creates witnesses whose five cords include uv, so only the missing cords
+    through u or v and the pairs inside N(u) & N(v) are tested again, N
+    being the neighbour sets of the cover graph.
+    """
+    taxa = sorted(cover.taxa)
+    index = {x: i for i, x in enumerate(taxa)}
+    hops = _hops(tree, taxa)
+    nbr = [0] * len(taxa)
+    for x, y in cover.cords:
+        nbr[index[x]] |= 1 << index[y]
+        nbr[index[y]] |= 1 << index[x]
+
+    def pairing(a: int, b: int, p: int, q: int) -> int:
+        """The displayed quartet by the four-point rule: 0 for ab|pq, 1 for
+        ap|bq, 2 for aq|bp."""
+        ab = hops[a][b] + hops[p][q]
+        ap = hops[a][p] + hops[b][q]
+        aq = hops[a][q] + hops[b][p]
+        if ap < ab and ap < aq:
+            return 1
+        if aq < ab and aq < ap:
+            return 2
+        if ab < ap and ab < aq:
+            return 0
+        raise TreeError(
+            f"degenerate quartet {taxa[a]},{taxa[b]},{taxa[p]},{taxa[q]}"
+        )
+
+    def witnesses(a: int, b: int) -> Iterator[tuple[int, int]]:
+        """Valid witnesses of the missing cord ab, in lexicographic order of
+        the unordered pair, each ordered to pair with (a, b)."""
+        common = nbr[a] & nbr[b]
+        for p in _bits(common):
+            for q in _bits(common & nbr[p] & ~((2 << p) - 1)):
+                side = pairing(a, b, p, q)
+                if side == 1:
+                    yield p, q
+                elif side == 2:
+                    yield q, p
+
+    ready: list[tuple[float, int, int]] = []
+    queued: set[tuple[int, int]] = set()
+
+    def push(a: int, b: int) -> None:
+        queued.add((a, b))
+        heappush(ready, (0 if rng is None else rng.random(), a, b))
+
+    for a, b in combinations(range(len(taxa)), 2):
+        if not nbr[a] >> b & 1 and next(witnesses(a, b), None):
+            push(a, b)
+    while ready:
+        _, a, b = heappop(ready)
+        if rng is None:
+            p, q = next(witnesses(a, b))
+        else:
+            p, q = rng.choice(list(witnesses(a, b)))
+        yield ShellingStep(
+            (taxa[a], taxa[b]),
+            (taxa[p], taxa[q]),
+            make_quartet((taxa[a], taxa[p]), (taxa[b], taxa[q])),
+        )
+        nbr[a] |= 1 << b
+        nbr[b] |= 1 << a
+        both = nbr[a] & nbr[b]
+        for u, v in ((a, b), (b, a)):
+            # Missing cords uc whose new witnesses are pairs {v, w}.
+            for c in _bits(nbr[v] & ~nbr[u] & ~(1 << u)):
+                key = (u, c) if u < c else (c, u)
+                if key not in queued and any(
+                    pairing(u, c, v, w) for w in _bits(both & nbr[c])
+                ):
+                    push(*key)
+        # Missing cords cd whose new witness is the pair {a, b}.
+        for c in _bits(both):
+            for d in _bits(both & ~nbr[c] & ~((2 << c) - 1)):
+                if (c, d) not in queued and pairing(c, d, a, b):
+                    push(c, d)
+
+
+def _closure(
+    tree: PhyloTree, cover: TripletCover, rng: Random | None = None
+) -> tuple[frozenset[Cord], tuple[ShellingStep, ...]]:
+    """:func:`cord_closure` for a cover already known to be a triplet cover."""
+    steps = tuple(_forced_steps(tree, cover, rng))
+    return cover.cords | {step.cord for step in steps}, steps
 
 
 def cord_closure(
@@ -74,33 +192,23 @@ def cord_closure(
     """Saturate the forced-addition rule; returns the closed cord set and the
     step log (a shelling prefix, the full shelling when closure completes).
 
-    Missing cords and witness pairs are scanned lexicographically and the
-    first hit wins; passing ``rng`` randomises the scan order instead, which
-    only permutes the log, never changes the final set.
+    Each step adds the least missing cord that has a valid witness, with its
+    least valid witness pair; passing ``rng`` draws both at random instead,
+    which only permutes the log, never changes the final set.
     """
     if not is_triplet_cover(tree, cover):
         raise NotTripletCoverError("cord closure requires a triplet cover")
-    taxa = sorted(cover.taxa)
-    dist = tree.distance_matrix()
-    have = set(cover.cords)
-    universe = all_cords(taxa)
-    steps: list[ShellingStep] = []
-    while True:
-        missing = sorted(universe - have)
-        if not missing:
-            break
-        pair_order = None
-        if rng is not None:
-            rng.shuffle(missing)
-            shuffled = sorted(all_cords(taxa))
-            rng.shuffle(shuffled)
-            pair_order = {p: i for i, p in enumerate(shuffled)}
-        step = _find_step(dist, have, taxa, missing, pair_order)
-        if step is None:
-            break
-        have.add(step.cord)
-        steps.append(step)
-    return frozenset(have), tuple(steps)
+    return _closure(tree, cover, rng)
+
+
+def _shellable(
+    tree: PhyloTree, cover: TripletCover
+) -> tuple[bool, tuple[ShellingStep, ...] | None]:
+    """:func:`is_shellable` for a cover already known to be a triplet cover."""
+    closed, steps = _closure(tree, cover)
+    if closed == all_cords(cover.taxa):
+        return True, steps
+    return False, None
 
 
 def is_shellable(
@@ -108,14 +216,9 @@ def is_shellable(
 ) -> tuple[bool, tuple[ShellingStep, ...] | None]:
     """Whether the closure reaches every pair (3-taxon covers qualify
     outright); returns the witness step sequence when it does."""
-    if len(cover.taxa) == 3:
-        if not is_triplet_cover(tree, cover):
-            raise NotTripletCoverError("is_shellable requires a triplet cover")
-        return True, ()
-    closed, steps = cord_closure(tree, cover)
-    if closed == all_cords(cover.taxa):
-        return True, steps
-    return False, None
+    if not is_triplet_cover(tree, cover):
+        raise NotTripletCoverError("is_shellable requires a triplet cover")
+    return _shellable(tree, cover)
 
 
 def verify_shelling(tree: PhyloTree, cover: TripletCover, steps) -> None:

@@ -3,6 +3,7 @@
 import json
 import subprocess
 import sys
+from itertools import islice
 
 import pytest
 
@@ -241,27 +242,27 @@ def test_shell_and_verify_pipeline(fig_files, tmp_path, capsys):
 
 
 def test_shell_non_shellable_runs_closure_once(fig_files, tmp_path, monkeypatch):
-    # No non-shellable cover is known at test sizes, so the forced-addition
-    # search is cut off after its first step: the closure then stalls with a
-    # one-step prefix, exactly as it would on a non-shellable cover.
+    # No non-shellable cover is known at test sizes, so the stream of forced
+    # additions is cut off after its first step: the closure then stalls with
+    # a one-step prefix, exactly as it would on a non-shellable cover.
     tree_path, cover_path = fig_files
-    real_find_step = shelling._find_step
-    real_closure = shelling.cord_closure
+    real_steps = shelling._forced_steps
+    real_closure = shelling._closure
     found = []
     closures = []
 
     def first_step_only(*args):
-        step = None if found else real_find_step(*args)
-        found.append(step)
-        return step
+        for step in islice(real_steps(*args), 1):
+            found.append(step)
+            yield step
 
     def counted_closure(*args):
         closures.append(args)
         return real_closure(*args)
 
-    monkeypatch.setattr(shelling, "_find_step", first_step_only)
+    monkeypatch.setattr(shelling, "_forced_steps", first_step_only)
     for module in (shelling, cli):
-        monkeypatch.setattr(module, "cord_closure", counted_closure)
+        monkeypatch.setattr(module, "_closure", counted_closure)
     out = tmp_path / "prefix.json"
     code = main(["shell", "--tree", str(tree_path), "--cover", str(cover_path),
                  "--json", str(out)])

@@ -22,7 +22,7 @@ from tricover import (
     minimalize,
     seeded_chooser,
 )
-from tricover import cli, covers, report, shelling
+from tricover import cli, covers, lab, report, shelling
 from tricover.lab import random_binary_tree, random_instances
 
 
@@ -129,7 +129,7 @@ def call_counts(non_minimal, monkeypatch):
         return real_cover(tree, cover)
 
     monkeypatch.setattr(covers, "_supporting_triples", scan)
-    for module in (covers, report, shelling, cli):
+    for module in (covers, report, shelling, cli, lab):
         for name, fake in (("support_map", support_map), ("is_triplet_cover", cover_test)):
             if hasattr(module, name):
                 monkeypatch.setattr(module, name, fake)
@@ -142,11 +142,10 @@ def test_classify_builds_one_support_map(non_minimal, call_counts):
     assert result["is_minimal"] is False
     assert call_counts["support_map"] == 1
     assert call_counts["full_scans"] == len(tree.interior_vertices())
-    # The one remaining cover test is the cord closure's own early-exit scan.
-    assert call_counts["is_triplet_cover"] == 1
+    assert call_counts["is_triplet_cover"] == 0
 
 
-@pytest.mark.parametrize("entry", [is_minimal, minimalize])
+@pytest.mark.parametrize("entry", [is_minimal, minimalize, lab.basic_flags])
 def test_minimality_builds_one_support_map(non_minimal, call_counts, entry):
     tree, cover = non_minimal
     entry(tree, cover)
