@@ -37,6 +37,22 @@ def read_json(path):
     return json.loads(Path(path).read_text(encoding="utf-8"))
 
 
+def _is_names(value, size: int | None = None) -> bool:
+    """Whether a JSON value is a list of strings, ``size`` long if given."""
+    if not isinstance(value, list) or size not in (None, len(value)):
+        return False
+    return all(isinstance(x, str) for x in value)
+
+
+def _taxa_and_entries(payload, kind: str, key: str) -> tuple[list[str], list]:
+    """The "taxa" names and the ``key`` list of a cover or distance file."""
+    if not isinstance(payload, dict) or not isinstance(payload.get(key), list):
+        raise CoverError(f'{kind} files need "taxa" and a "{key}" list')
+    if not _is_names(payload.get("taxa")):
+        raise CoverError(f'{kind} files need "taxa" as a list of taxon names')
+    return payload["taxa"], payload[key]
+
+
 # -- covers ----------------------------------------------------------------
 
 def cover_to_json(cover: TripletCover) -> dict:
@@ -47,15 +63,12 @@ def cover_to_json(cover: TripletCover) -> dict:
 
 
 def cover_from_json(payload) -> TripletCover:
-    if not isinstance(payload, dict) or "taxa" not in payload or "cords" not in payload:
-        raise CoverError('cover files need "taxa" and "cords" keys')
-    taxa = payload["taxa"]
+    taxa, raw = _taxa_and_entries(payload, "cover", "cords")
     if len(set(taxa)) != len(taxa):
         raise CoverError("duplicate taxa in cover file")
-    raw = payload["cords"]
     seen = set()
     for pair in raw:
-        if not isinstance(pair, list) or len(pair) != 2:
+        if not _is_names(pair, 2):
             raise CoverError(f"bad cord entry {pair!r}")
         key = cord(pair[0], pair[1])
         if key in seen:
@@ -84,22 +97,17 @@ def distances_to_json(dist: PartialDistances) -> dict:
 
 
 def distances_from_json(payload) -> PartialDistances:
-    if (
-        not isinstance(payload, dict)
-        or "taxa" not in payload
-        or "distances" not in payload
-    ):
-        raise CoverError('distance files need "taxa" and "distances" keys')
+    taxa, entries = _taxa_and_entries(payload, "distance", "distances")
     items = {}
-    for entry in payload["distances"]:
-        if not isinstance(entry, list) or len(entry) != 3:
+    for entry in entries:
+        if not (isinstance(entry, list) and len(entry) == 3 and _is_names(entry[:2])):
             raise CoverError(f"bad distance entry {entry!r}")
         x, y, value = entry
         key = cord(x, y)
         if key in items:
             raise CoverError(f"duplicate distance for {x},{y}")
         items[key] = value
-    return PartialDistances.make(payload["taxa"], items)
+    return PartialDistances.make(taxa, items)
 
 
 def load_distances(path) -> PartialDistances:
@@ -124,10 +132,6 @@ def tree_to_json(tree: PhyloTree) -> dict:
     }
 
 
-def save_tree_json(tree: PhyloTree, path) -> None:
-    write_json(tree_to_json(tree), path)
-
-
 # -- shelling witnesses --------------------------------------------------------
 
 def shelling_to_json(steps) -> dict:
@@ -144,10 +148,19 @@ def shelling_to_json(steps) -> dict:
 
 
 def shelling_from_json(payload) -> tuple[ShellingStep, ...]:
-    if not isinstance(payload, dict) or "steps" not in payload:
-        raise CoverError('shelling files need a "steps" key')
+    if not isinstance(payload, dict) or not isinstance(payload.get("steps"), list):
+        raise CoverError('shelling files need a "steps" list')
     steps = []
     for entry in payload["steps"]:
+        if not (
+            isinstance(entry, dict)
+            and _is_names(entry.get("cord"), 2)
+            and _is_names(entry.get("witness"), 2)
+            and isinstance(entry.get("quartet"), list)
+            and len(entry["quartet"]) == 2
+            and all(_is_names(pair, 2) for pair in entry["quartet"])
+        ):
+            raise CoverError(f"bad shelling step {entry!r}")
         quartet = make_quartet(tuple(entry["quartet"][0]), tuple(entry["quartet"][1]))
         steps.append(
             ShellingStep(
@@ -161,10 +174,6 @@ def shelling_from_json(payload) -> tuple[ShellingStep, ...]:
 
 def load_shelling(path) -> tuple[ShellingStep, ...]:
     return shelling_from_json(read_json(path))
-
-
-def save_shelling(steps, path) -> None:
-    write_json(shelling_to_json(steps), path)
 
 
 # -- decompositions -------------------------------------------------------------

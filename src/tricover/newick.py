@@ -17,6 +17,7 @@ from __future__ import annotations
 
 import re
 from fractions import Fraction
+from itertools import count
 
 from .errors import NewickError
 from .tree import PhyloTree
@@ -58,32 +59,7 @@ class _Parser:
         self.pos = match.end()
         return value
 
-    def parse_subtree(self, at_root: bool):
-        """Returns ("leaf", label, length) or ("node", children, length|None)."""
-        self.skip_ws()
-        if self.peek() == "(":
-            self.pos += 1
-            children = [self.parse_subtree(False)]
-            self.skip_ws()
-            while self.peek() == ",":
-                self.pos += 1
-                children.append(self.parse_subtree(False))
-                self.skip_ws()
-            if len(children) < 2:
-                self.fail("an internal node needs at least two children")
-            self.expect(")")
-            self.skip_ws()
-            length = None
-            if self.peek() == ":":
-                self.pos += 1
-                self.skip_ws()
-                length = self.parse_length()
-            if at_root:
-                if length is not None:
-                    self.fail("the root may not carry a branch length")
-            elif length is None:
-                self.fail("missing branch length on an interior edge")
-            return ("node", children, length)
+    def parse_leaf(self) -> tuple[str, Fraction]:
         match = _LABEL_RE.match(self.text, self.pos)
         if not match:
             self.fail("expected a leaf label or '('")
@@ -94,8 +70,55 @@ class _Parser:
             self.fail(f"missing branch length after leaf {label!r}")
         self.pos += 1
         self.skip_ws()
-        length = self.parse_length()
-        return ("leaf", label, length)
+        return label, self.parse_length()
+
+    def parse_tree(self):
+        """Parse the outermost subtree with an explicit stack of open groups.
+
+        Vertices are numbered in preorder, the root group 0, and each edge
+        is listed once its child's subtree is complete.  Returns the edges
+        and the leaf labels.
+        """
+        edges: list[tuple[int, int, Fraction]] = []
+        labels: dict[int, str] = {}
+        groups: list[tuple[int, list[int]]] = []  # open groups, innermost last
+        ids = count()
+        while True:
+            self.skip_ws()
+            if self.peek() == "(":
+                self.pos += 1
+                groups.append((next(ids), []))
+                continue
+            child = next(ids)
+            labels[child], length = self.parse_leaf()
+            if not groups:
+                return edges, labels
+            # Close every group that ends after this subtree.
+            while True:
+                parent, children = groups[-1]
+                children.append(child)
+                edges.append((parent, child, length))
+                self.skip_ws()
+                if self.peek() == ",":
+                    self.pos += 1
+                    break
+                if len(children) < 2:
+                    self.fail("an internal node needs at least two children")
+                self.expect(")")
+                self.skip_ws()
+                length = None
+                if self.peek() == ":":
+                    self.pos += 1
+                    self.skip_ws()
+                    length = self.parse_length()
+                groups.pop()
+                if not groups:
+                    if length is not None:
+                        self.fail("the root may not carry a branch length")
+                    return edges, labels
+                if length is None:
+                    self.fail("missing branch length on an interior edge")
+                child = parent
 
 
 def parse_newick(text: str) -> PhyloTree:
@@ -106,45 +129,21 @@ def parse_newick(text: str) -> PhyloTree:
     taxon, too few taxa).
     """
     parser = _Parser(text)
-    parser.skip_ws()
-    root = parser.parse_subtree(True)
+    edges, labels = parser.parse_tree()
     parser.skip_ws()
     parser.expect(";")
     parser.skip_ws()
     if parser.pos != len(text):
         parser.fail("trailing characters after ';'")
-    if root[0] == "leaf":
+    if not edges:
         raise NewickError("a tree must have an internal root group", 0)
-
-    edges: list[tuple[int, int, Fraction]] = []
-    labels: dict[int, str] = {}
-    counter = [0]
-
-    def build(node, parent: int | None, parent_length: Fraction | None) -> int:
-        vid = counter[0]
-        counter[0] += 1
-        kind, payload, length = node
-        if kind == "leaf":
-            labels[vid] = payload
-        else:
-            for child in payload:
-                build(child, vid, child[2])
-        if parent is not None:
-            edges.append((parent, vid, parent_length))
-        return vid
-
-    _, children, _ = root
-    if len(children) == 2:
-        # Degree-2 root: merge the two root edges.
-        counter[0] = 0
-        left = build(children[0], None, None)
-        right = build(children[1], None, None)
-        edges.append((left, right, children[0][2] + children[1][2]))
-    else:
-        root_id = counter[0]
-        counter[0] += 1
-        for child in children:
-            build(child, root_id, child[2])
+    root_edges = [(v, q) for u, v, q in edges if u == 0]
+    if len(root_edges) == 2:
+        # Degree-2 root: drop it and merge its two edges.
+        (left, q_left), (right, q_right) = root_edges
+        edges = [(u - 1, v - 1, q) for u, v, q in edges if u != 0]
+        edges.append((left - 1, right - 1, q_left + q_right))
+        labels = {v - 1: label for v, label in labels.items()}
     return PhyloTree(edges, labels)
 
 
@@ -156,19 +155,21 @@ def format_length(value: Fraction) -> str:
 def write_newick(tree: PhyloTree) -> str:
     """Canonical Newick: rooted at the interior vertex adjacent to the least
     taxon, children ordered by their least descendant taxon."""
-    least = min(tree.taxa)
-    (root,) = (w for w in tree.neighbors(tree.leaf(least)))
+    index = tree._rooted()
+    least, root = index.order[:2]
+    text: dict[int, str] = {}
 
-    def render(v: int, parent: int) -> tuple[str, str]:
-        length = format_length(tree.edge_length(parent, v))
+    def group(ws) -> str:
+        ordered = sorted(ws, key=lambda w: index.mask[w] & -index.mask[w])
+        return ",".join(text.pop(w) for w in ordered)
+
+    # The index is rooted at the least taxon's leaf, whose neighbour is the
+    # Newick root; each vertex is rendered after the vertices below it.
+    for v in (*reversed(index.order[2:]), least):
+        up = root if v == least else index.parent[v]
+        length = format_length(tree.edge_length(up, v))
         if tree.is_leaf(v):
-            label = tree.label(v)
-            return label, f"{label}:{length}"
-        parts = sorted(
-            render(w, v) for w in tree.neighbors(v) if w != parent
-        )
-        body = ",".join(text for _, text in parts)
-        return parts[0][0], f"({body}):{length}"
-
-    parts = sorted(render(w, root) for w in tree.neighbors(root))
-    return "(" + ",".join(text for _, text in parts) + ");"
+            text[v] = f"{tree.label(v)}:{length}"
+        else:
+            text[v] = f"({group(w for w in tree.neighbors(v) if w != up)}):{length}"
+    return f"({group(tree.neighbors(root))});"

@@ -59,36 +59,6 @@ def _bits(mask: int) -> Iterator[int]:
         mask ^= low
 
 
-def _hops(tree: PhyloTree, taxa: list[str]) -> list[list[int]]:
-    """Path lengths in edges between the taxa, by index: one BFS per leaf.
-
-    The four-point rule compares only sums of path lengths, and on a binary
-    tree with positive lengths the displayed pairing has the strictly least
-    sum for any such lengths, unit ones included; so these exact integers
-    decide the same quartets as the rational distances.
-    """
-    leaf_index = {tree.leaf(x): i for i, x in enumerate(taxa)}
-    rows = []
-    for x in taxa:
-        row = [0] * len(taxa)
-        seen = {tree.leaf(x)}
-        frontier = [tree.leaf(x)]
-        depth = 0
-        while frontier:
-            depth += 1
-            ahead = []
-            for w in frontier:
-                for u in tree.neighbors(w):
-                    if u not in seen:
-                        seen.add(u)
-                        ahead.append(u)
-                        if u in leaf_index:
-                            row[leaf_index[u]] = depth
-            frontier = ahead
-        rows.append(row)
-    return rows
-
-
 def _forced_steps(
     tree: PhyloTree, cover: TripletCover, rng: Random | None = None
 ) -> Iterator[ShellingStep]:
@@ -105,15 +75,18 @@ def _forced_steps(
     """
     taxa = sorted(cover.taxa)
     index = {x: i for i, x in enumerate(taxa)}
-    hops = _hops(tree, taxa)
+    hops = [[tree.hops(x, y) for y in taxa] for x in taxa]
     nbr = [0] * len(taxa)
     for x, y in cover.cords:
         nbr[index[x]] |= 1 << index[y]
         nbr[index[y]] |= 1 << index[x]
 
     def pairing(a: int, b: int, p: int, q: int) -> int:
-        """The displayed quartet by the four-point rule: 0 for ab|pq, 1 for
-        ap|bq, 2 for aq|bp."""
+        """The displayed quartet by the four-point rule on path lengths in
+        edges: 0 for ab|pq, 1 for ap|bq, 2 for aq|bp.  On a binary tree the
+        displayed pairing has the strictly least sum for any positive
+        lengths, unit ones included, so these decide the same quartets as
+        the rational distances."""
         ab = hops[a][b] + hops[p][q]
         ap = hops[a][p] + hops[b][q]
         aq = hops[a][q] + hops[b][p]

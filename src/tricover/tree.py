@@ -12,8 +12,8 @@ from __future__ import annotations
 
 from collections import deque
 from fractions import Fraction
-from itertools import combinations
-from typing import Iterable
+from itertools import combinations, compress
+from typing import Iterable, Iterator, NamedTuple
 
 from .errors import TreeError
 
@@ -54,6 +54,21 @@ def make_quartet(pair_one: tuple[str, str], pair_two: tuple[str, str]) -> Quarte
     if set(a) & set(b):
         raise ValueError(f"quartet pairs overlap: {a} {b}")
     return (a, b) if a <= b else (b, a)
+
+
+class _RootedIndex(NamedTuple):
+    """One walk's facts about a tree rooted at its least taxon's leaf.
+
+    Bit i of a leaf mask stands for ``taxa[i]``, so the lowest set bit of a
+    vertex's mask is its least descendant taxon.
+    """
+
+    taxa: tuple[str, ...]  # sorted
+    order: list[int]  # walk order, every vertex after its parent
+    parent: dict[int, int]  # the root is its own parent
+    depth: dict[int, int]  # edges from the root
+    mask: dict[int, int]  # the leaves at or below each vertex
+    full: int  # every taxon's bit
 
 
 class PhyloTree:
@@ -127,6 +142,7 @@ class PhyloTree:
         self._label_leaf = {lab: v for v, lab in leaf_labels.items()}
         self._taxa = frozenset(leaf_labels.values())
         self._dist_cache: dict[tuple[str, str], Fraction] | None = None
+        self._index: _RootedIndex | None = None
 
     # -- basic accessors -------------------------------------------------
 
@@ -181,25 +197,45 @@ class PhyloTree:
 
     # -- paths, distances, medians ---------------------------------------
 
+    def _rooted(self) -> "_RootedIndex":
+        """The tree rooted at the least taxon's leaf (cached)."""
+        if self._index is None:
+            taxa = tuple(sorted(self._taxa))
+            root = self._label_leaf[taxa[0]]
+            order, parent, depth = [root], {root: root}, {root: 0}
+            for v in order:
+                for w in self._adj[v]:
+                    if w not in parent:
+                        parent[w] = v
+                        depth[w] = depth[v] + 1
+                        order.append(w)
+            mask = {self._label_leaf[x]: 1 << i for i, x in enumerate(taxa)}
+            for v in reversed(order[1:]):
+                mask[parent[v]] = mask.get(parent[v], 0) | mask[v]
+            self._index = _RootedIndex(taxa, order, parent, depth, mask, mask[root])
+        return self._index
+
+    def _taxa_of(self, mask: int) -> Iterator[str]:
+        """The taxa whose bits are set in ``mask``, in sorted order."""
+        return compress(self._rooted().taxa, map("1".__eq__, bin(mask)[:1:-1]))
+
     def _path(self, u: int, v: int) -> list[int]:
         """Vertex sequence of the unique u..v path."""
-        if u == v:
-            return [u]
-        parent = {u: None}
-        queue = deque([u])
-        while queue:
-            w = queue.popleft()
-            if w == v:
-                break
-            for x in self._adj[w]:
-                if x not in parent:
-                    parent[x] = w
-                    queue.append(x)
-        path = [v]
-        while path[-1] != u:
-            path.append(parent[path[-1]])
-        path.reverse()
-        return path
+        index = self._rooted()
+        head, tail = [u], [v]
+        while head[-1] != tail[-1]:
+            end = head if index.depth[head[-1]] >= index.depth[tail[-1]] else tail
+            end.append(index.parent[end[-1]])
+        return head + tail[-2::-1]
+
+    def hops(self, x: str, y: str) -> int:
+        """Number of edges on the path between taxa x and y."""
+        index = self._rooted()
+        u, v = self.leaf(x), self.leaf(y)
+        top = u
+        while index.mask[top] & index.mask[v] != index.mask[v]:
+            top = index.parent[top]
+        return index.depth[u] + index.depth[v] - 2 * index.depth[top]
 
     def distance(self, x: str, y: str) -> Fraction:
         """Sum of edge lengths on the path between taxa x and y; 0 iff x == y."""
@@ -249,61 +285,45 @@ class PhyloTree:
 
     # -- components and splits -------------------------------------------
 
+    def _component_masks(self, v: int) -> list[int]:
+        """Leaf masks of the components of the tree minus interior vertex v,
+        ordered by least taxon."""
+        if self.is_leaf(v):
+            raise TreeError(f"vertex {v} is a leaf, not interior")
+        index = self._rooted()
+        up = index.parent[v]
+        masks = [index.mask[w] for w in self._adj[v] if w != up]
+        masks.append(index.full ^ index.mask[v])
+        return sorted(masks, key=lambda m: m & -m)
+
     def components_without(self, v: int) -> tuple[frozenset[str], ...]:
         """Taxon sets of the components of the tree minus interior vertex v.
 
         Ordered by least contained taxon; always three components.
         """
-        if self.is_leaf(v):
-            raise TreeError(f"vertex {v} is a leaf, not interior")
-        comps = []
-        for start in self._adj[v]:
-            seen = {v, start}
-            stack = [start]
-            taxa = set()
-            while stack:
-                w = stack.pop()
-                if w in self._leaf_label:
-                    taxa.add(self._leaf_label[w])
-                for x in self._adj[w]:
-                    if x not in seen:
-                        seen.add(x)
-                        stack.append(x)
-            comps.append(frozenset(taxa))
-        return tuple(sorted(comps, key=min))
+        return tuple(frozenset(self._taxa_of(m)) for m in self._component_masks(v))
 
     def component_triple(self, v: int) -> tuple[str, str, str]:
         """Canonical name for interior vertex v: least taxon per component."""
-        a, b, c = (min(comp) for comp in self.components_without(v))
-        out = tuple(sorted((a, b, c)))
-        return out  # type: ignore[return-value]
-
-    def _split_of_edge(self, u: int, v: int) -> Split:
-        seen = {v, u}
-        stack = [u]
-        side = set()
-        while stack:
-            w = stack.pop()
-            if w in self._leaf_label:
-                side.add(self._leaf_label[w])
-            for x in self._adj[w]:
-                if x not in seen:
-                    seen.add(x)
-                    stack.append(x)
-        other = self._taxa - side
-        block_a = tuple(sorted(side))
-        block_b = tuple(sorted(other))
-        if min(block_b) < min(block_a):
-            block_a, block_b = block_b, block_a
-        return (block_a, block_b)
+        taxa = self._rooted().taxa
+        a, b, c = (taxa[(m & -m).bit_length() - 1] for m in self._component_masks(v))
+        return a, b, c
 
     def splits(self) -> frozenset[Split]:
         """One split per edge (2n-3 of them, including the n trivial ones)."""
-        return frozenset(self._split_of_edge(u, v) for u, v, _ in self.edges())
+        return frozenset(self.split_lengths())
 
     def split_lengths(self) -> dict[Split, Fraction]:
         """Map each split to the length of the edge inducing it."""
-        return {self._split_of_edge(u, v): q for u, v, q in self.edges()}
+        index = self._rooted()
+        out = {}
+        # Each edge joins a vertex to its parent; the vertex's side holds
+        # the leaves of its mask, the other side the least taxon.
+        for v in index.order[1:]:
+            above, below = index.full ^ index.mask[v], index.mask[v]
+            split = (tuple(self._taxa_of(above)), tuple(self._taxa_of(below)))
+            out[split] = self._adj[v][index.parent[v]]
+        return out
 
     def isomorphic(self, other: "PhyloTree", compare_lengths: bool = False) -> bool:
         """Label-preserving isomorphism, i.e. equal split sets.
@@ -333,21 +353,17 @@ class PhyloTree:
         if len(keep_taxa) < 3:
             raise TreeError(f"restriction needs at least 3 taxa, got {len(keep_taxa)}")
 
-        # Prune to the Steiner tree of the kept leaves.
-        adj = {v: dict(nbrs) for v, nbrs in self._adj.items()}
-        keep_leaves = {self._label_leaf[t] for t in keep_taxa}
-        fringe = [
-            v
-            for v, nbrs in adj.items()
-            if len(nbrs) == 1 and v not in keep_leaves
-        ]
-        while fringe:
-            v = fringe.pop()
-            (nbr,) = adj[v]
-            del adj[v]
-            del adj[nbr][v]
-            if len(adj[nbr]) == 1 and nbr not in keep_leaves:
-                fringe.append(nbr)
+        # The Steiner tree of the kept leaves: the edges with a kept taxon
+        # on each side.
+        index = self._rooted()
+        keep = sum(1 << i for i, x in enumerate(index.taxa) if x in keep_taxa)
+        adj: dict[int, dict[int, Fraction]] = {}
+        for v in index.order[1:]:
+            below = index.mask[v] & keep
+            if below and below != keep:
+                u, q = index.parent[v], self._adj[v][index.parent[v]]
+                adj.setdefault(u, {})[v] = q
+                adj.setdefault(v, {})[u] = q
 
         # Contract degree-2 chains between branching/leaf vertices.
         nodes = {v for v, nbrs in adj.items() if len(nbrs) != 2}

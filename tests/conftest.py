@@ -43,3 +43,19 @@ def fig_cover():
 @pytest.fixture
 def fig_dist(fig_cover):
     return PartialDistances.make("abcde", FIG_DISTANCES)
+
+
+def _caterpillar_newick(n):
+    names = [f"t{i:04d}" for i in range(n)]
+    lengths = ["1", "7/2", "2", "1/3"]
+    spine = [f"({name}:{lengths[i % 4]}," for i, name in enumerate(names[2:-2])]
+    inner = f"({names[-2]}:1,{names[-1]}:5/2)"
+    closing = "".join(f":{lengths[i % 4]})" for i in reversed(range(len(spine))))
+    return f"({names[0]}:1,{names[1]}:2,{''.join(spine)}{inner}{closing}:3);"
+
+
+@pytest.fixture
+def caterpillar_newick():
+    """Builds the canonical Newick text of an n-taxon caterpillar whose least
+    taxon sits at one end, so its groups nest n - 3 deep."""
+    return _caterpillar_newick

@@ -97,6 +97,66 @@ def test_analyze_taxa_mismatch_exit_1(fig_files, tmp_path):
     assert main(["analyze", "--tree", str(tree_path), "--cover", str(path)]) == 1
 
 
+def test_analyze_deep_newick_is_one_error_line(
+    fig_files, tmp_path, capsys, caterpillar_newick
+):
+    _, cover_path = fig_files
+    tree_path = tmp_path / "deep.nwk"
+    tree_path.write_text(caterpillar_newick(1200) + "\n")
+    code = main(["analyze", "--tree", str(tree_path), "--cover", str(cover_path)])
+    err = capsys.readouterr().err
+    assert code == 1
+    assert err.startswith("error: cover taxa") and err.count("\n") == 1
+
+
+MALFORMED_FILES = {
+    "taxa string": ("cover", {"taxa": "abcde", "cords": FIG_COVER["cords"]}),
+    "cord with a list": ("cover", {"taxa": list("abcde"), "cords": [[["a"], "b"]]}),
+    "cord with null": ("cover", {"taxa": list("abcde"), "cords": [["a", None]]}),
+    "distance taxon list": (
+        "dist",
+        {"taxa": list("abcde"), "distances": [[["a"], "b", "2"]]},
+    ),
+    "step without quartet": (
+        "witness",
+        {"steps": [{"cord": ["a", "d"], "witness": ["b", "c"]}]},
+    ),
+    "three-taxon witness cord": (
+        "witness",
+        {
+            "steps": [
+                {
+                    "cord": ["a", "d", "e"],
+                    "witness": ["b", "c"],
+                    "quartet": [["a", "b"], ["c", "d"]],
+                }
+            ]
+        },
+    ),
+    "steps not a list": ("witness", {"steps": 5}),
+}
+
+
+@pytest.mark.parametrize("case", sorted(MALFORMED_FILES))
+def test_malformed_json_is_one_error_line(fig_files, tmp_path, capsys, case):
+    tree_path, cover_path = fig_files
+    kind, payload = MALFORMED_FILES[case]
+    bad = tmp_path / "bad.json"
+    bad.write_text(json.dumps(payload))
+    if kind == "cover":
+        argv = ["analyze", "--tree", str(tree_path), "--cover", str(bad)]
+    elif kind == "dist":
+        argv = ["reconstruct", "--cover", str(cover_path), "--dist", str(bad),
+                "--out", str(tmp_path / "out.nwk")]
+    else:
+        argv = ["verify-shelling", "--tree", str(tree_path), "--cover",
+                str(cover_path), "--witness", str(bad)]
+    code = main(argv)
+    err = capsys.readouterr().err
+    assert code == 1
+    assert err.startswith("error: ") and err.count("\n") == 1
+
+
 def test_reconstruct_pipeline(fig_files, tmp_path):
     _, cover_path = fig_files
     dist = {

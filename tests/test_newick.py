@@ -97,3 +97,11 @@ def test_roundtrip_random_trees(seed):
     again = parse_newick(write_newick(tree))
     assert again.isomorphic(tree, compare_lengths=True)
     assert write_newick(again) == write_newick(tree)
+
+
+@pytest.mark.parametrize("n", [4, 600, 1200, 5000])
+def test_deep_caterpillar_roundtrip(caterpillar_newick, n):
+    text = caterpillar_newick(n)
+    tree = parse_newick(text)
+    assert tree.n_taxa == n
+    assert write_newick(tree) == text
