@@ -192,68 +192,57 @@ def build_parser() -> argparse.ArgumentParser:
         description="Triplet covers of binary phylogenetic trees: "
         "classification, reconstruction, decompositions, shellability.",
     )
-    common = argparse.ArgumentParser(add_help=False)
-    common.add_argument(
+    sub = parser.add_subparsers(dest="command", required=True)
+
+    p = sub.add_parser("analyze", help="classify a cover")
+    p.add_argument(
         "--limit-sections",
         type=int,
         default=shelling.SECTION_ENUM_LIMIT,
         help="section enumeration ceiling (default %(default)s)",
     )
-    common.add_argument(
+    p.add_argument(
         "--ample-cap",
         type=int,
         default=shelling.AMPLE_TRIPLE_CAP,
         help="ample-patchwork triple ceiling (default %(default)s)",
     )
-    common.add_argument(
+    p.add_argument(
         "--hall-cap",
         type=int,
         default=covers.HALL_SUBSET_CAP,
         help="Hall-type subset-enumeration ceiling (default %(default)s)",
     )
-    sub = parser.add_subparsers(dest="command", required=True)
-
-    p = sub.add_parser("analyze", parents=[common], help="classify a cover")
     p.add_argument("--tree", required=True, help="Newick file")
     p.add_argument("--cover", required=True, help="cover JSON file")
     p.add_argument("--json", help="write the report here instead of stdout")
     p.set_defaults(func=_cmd_analyze)
 
-    p = sub.add_parser(
-        "reconstruct", parents=[common], help="rebuild a tree from cover distances"
-    )
+    p = sub.add_parser("reconstruct", help="rebuild a tree from cover distances")
     p.add_argument("--cover", required=True)
     p.add_argument("--dist", required=True)
     p.add_argument("--out", required=True, help="output Newick file")
     p.set_defaults(func=_cmd_reconstruct)
 
-    p = sub.add_parser(
-        "decompose", parents=[common], help="2-tree decomposition of the cover graph"
-    )
+    p = sub.add_parser("decompose", help="2-tree decomposition of the cover graph")
     p.add_argument("--tree", required=True)
     p.add_argument("--cover", required=True)
     p.add_argument("--json")
     p.set_defaults(func=_cmd_decompose)
 
-    p = sub.add_parser(
-        "shell", parents=[common], help="run the cord closure / find a shelling"
-    )
+    p = sub.add_parser("shell", help="run the cord closure / find a shelling")
     p.add_argument("--tree", required=True)
     p.add_argument("--cover", required=True)
     p.add_argument("--json")
     p.set_defaults(func=_cmd_shell)
 
-    p = sub.add_parser(
-        "verify-shelling", parents=[common], help="independently check a witness"
-    )
+    p = sub.add_parser("verify-shelling", help="independently check a witness")
     p.add_argument("--tree", required=True)
     p.add_argument("--cover", required=True)
     p.add_argument("--witness", required=True)
     p.set_defaults(func=_cmd_verify_shelling)
 
-    p = sub.add_parser(
-        "generate", parents=[common], help="emit a seeded tree + cover + distances"
-    )
+    p = sub.add_parser("generate", help="emit a seeded tree + cover + distances")
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument(
@@ -262,9 +251,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out-dir", required=True)
     p.set_defaults(func=_cmd_generate)
 
-    p = sub.add_parser(
-        "fixtures", parents=[common], help="search for captioned-property fixtures"
-    )
+    p = sub.add_parser("fixtures", help="search for captioned-property fixtures")
     p.add_argument("--target", choices=sorted(lab.FIXTURE_PREDICATES), required=True)
     p.add_argument("--n-min", type=int, default=5)
     p.add_argument("--n-max", type=int, default=8)

@@ -215,6 +215,16 @@ def save_instance_record(record: InstanceRecord, path) -> None:
 def load_instance_record(path) -> InstanceRecord:
     """Fixture flags are recomputed on load, never trusted from storage."""
     payload = read_json(path)
+    if not (
+        isinstance(payload, dict)
+        and isinstance(payload.get("newick"), str)
+        and isinstance(payload.get("cover"), dict)
+        and isinstance(payload.get("provenance", {}), dict)
+    ):
+        raise CoverError(
+            'fixture records need a "newick" string, a "cover" object '
+            'and an optional "provenance" object'
+        )
     tree = parse_newick(payload["newick"])
     cover = cover_from_json(payload["cover"])
     return InstanceRecord(

@@ -1,13 +1,13 @@
 """Reconstruction of a binary tree with edge lengths from exact distances
 given only on the cords of a triplet cover.
 
-The engine is cherry reduction: the pendant length at x is half the minimum
-of d(x,z) + d(x,z') - d(z,z') over fully covered triples through x; a cord
-x,y is a cherry exactly when d(x,y) equals the two pendant lengths' sum.
-Peeling cherries down to three taxa and replaying the log backwards rebuilds
-the tree.  Everything is exact rational arithmetic; a mandatory final pass
-recomputes every input cord's distance, so inconsistent inputs are rejected
-rather than silently fitted.
+The engine is cherry reduction on one mutable table of cord distances: the
+pendant length at x is half the minimum of d(x,z) + d(x,z') - d(z,z') over
+fully covered triples through x; a cord x,y is a cherry exactly when d(x,y)
+equals the two pendant lengths' sum.  Peeling cherries down to three taxa
+and replaying the log backwards rebuilds the tree.  Everything is exact
+rational arithmetic; a mandatory final pass recomputes every input cord's
+distance, so inconsistent inputs are rejected rather than silently fitted.
 """
 
 from __future__ import annotations
@@ -47,8 +47,7 @@ class PartialDistances:
         """Forward-compute the tree's distances on exactly the cover's cords."""
         if tree.taxa != cover.taxa:
             raise CoverError("tree and cover taxa differ")
-        matrix = tree.distance_matrix()
-        return cls(cover.taxa, {c: matrix[c] for c in cover.cords})
+        return cls(cover.taxa, {c: tree.distance(*c) for c in sorted(cover.cords)})
 
     def __getitem__(self, key: Cord) -> Fraction:
         return self.values[key]
@@ -66,18 +65,27 @@ class ReconstructionResult:
     cherry_log: tuple[tuple[Cord, Fraction, Fraction], ...]
 
 
-def pendant_length(x: str, cover: TripletCover, dist: PartialDistances) -> Fraction:
-    """Half the minimum of d(x,z) + d(x,z') - d(z,z') over triples through x
-    whose three cords are all present; equals the pendant edge length at x
-    whenever the distances come from a tree covered by the cord set."""
-    if x not in cover.taxa:
-        raise CoverError(f"unknown taxon {x!r}")
-    partners = sorted(z for z in cover.taxa if z != x and cord(x, z) in cover.cords)
+_Table = dict[str, dict[str, Fraction]]
+
+
+def _table(cover: TripletCover, dist: PartialDistances) -> _Table:
+    """The working instance: taxon -> partner -> distance, each cord twice."""
+    table: _Table = {x: {} for x in sorted(cover.taxa)}
+    for x, y in sorted(cover.cords):
+        table[x][y] = table[y][x] = dist[x, y]
+    return table
+
+
+def _pendant(x: str, table: _Table) -> Fraction:
+    """Half the least d(x,z) + d(x,z') - d(z,z') over the fully covered
+    triples through x."""
+    row = table[x]
     best: Fraction | None = None
-    for z, z2 in combinations(partners, 2):
-        if cord(z, z2) not in cover.cords:
+    for z, z2 in combinations(sorted(row), 2):
+        d_zz = table[z].get(z2)
+        if d_zz is None:
             continue
-        value = (dist[cord(x, z)] + dist[cord(x, z2)] - dist[cord(z, z2)]) / 2
+        value = (row[z] + row[z2] - d_zz) / 2
         if best is None or value < best:
             best = value
     if best is None:
@@ -91,18 +99,49 @@ def pendant_length(x: str, cover: TripletCover, dist: PartialDistances) -> Fract
     return best
 
 
-def find_cherry(cover: TripletCover, dist: PartialDistances) -> Cord:
-    """Least cord x,y with d(x,y) exactly lambda(x) + lambda(y)."""
-    pendants = {x: pendant_length(x, cover, dist) for x in sorted(cover.taxa)}
-    for c in sorted(cover.cords):
-        x, y = c
-        if dist[c] == pendants[x] + pendants[y]:
-            return c
+def _cherry(table: _Table, pendants: Mapping[str, Fraction]) -> Cord:
+    """Least cord x,y with d(x,y) = lambda(x) + lambda(y)."""
+    for x in sorted(table):
+        for y in sorted(table[x]):
+            if x < y and table[x][y] == pendants[x] + pendants[y]:
+                return (x, y)
     raise NotRealizableError(
         "cherry",
         "no cord satisfies d(x,y) = lambda(x) + lambda(y); pendant estimates "
-        + ", ".join(f"{x}={q}" for x, q in pendants.items()),
+        + ", ".join(f"{x}={pendants[x]}" for x in sorted(pendants)),
     )
+
+
+def _reduce(table: _Table, x: str, y: str, lx: Fraction, ly: Fraction) -> None:
+    """Drop x from the cherry x,y: each cord xz becomes yz with
+    d(y,z) = d(x,z) + lambda(y) - lambda(x), in sorted z order."""
+    row = table.pop(x)
+    for z in sorted(row):
+        del table[z][x]
+        # An existing yz agrees: xy, xz, yz cover a triple, and lx + ly = d(x,y).
+        if z == y or z in table[y]:
+            continue
+        value = row[z] + ly - lx
+        if value <= 0:
+            raise NotRealizableError(
+                "reduce", f"rewritten distance for {cord(y, z)} is {value} <= 0"
+            )
+        table[y][z] = table[z][y] = value
+
+
+def pendant_length(x: str, cover: TripletCover, dist: PartialDistances) -> Fraction:
+    """Half the minimum of d(x,z) + d(x,z') - d(z,z') over triples through x
+    whose three cords are all present; equals the pendant edge length at x
+    whenever the distances come from a tree covered by the cord set."""
+    if x not in cover.taxa:
+        raise CoverError(f"unknown taxon {x!r}")
+    return _pendant(x, _table(cover, dist))
+
+
+def find_cherry(cover: TripletCover, dist: PartialDistances) -> Cord:
+    """Least cord x,y with d(x,y) exactly lambda(x) + lambda(y)."""
+    table = _table(cover, dist)
+    return _cherry(table, {x: _pendant(x, table) for x in table})
 
 
 def reduce_instance(
@@ -110,48 +149,22 @@ def reduce_instance(
 ) -> tuple[TripletCover, PartialDistances]:
     """Remove the first cherry taxon x: drop cord xy, rewrite each xz to yz
     with d(y,z) = d(x,z) + lambda(y) - lambda(x).  A rewrite colliding with an
-    existing yz keeps the existing value but must agree with it exactly."""
+    existing yz keeps the existing value, which the cherry criterion forces
+    to agree."""
     x, y = cherry
     if cherry not in cover.cords:
         raise NotRealizableError("reduce", f"cherry {cherry} is not a cord")
-    lx = pendant_length(x, cover, dist)
-    ly = pendant_length(y, cover, dist)
+    table = _table(cover, dist)
+    lx, ly = _pendant(x, table), _pendant(y, table)
     if dist[cherry] != lx + ly:
         raise NotRealizableError(
             "reduce", f"{cherry} fails the cherry criterion: "
             f"d={dist[cherry]}, pendants {lx}+{ly}"
         )
-    new_cords: set[Cord] = set()
-    new_values: dict[Cord, Fraction] = {}
-    rewrites: list[tuple[Cord, Cord]] = []
-    for c in cover.cords:
-        if c == cherry:
-            continue
-        if x in c:
-            z = c[0] if c[1] == x else c[1]
-            rewrites.append((c, cord(y, z)))
-        else:
-            new_cords.add(c)
-            new_values[c] = dist[c]
-    for old, new in rewrites:
-        value = dist[old] + ly - lx
-        if new in new_values:
-            if new_values[new] != value:
-                raise NotRealizableError(
-                    "reduce",
-                    f"rewriting {old} to {new} gives {value}, but {new} "
-                    f"already has {new_values[new]}",
-                )
-        else:
-            if value <= 0:
-                raise NotRealizableError(
-                    "reduce", f"rewritten distance for {new} is {value} <= 0"
-                )
-            new_cords.add(new)
-            new_values[new] = value
-    reduced_cover = TripletCover(cover.taxa - {x}, frozenset(new_cords))
-    reduced_dist = PartialDistances(cover.taxa - {x}, new_values)
-    return reduced_cover, reduced_dist
+    _reduce(table, x, y, lx, ly)
+    values = {(u, v): q for u in table for v, q in table[u].items() if u < v}
+    taxa = cover.taxa - {x}
+    return TripletCover(taxa, frozenset(values)), PartialDistances(taxa, values)
 
 
 def reconstruct(cover: TripletCover, dist: PartialDistances) -> ReconstructionResult:
@@ -164,79 +177,65 @@ def reconstruct(cover: TripletCover, dist: PartialDistances) -> ReconstructionRe
     if not dist.matches_cover(cover):
         raise CoverError("distances must be defined exactly on the cover's cords")
 
+    table = _table(cover, dist)
+    pendants: dict[str, Fraction] = {}
+    changed = set(table)
     log: list[tuple[Cord, Fraction, Fraction]] = []
-    work_cover, work_dist = cover, dist
-    while len(work_cover.taxa) > 3:
-        cherry = find_cherry(work_cover, work_dist)
-        lx = pendant_length(cherry[0], work_cover, work_dist)
-        ly = pendant_length(cherry[1], work_cover, work_dist)
-        log.append((cherry, lx, ly))
-        work_cover, work_dist = reduce_instance(work_cover, work_dist, cherry)
+    while len(table) > 3:
+        for z in sorted(changed):
+            pendants[z] = _pendant(z, table)
+        x, y = _cherry(table, pendants)
+        lx, ly = pendants.pop(x), pendants[y]
+        log.append(((x, y), lx, ly))
+        # Only the triples through y, x's old partners and y's partners change.
+        changed = set(table[x])
+        _reduce(table, x, y, lx, ly)
+        changed |= set(table[y])
 
-    a, b, c = sorted(work_cover.taxa)
-    for pair in (cord(a, b), cord(a, c), cord(b, c)):
-        if pair not in work_cover.cords:
+    a, b, c = sorted(table)
+    for u, v in ((a, b), (a, c), (b, c)):
+        if v not in table[u]:
             raise NotRealizableError(
-                "base", f"three-taxon stage is missing cord {pair}"
+                "base", f"three-taxon stage is missing cord {u, v}"
             )
-    d_ab, d_ac, d_bc = (
-        work_dist[cord(a, b)],
-        work_dist[cord(a, c)],
-        work_dist[cord(b, c)],
-    )
-    pendants = {
+    d_ab, d_ac, d_bc = table[a][b], table[a][c], table[b][c]
+    base = {
         a: (d_ab + d_ac - d_bc) / 2,
         b: (d_ab + d_bc - d_ac) / 2,
         c: (d_ac + d_bc - d_ab) / 2,
     }
-    for taxon, value in pendants.items():
+    for taxon, value in base.items():
         if value <= 0:
             raise NotRealizableError(
                 "base", f"three-point formula gives {value} <= 0 at {taxon}"
             )
 
-    # Mutable rebuild state: adjacency with rational lengths, leaf ids.
-    adjacency: dict[int, dict[int, Fraction]] = {0: {}, 1: {}, 2: {}, 3: {}}
+    # Each leaf hangs from one vertex by its pendant edge; edges between
+    # interior vertices never change once placed.  Ids: a, b, c are 0-2, the
+    # centre 3, then each replayed cherry adds its vertex and x's leaf.
     leaf_of = {a: 0, b: 1, c: 2}
-    center = 3
-    for taxon, vid in leaf_of.items():
-        adjacency[vid][center] = pendants[taxon]
-        adjacency[center][vid] = pendants[taxon]
-    next_id = 4
-
+    hang = {taxon: (3, value) for taxon, value in base.items()}
+    edges: list[tuple[int, int, Fraction]] = []
     for (x, y), lx, ly in reversed(log):
-        leaf_y = leaf_of[y]
-        ((nbr, length),) = adjacency[leaf_y].items()
+        nbr, length = hang[y]
         interior = length - ly
         if interior <= 0:
             raise NotRealizableError(
                 "replay",
                 f"attaching {x} beside {y} leaves interior length {interior} <= 0",
             )
-        mid = next_id
-        leaf_x = next_id + 1
-        next_id += 2
-        del adjacency[leaf_y][nbr]
-        del adjacency[nbr][leaf_y]
-        adjacency[mid] = {nbr: interior, leaf_y: ly, leaf_x: lx}
-        adjacency[nbr][mid] = interior
-        adjacency[leaf_y][mid] = ly
-        adjacency[leaf_x] = {mid: lx}
-        leaf_of[x] = leaf_x
-
-    edges = [
-        (u, v, q)
-        for u, nbrs in adjacency.items()
-        for v, q in nbrs.items()
-        if u < v
-    ]
+        mid = 2 * len(leaf_of) - 2
+        edges.append((nbr, mid, interior))
+        hang[y], hang[x] = (mid, ly), (mid, lx)
+        leaf_of[x] = mid + 1
+    edges += [(*sorted((v, leaf_of[t])), q) for t, (v, q) in hang.items()]
     tree = PhyloTree(sorted(edges), {vid: taxon for taxon, vid in leaf_of.items()})
 
-    matrix = tree.distance_matrix()
-    for c0, value in dist.values.items():
-        if matrix[c0] != value:
+    for c0, value in sorted(dist.values.items()):
+        got = tree.distance(*c0)
+        if got != value:
             raise NotRealizableError(
                 "verify",
-                f"reconstructed tree gives d{c0} = {matrix[c0]}, input says {value}",
+                f"reconstructed tree gives d{c0} = {got}, input says {value}",
             )
     return ReconstructionResult(tree, tuple(log))

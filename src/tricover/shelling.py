@@ -75,7 +75,9 @@ def _forced_steps(
     """
     taxa = sorted(cover.taxa)
     index = {x: i for i, x in enumerate(taxa)}
-    hops = [[tree.hops(x, y) for y in taxa] for x in taxa]
+    hops = [[0] * len(taxa) for _ in taxa]
+    for i, j in combinations(range(len(taxa)), 2):
+        hops[i][j] = hops[j][i] = tree.hops(taxa[i], taxa[j])
     nbr = [0] * len(taxa)
     for x, y in cover.cords:
         nbr[index[x]] |= 1 << index[y]

@@ -38,9 +38,12 @@ def is_valid_label(label: str) -> bool:
 
 def exact_rational(value, error: type[Exception] = TreeError) -> Fraction:
     """Exact rational from an int, a Fraction or a string ("7/2", "0.25");
-    floats are refused, since the float 0.1 is not 1/10.  Raises ``error``."""
+    floats are refused, since the float 0.1 is not 1/10, and so are booleans,
+    which JSON keeps apart from numbers.  Raises ``error``."""
     if isinstance(value, float):
         raise error(f"floats are not accepted, write {value!r} as a string")
+    if isinstance(value, bool):
+        raise error(f"booleans are not numbers, got {value!r}")
     try:
         return Fraction(value)
     except (ValueError, ZeroDivisionError, TypeError) as exc:

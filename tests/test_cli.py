@@ -210,6 +210,32 @@ def test_float_distances_rejected(fig_files, tmp_path):
         jsonio.load_distances(dist_path)
 
 
+def test_boolean_distance_rejected(fig_files, tmp_path, capsys):
+    # JSON true is not the number 1.
+    _, cover_path = fig_files
+    dist = {"taxa": ["a", "b", "c", "d", "e"], "distances": [["a", "b", True]]}
+    dist_path = tmp_path / "dist.json"
+    dist_path.write_text(json.dumps(dist))
+    with pytest.raises(CoverError, match="booleans are not numbers"):
+        jsonio.load_distances(dist_path)
+    code = main(
+        ["reconstruct", "--cover", str(cover_path), "--dist", str(dist_path),
+         "--out", str(tmp_path / "out.nwk")]
+    )
+    err = capsys.readouterr().err
+    assert code == 1
+    assert err == "error: booleans are not numbers, got True\n"
+
+
+def test_cap_flags_belong_to_analyze_only(fig_files, tmp_path, capsys):
+    _, cover_path = fig_files
+    with pytest.raises(SystemExit) as exit_info:
+        main(["reconstruct", "--cover", str(cover_path), "--dist", str(cover_path),
+              "--out", str(tmp_path / "out.nwk"), "--hall-cap", "2"])
+    assert exit_info.value.code == 2
+    assert "unrecognized arguments: --hall-cap 2" in capsys.readouterr().err
+
+
 def test_generate_analyze_reconstruct_roundtrip(tmp_path):
     out_dir = tmp_path / "inst"
     assert main(["generate", "--n", "7", "--seed", "3", "--out-dir", str(out_dir)]) == 0
@@ -362,6 +388,23 @@ def test_instance_record_roundtrip(tmp_path):
     assert loaded.flags == record.flags
     stored = json.loads(path.read_text())
     assert stored["flags"] == record.flags
+
+
+BAD_RECORDS = {
+    "no newick": {"cover": {}},
+    "not an object": [1, 2],
+    "provenance not an object": {
+        "newick": FIG_NEWICK.strip(), "cover": FIG_COVER, "provenance": 5
+    },
+}
+
+
+@pytest.mark.parametrize("case", sorted(BAD_RECORDS))
+def test_instance_record_shape_checked(tmp_path, case):
+    path = tmp_path / "record.json"
+    path.write_text(json.dumps(BAD_RECORDS[case]))
+    with pytest.raises(CoverError, match="fixture records need"):
+        jsonio.load_instance_record(path)
 
 
 def test_tree_json_dump_schema(fig_files, tmp_path):

@@ -299,6 +299,11 @@ def test_edge_lengths_exact_and_never_float():
         PhyloTree([(0, 1, "x"), (0, 2, 1), (0, 3, 1)], {1: "a", 2: "b", 3: "c"})
 
 
+def test_boolean_edge_length_rejected():
+    with pytest.raises(TreeError, match="booleans are not numbers"):
+        PhyloTree([(0, 1, True), (0, 2, 1), (0, 3, 1)], {1: "a", 2: "b", 3: "c"})
+
+
 def test_degenerate_quartet_raises_under_optimize():
     # Invariants are typed errors, not asserts, so ``python -O`` keeps them.
     code = (
