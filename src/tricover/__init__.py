@@ -26,7 +26,6 @@ from .covers import (
     canonical_cover,
     cord,
     cord_set,
-    enumerate_sections,
     is_hall_type,
     is_minimal,
     is_sparse,

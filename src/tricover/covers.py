@@ -86,15 +86,8 @@ class TripletCover:
 
     def min_multiplicity(self) -> int:
         """Minimum multiplicity over all taxa (the report's "mu")."""
-        return min(self.multiplicity(x) for x in sorted(self.taxa))
-
-    def remove_taxon(self, x: str) -> "TripletCover":
-        """Drop every cord containing x; the taxon set shrinks accordingly."""
-        if x not in self.taxa:
-            raise CoverError(f"unknown taxon {x!r}")
-        return TripletCover(
-            self.taxa - {x}, frozenset(c for c in self.cords if x not in c)
-        )
+        nbr = _neighbour_masks(sorted(self.taxa), self.cords)
+        return min(m.bit_count() for m in nbr)
 
     def add_cords(self, pairs: Iterable[Cord]) -> "TripletCover":
         return TripletCover.make(self.taxa, set(self.cords) | set(pairs))
@@ -111,30 +104,45 @@ def _check_same_taxa(tree: PhyloTree, cover: TripletCover):
         )
 
 
-def _supporting_triples(
-    tree: PhyloTree, cords: frozenset[Cord], v: int, first_only: bool = False
-) -> list[Triple]:
-    comp_a, comp_b, comp_c = tree.components_without(v)
-    found = []
-    for a in sorted(comp_a):
-        for b in sorted(comp_b):
-            if cord(a, b) not in cords:
-                continue
-            for c in sorted(comp_c):
-                if cord(a, c) in cords and cord(b, c) in cords:
-                    found.append(make_triple(a, b, c))
-                    if first_only:
-                        return found
-    return found
+def _bits(mask: int) -> Iterator[int]:
+    """Indices of the set bits of ``mask``, ascending."""
+    while mask:
+        low = mask & -mask
+        yield low.bit_length() - 1
+        mask ^= low
+
+
+def _neighbour_masks(taxa: list[str], cords: frozenset[Cord]) -> list[int]:
+    """Bit j of entry i is set when taxa[i]-taxa[j] is a cord; ``taxa`` is
+    sorted, so the bits follow the tree index's leaf masks."""
+    index = {x: i for i, x in enumerate(taxa)}
+    nbr = [0] * len(taxa)
+    try:
+        for x, y in cords:
+            i, j = index[x], index[y]
+            nbr[i] |= 1 << j
+            nbr[j] |= 1 << i
+    except KeyError:
+        x, y = min(c for c in cords if c[0] not in index or c[1] not in index)
+        raise CoverError(f"cord {x},{y} uses a taxon outside the taxon set") from None
+    return nbr
 
 
 def support_map(tree: PhyloTree, cover: TripletCover) -> SupportMap:
     """The support of every interior vertex: all triples, one leaf per
     component of the tree minus the vertex, whose three pairs are cords."""
     _check_same_taxa(tree, cover)
+    taxa = sorted(cover.taxa)
+    nbr = _neighbour_masks(taxa, cover.cords)
     result: SupportMap = {}
     for v in tree.interior_vertices():
-        result[v] = frozenset(_supporting_triples(tree, cover.cords, v))
+        comp_a, comp_b, comp_c = tree._component_masks(v)
+        result[v] = frozenset(
+            make_triple(taxa[a], taxa[b], taxa[c])
+            for a in _bits(comp_a)
+            for b in _bits(nbr[a] & comp_b)
+            for c in _bits(nbr[a] & nbr[b] & comp_c)
+        )
     # Supports of distinct vertices are disjoint (each triple's median is
     # the supported vertex); guard the bookkeeping.
     total = sum(len(s) for s in result.values())
@@ -145,11 +153,7 @@ def support_map(tree: PhyloTree, cover: TripletCover) -> SupportMap:
 
 def is_triplet_cover(tree: PhyloTree, cover: TripletCover) -> bool:
     """True iff every interior vertex has at least one supporting triple."""
-    _check_same_taxa(tree, cover)
-    return all(
-        _supporting_triples(tree, cover.cords, v, first_only=True)
-        for v in tree.interior_vertices()
-    )
+    return unsupported_vertex(tree, support_map(tree, cover)) is None
 
 
 def unsupported_vertex(tree: PhyloTree, support: SupportMap) -> Triple | None:
@@ -316,18 +320,6 @@ def iter_sections(support: SupportMap) -> Iterator[frozenset[Triple]]:
     items = _sorted_support_items(support)
     for choice in product(*(triples for _, triples in items)):
         yield frozenset(choice)
-
-
-def enumerate_sections(support: SupportMap, limit: int) -> list[frozenset[Triple]]:
-    """Up to ``limit`` sections, in the order of :func:`iter_sections`."""
-    if limit < 1:
-        raise ValueError("limit must be positive")
-    out = []
-    for section in iter_sections(support):
-        out.append(section)
-        if len(out) >= limit:
-            break
-    return out
 
 
 Chooser = Callable[[PhyloTree, int, tuple[frozenset[str], ...]], tuple[str, str, str]]

@@ -21,6 +21,8 @@ from .covers import (
     SupportMap,
     Triple,
     TripletCover,
+    _bits,
+    _neighbour_masks,
     all_cords,
     cord,
     cover_support,
@@ -51,14 +53,6 @@ class ShellingStep:
     quartet: Quartet
 
 
-def _bits(mask: int) -> Iterator[int]:
-    """Indices of the set bits of ``mask``, ascending."""
-    while mask:
-        low = mask & -mask
-        yield low.bit_length() - 1
-        mask ^= low
-
-
 def _forced_steps(
     tree: PhyloTree, cover: TripletCover, rng: Random | None = None
 ) -> Iterator[ShellingStep]:
@@ -74,14 +68,10 @@ def _forced_steps(
     being the neighbour sets of the cover graph.
     """
     taxa = sorted(cover.taxa)
-    index = {x: i for i, x in enumerate(taxa)}
+    nbr = _neighbour_masks(taxa, cover.cords)
     hops = [[0] * len(taxa) for _ in taxa]
     for i, j in combinations(range(len(taxa)), 2):
         hops[i][j] = hops[j][i] = tree.hops(taxa[i], taxa[j])
-    nbr = [0] * len(taxa)
-    for x, y in cover.cords:
-        nbr[index[x]] |= 1 << index[y]
-        nbr[index[y]] |= 1 << index[x]
 
     def pairing(a: int, b: int, p: int, q: int) -> int:
         """The displayed quartet by the four-point rule on path lengths in

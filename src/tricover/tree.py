@@ -12,7 +12,7 @@ from __future__ import annotations
 
 from collections import deque
 from fractions import Fraction
-from itertools import combinations, compress
+from itertools import compress
 from typing import Iterable, Iterator, NamedTuple
 
 from .errors import TreeError
@@ -198,7 +198,7 @@ class PhyloTree:
     def label(self, v: int) -> str:
         return self._leaf_label[v]
 
-    # -- paths, distances, medians ---------------------------------------
+    # -- paths and distances ---------------------------------------------
 
     def _rooted(self) -> "_RootedIndex":
         """The tree rooted at the least taxon's leaf (cached)."""
@@ -254,7 +254,10 @@ class PhyloTree:
         return [(min(a, b), max(a, b)) for a, b in zip(path, path[1:])]
 
     def distance_matrix(self) -> dict[tuple[str, str], Fraction]:
-        """All leaf-to-leaf distances, keyed by sorted taxon pairs (cached)."""
+        """All leaf-to-leaf distances, keyed by sorted taxon pairs (cached).
+
+        No library code calls it; it stays because perfbench's traced round
+        trip, which the test suite runs, times it."""
         if self._dist_cache is None:
             matrix: dict[tuple[str, str], Fraction] = {}
             for x in sorted(self._taxa):
@@ -273,18 +276,6 @@ class PhyloTree:
                         matrix[(x, y)] = acc[self.leaf(y)]
             self._dist_cache = matrix
         return self._dist_cache
-
-    def median(self, x: str, y: str, z: str) -> int:
-        """The unique vertex lying on all three pairwise paths between x, y, z."""
-        if len({x, y, z}) != 3:
-            raise TreeError(f"median needs three distinct taxa, got {x},{y},{z}")
-        u, v, w = self.leaf(x), self.leaf(y), self.leaf(z)
-        common = (
-            set(self._path(u, v)) & set(self._path(u, w)) & set(self._path(v, w))
-        )
-        if len(common) != 1:
-            raise TreeError(f"median of {x},{y},{z} not unique: {common}")
-        return common.pop()
 
     # -- components and splits -------------------------------------------
 
@@ -389,24 +380,7 @@ class PhyloTree:
         labels = {self._label_leaf[t]: t for t in keep_taxa}
         return PhyloTree(sorted(set(new_edges)), labels)
 
-    def remove_leaf(self, taxon: str) -> "PhyloTree":
-        """Drop one leaf and suppress its neighbour; needs at least 4 taxa."""
-        if len(self._taxa) < 4:
-            raise TreeError("cannot remove a leaf from a 3-taxon tree")
-        leaf = self.leaf(taxon)
-        (mid,) = self._adj[leaf]
-        a, b = sorted(w for w in self._adj[mid] if w != leaf)
-        merged = self._adj[mid][a] + self._adj[mid][b]
-        edges = [
-            (u, v, q)
-            for u, v, q in self.edges()
-            if leaf not in (u, v) and mid not in (u, v)
-        ]
-        edges.append((a, b, merged))
-        labels = {v: lab for v, lab in self._leaf_label.items() if v != leaf}
-        return PhyloTree(sorted(edges), labels)
-
-    # -- quartets and cherries ---------------------------------------------
+    # -- quartets ----------------------------------------------------------
 
     def quartet_topology(self, a: str, b: str, x: str, y: str) -> Quartet:
         """The resolved quartet displayed on four distinct taxa.
@@ -428,17 +402,6 @@ class PhyloTree:
             raise TreeError(f"quartet on {a},{b},{x},{y} not resolved")
         return resolved[0]
 
-    def cherries(self) -> frozenset[tuple[str, str]]:
-        """All pairs of leaves adjacent to a common vertex."""
-        out = set()
-        for v in self.interior_vertices():
-            leaf_nbrs = sorted(
-                self._leaf_label[w] for w in self._adj[v] if w in self._leaf_label
-            )
-            for pair in combinations(leaf_nbrs, 2):
-                out.add(pair)
-        return frozenset(out)
-
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return f"PhyloTree(n={self.n_taxa}, taxa={sorted(self._taxa)})"
 
@@ -450,7 +413,8 @@ def quartet_from_distances(
 
     The pairing with the strictly smallest distance sum is the displayed
     quartet; for a binary tree with positive lengths it agrees with
-    :meth:`PhyloTree.quartet_topology`.
+    :meth:`PhyloTree.quartet_topology`.  No library code calls it; it stays
+    as the closure tests' metric reference and the ``python -O`` check.
     """
 
     def d(p: str, q: str) -> Fraction:

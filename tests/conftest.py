@@ -5,6 +5,8 @@ Tree shape: cherry (a,b) at vertex u, leaf c at the middle vertex v, cherry
 with supports u -> {abc}, v -> {bce}, w -> {cde}.
 """
 
+from itertools import combinations
+
 import pytest
 
 from tricover import PartialDistances, TripletCover, parse_newick
@@ -43,6 +45,16 @@ def fig_cover():
 @pytest.fixture
 def fig_dist(fig_cover):
     return PartialDistances.make("abcde", FIG_DISTANCES)
+
+
+def cherries(tree):
+    """All pairs of leaves adjacent to a common vertex: the oracle for the
+    cherries that reconstruction finds."""
+    out = set()
+    for v in tree.interior_vertices():
+        leaves = sorted(tree.label(w) for w in tree.neighbors(v) if tree.is_leaf(w))
+        out.update(combinations(leaves, 2))
+    return frozenset(out)
 
 
 def _caterpillar_newick(n):

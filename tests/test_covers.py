@@ -5,7 +5,7 @@ definitions (component-per-vertex enumeration); the Hall-type cases were
 checked by explicit subset enumeration before freezing.
 """
 
-from itertools import combinations
+from itertools import combinations, islice
 
 import pytest
 from hypothesis import given, settings
@@ -19,9 +19,9 @@ from tricover import (
     all_cords,
     canonical_cover,
     cord_set,
-    enumerate_sections,
     is_hall_type,
     is_minimal,
+    is_shellable,
     is_sparse,
     is_triplet_cover,
     iter_sections,
@@ -32,6 +32,7 @@ from tricover import (
     support_map,
     supported_triples,
 )
+from tricover import lab, report
 from tricover.covers import cover_support, required_cords, unsupported_vertex
 from tricover.lab import random_binary_tree
 
@@ -229,7 +230,7 @@ def test_hall_type_capacity():
 def test_sections_reference(fig_tree, fig_cover):
     support = support_map(fig_tree, fig_cover)
     assert section_count(support) == 1
-    sections = enumerate_sections(support, 10)
+    sections = list(islice(iter_sections(support), 10))
     assert sections == [
         frozenset({("a", "b", "c"), ("b", "c", "e"), ("c", "d", "e")})
     ]
@@ -240,8 +241,8 @@ def test_sections_full_cover(fig_tree):
     support = support_map(fig_tree, full)
     total = section_count(support)
     assert total == 3 * 4 * 3  # component products of the reference shape
-    assert len(enumerate_sections(support, 10**4)) == total
-    assert len(enumerate_sections(support, 5)) == 5
+    assert len(list(iter_sections(support))) == total
+    assert len(list(islice(iter_sections(support), 5))) == 5
 
 
 def test_sections_require_cover(fig_tree, fig_cover):
@@ -255,7 +256,7 @@ def test_sections_lazy_and_deterministic(fig_tree):
     support = support_map(fig_tree, full)
     first = next(iter_sections(support))
     assert first == next(iter_sections(support))
-    assert first in enumerate_sections(support, 1)
+    assert [first] == list(islice(iter_sections(support), 1))
 
 
 def test_cord_set():
@@ -299,16 +300,23 @@ def test_seeded_chooser_deterministic(fig_tree):
     assert c1.cords == c2.cords
 
 
-def test_remove_taxon_cover(fig_cover):
-    reduced = fig_cover.remove_taxon("e")
-    assert reduced.taxa == frozenset("abcd")
-    assert reduced.cords == frozenset(
-        [("a", "b"), ("a", "c"), ("b", "c"), ("c", "d")]
-    )
-    untouched = fig_cover.remove_taxon("a")
-    assert ("c", "d") in untouched.cords
-    with pytest.raises(CoverError):
-        fig_cover.remove_taxon("zz")
+def test_foreign_taxon_cord_is_one_cover_error():
+    # TripletCover.make refuses such cords; every entry point that reads the
+    # cords raises the same error for a cover built without it.
+    tree = random_binary_tree(6, 1)
+    cover = canonical_cover(tree)
+    bad = TripletCover(cover.taxa, cover.cords | {("b", "zy"), ("a", "zz")})
+    entries = [
+        is_triplet_cover, support_map, minimalize, is_minimal, is_sparse,
+        is_shellable, lab.basic_flags, report.classify,
+    ]
+    for entry in entries:
+        with pytest.raises(CoverError, match=r"^cord a,zz uses a taxon outside"):
+            entry(tree, bad)
+    with pytest.raises(CoverError, match=r"^cord a,zz uses a taxon outside"):
+        bad.min_multiplicity()
+    with pytest.raises(CoverError, match=r"^cord a,zz uses a taxon outside"):
+        TripletCover.make(cover.taxa, [("a", "zz")])
 
 
 def test_cover_validation():

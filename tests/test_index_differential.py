@@ -6,7 +6,7 @@ leaf for path lengths in edges and for the distance matrix, the recursive
 Newick writer and parser, and the prune-and-contract restriction.  Every
 tree fact read from the index must agree with them exactly: components,
 component triples, splits and their lengths, vertex paths, distances, path
-edges, medians, quartets, the hop matrix, the distance matrix,
+edges, quartets, the hop matrix, the distance matrix,
 restrictions, the Newick text, and the parser's vertex ids, edge order and
 error texts.
 """
@@ -305,13 +305,6 @@ def check_index(tree, rng, samples=30, newick_reference=True):
         steps = list(zip(path, path[1:]))
         assert tree.distance(x, y) == sum(tree.edge_length(a, b) for a, b in steps)
         assert tree.path_edges(x, y) == [(min(a, b), max(a, b)) for a, b in steps]
-        x, y, z = rng.sample(taxa, 3)
-        paths = [
-            ref_path(tree, tree.leaf(p), tree.leaf(q))
-            for p, q in ((x, y), (x, z), (y, z))
-        ]
-        (median,) = set.intersection(*map(set, paths))
-        assert tree.median(x, y, z) == median
         if len(taxa) >= 4:
             a, b, x, y = rng.sample(taxa, 4)
             shown = [

@@ -15,6 +15,7 @@ from hypothesis import strategies as st
 
 from tricover import (
     NotTripletCoverError,
+    PhyloTree,
     all_cords,
     canonical_cover,
     is_minimal,
@@ -108,27 +109,32 @@ def non_minimal():
 
 @pytest.fixture
 def call_counts(non_minimal, monkeypatch):
-    """Counts support-map builds, full per-vertex support scans and cover
-    tests, in every module that binds those names."""
+    """Counts support-map builds, the per-vertex component scans made while
+    building them and cover tests, in every module that binds those names."""
     counts = {"support_map": 0, "full_scans": 0, "is_triplet_cover": 0}
     real_map = covers.support_map
-    real_scan = covers._supporting_triples
+    real_masks = PhyloTree._component_masks
     real_cover = covers.is_triplet_cover
+    building = []
 
     def support_map(tree, cover):
         counts["support_map"] += 1
-        return real_map(tree, cover)
+        building.append(tree)
+        try:
+            return real_map(tree, cover)
+        finally:
+            building.pop()
 
-    def scan(tree, cords, v, first_only=False):
-        if not first_only:
+    def scan(tree, v):
+        if building:
             counts["full_scans"] += 1
-        return real_scan(tree, cords, v, first_only)
+        return real_masks(tree, v)
 
     def cover_test(tree, cover):
         counts["is_triplet_cover"] += 1
         return real_cover(tree, cover)
 
-    monkeypatch.setattr(covers, "_supporting_triples", scan)
+    monkeypatch.setattr(PhyloTree, "_component_masks", scan)
     for module in (covers, report, shelling, cli, lab):
         for name, fake in (("support_map", support_map), ("is_triplet_cover", cover_test)):
             if hasattr(module, name):

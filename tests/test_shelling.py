@@ -146,8 +146,10 @@ def test_removed_taxon_shellability_lifts():
         tree = random_binary_tree(6, seed)
         cover = canonical_cover(tree, seeded_chooser(seed))
         for x in sorted(tree.taxa):
-            reduced = cover.remove_taxon(x)
-            smaller = tree.remove_leaf(x)
+            reduced = TripletCover(
+                cover.taxa - {x}, frozenset(c for c in cover.cords if x not in c)
+            )
+            smaller = tree.restrict(tree.taxa - {x})
             if not is_triplet_cover(smaller, reduced):
                 continue
             if not is_shellable(smaller, reduced)[0]:
