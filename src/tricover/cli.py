@@ -1,9 +1,10 @@
 """Command-line front end.
 
 Exit codes: 0 success; 1 I/O or file-format error; 2 non-cover input
-(``analyze``) or failed witness verification (``verify-shelling``); 3
-unrealizable distances (``reconstruct``).  Identical inputs and flags yield
-byte-identical outputs.
+(``analyze``, ``decompose``, ``shell``; the message names an unsupported
+vertex) or failed witness verification (``verify-shelling``); 3 unrealizable
+distances (``reconstruct``).  Identical inputs and flags yield byte-identical
+outputs.
 """
 
 from __future__ import annotations
@@ -22,12 +23,10 @@ from .covergraph import (
 from .covers import (
     all_cords,
     canonical_cover,
-    is_triplet_cover,
+    cover_support,
     iter_sections,
     required_cords,
     seeded_chooser,
-    support_map,
-    unsupported_vertex,
 )
 from .errors import (
     CapacityError,
@@ -94,10 +93,7 @@ def _cmd_reconstruct(args) -> int:
 def _cmd_decompose(args) -> int:
     tree = _load_tree(args.tree)
     cover = jsonio.load_cover(args.cover)
-    support = support_map(tree, cover)
-    if unsupported_vertex(tree, support) is not None:
-        print("not a triplet cover", file=sys.stderr)
-        return 2
+    support = cover_support(tree, cover, "decompose")
     section = next(iter_sections(support))
     decomposition = decomposition_from_section(section)
     graph = build_cover_graph(cover)
@@ -115,9 +111,7 @@ def _cmd_decompose(args) -> int:
 def _cmd_shell(args) -> int:
     tree = _load_tree(args.tree)
     cover = jsonio.load_cover(args.cover)
-    if not is_triplet_cover(tree, cover):
-        print("not a triplet cover", file=sys.stderr)
-        return 2
+    cover_support(tree, cover, "shell")
     closed, steps = _closure(tree, cover)
     payload = jsonio.shelling_to_json(steps)
     payload["shellable"] = closed == all_cords(cover.taxa)

@@ -9,30 +9,26 @@ here is computed from the graph alone.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import combinations
 
-from .covers import Cord, Triple, TripletCover, cord_set, make_triple
+from .covers import Cord, Triple, TripletCover, _bits, _neighbour_masks, cord_set
 from .errors import CapacityError, SectionError
 
 DECOMPOSITION_TRIANGLE_CAP = 12
 
 
 class CoverGraph:
-    """A simple undirected graph on a taxon set."""
+    """A simple undirected graph on a taxon set, held as the neighbour masks
+    of :func:`covers._neighbour_masks`: bit j of ``_nbr[i]`` joins
+    ``_taxa[i]`` and ``_taxa[j]``, the vertices in sorted order."""
 
     def __init__(self, vertices, edges):
         self.vertices = frozenset(vertices)
         self.edges = frozenset(edges)
-        adj: dict[str, set[str]] = {v: set() for v in self.vertices}
-        for u, v in self.edges:
-            if u == v or u not in adj or v not in adj:
-                raise ValueError(f"bad edge {u},{v}")
-            adj[u].add(v)
-            adj[v].add(u)
-        self.adjacency = adj
+        self._taxa = sorted(self.vertices)
+        self._nbr = _neighbour_masks(self._taxa, self.edges)
 
     def degree(self, v: str) -> int:
-        return len(self.adjacency[v])
+        return self._nbr[self._taxa.index(v)].bit_count()
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return f"CoverGraph({len(self.vertices)} vertices, {len(self.edges)} edges)"
@@ -43,38 +39,37 @@ def build_cover_graph(cover: TripletCover) -> CoverGraph:
 
 
 def triangles(graph: CoverGraph) -> frozenset[Triple]:
-    """All 3-cliques, found edge by edge through common neighbourhoods."""
-    out = set()
-    for u, v in sorted(graph.edges):
-        for w in graph.adjacency[u] & graph.adjacency[v]:
-            if w > v:
-                out.add(make_triple(u, v, w))
-    return frozenset(out)
+    """All 3-cliques i < j < k, found through common neighbourhoods."""
+    taxa, nbr = graph._taxa, graph._nbr
+    return frozenset(
+        (taxa[i], taxa[j], taxa[k])
+        for i in range(len(taxa))
+        for j in _bits(nbr[i] & ~((2 << i) - 1))
+        for k in _bits(nbr[i] & nbr[j] & ~((2 << j) - 1))
+    )
 
 
-def _connected(adjacency: dict[str, set[str]], among: set[str]) -> bool:
-    if not among:
-        return True
-    start = next(iter(among))
-    seen = {start}
-    stack = [start]
-    while stack:
-        for w in adjacency[stack.pop()]:
-            if w in among and w not in seen:
-                seen.add(w)
-                stack.append(w)
+def _connected(nbr: list[int], among: int) -> bool:
+    """Whether the vertices whose bits are set in ``among`` induce a
+    connected subgraph."""
+    seen = frontier = among & -among
+    while frontier:
+        reached = 0
+        for i in _bits(frontier):
+            reached |= nbr[i]
+        frontier = reached & among & ~seen
+        seen |= frontier
     return seen == among
 
 
 def is_two_connected(graph: CoverGraph) -> bool:
     """Connected with no cut vertex, checked by deleting each vertex in turn."""
-    if len(graph.vertices) < 3:
+    n = len(graph._taxa)
+    if n < 3:
         raise ValueError("2-connectivity test needs at least 3 vertices")
-    everything = set(graph.vertices)
-    if not _connected(graph.adjacency, everything):
-        return False
-    return all(
-        _connected(graph.adjacency, everything - {v}) for v in sorted(everything)
+    everything = (1 << n) - 1
+    return _connected(graph._nbr, everything) and all(
+        _connected(graph._nbr, everything ^ (1 << v)) for v in range(n)
     )
 
 
@@ -84,32 +79,31 @@ def is_two_tree(graph: CoverGraph) -> tuple[bool, list[str] | None]:
 
     A degree-2 vertex whose neighbours are adjacent lies in exactly one
     triangle, so the elimination directly reverses the defining ordering.
+    The least such vertex goes first.
     """
-    n = len(graph.vertices)
+    n = len(graph._taxa)
     if n < 3:
         raise ValueError("a 2-tree needs at least 3 vertices")
     if len(graph.edges) != 2 * n - 3:
         return False, None
-    adj = {v: set(nbrs) for v, nbrs in graph.adjacency.items()}
-    eliminated: list[str] = []
-    while len(adj) > 3:
-        victim = None
-        for v in sorted(adj):
-            if len(adj[v]) == 2:
-                a, b = adj[v]
-                if b in adj[a]:
-                    victim = v
-                    break
-        if victim is None:
+    nbr = list(graph._nbr)
+    alive = (1 << n) - 1
+    eliminated: list[int] = []
+    while alive.bit_count() > 3:
+        for v in _bits(alive):
+            low = nbr[v] & -nbr[v]
+            if nbr[v].bit_count() == 2 and nbr[low.bit_length() - 1] & (nbr[v] ^ low):
+                break
+        else:
             return False, None
-        for w in adj[victim]:
-            adj[w].discard(victim)
-        del adj[victim]
-        eliminated.append(victim)
-    last = sorted(adj)
-    if any(len(adj[v]) != 2 for v in last):
+        for w in _bits(nbr[v]):
+            nbr[w] ^= 1 << v
+        alive ^= 1 << v
+        eliminated.append(v)
+    last = list(_bits(alive))
+    if any(nbr[v].bit_count() != 2 for v in last):
         return False, None
-    return True, last + list(reversed(eliminated))
+    return True, [graph._taxa[v] for v in last + eliminated[::-1]]
 
 
 @dataclass(frozen=True)
@@ -257,10 +251,8 @@ def all_two_tree_decompositions(
         block_vertices = set().union(*(set(t) for t in subset))
         if len(block_edges) != 2 * len(block_vertices) - 3:
             continue
-        ok, _ = is_two_tree(CoverGraph(block_vertices, block_edges))
-        if not ok:
-            continue
-        if triangles(CoverGraph(block_vertices, block_edges)) != frozenset(subset):
+        block = CoverGraph(block_vertices, block_edges)
+        if not is_two_tree(block)[0] or triangles(block) != frozenset(subset):
             continue
         valid_blocks.append((mask, frozenset(subset), block_edges))
 

@@ -114,18 +114,28 @@ def _bits(mask: int) -> Iterator[int]:
 
 def _neighbour_masks(taxa: list[str], cords: frozenset[Cord]) -> list[int]:
     """Bit j of entry i is set when taxa[i]-taxa[j] is a cord; ``taxa`` is
-    sorted, so the bits follow the tree index's leaf masks."""
+    sorted, so the bits follow the tree index's leaf masks.  Every cord must
+    be a sorted pair of distinct taxa from ``taxa``; otherwise the least
+    faulty cord is named in a :class:`CoverError`."""
     index = {x: i for i, x in enumerate(taxa)}
     nbr = [0] * len(taxa)
-    try:
-        for x, y in cords:
-            i, j = index[x], index[y]
-            nbr[i] |= 1 << j
-            nbr[j] |= 1 << i
-    except KeyError:
-        x, y = min(c for c in cords if c[0] not in index or c[1] not in index)
-        raise CoverError(f"cord {x},{y} uses a taxon outside the taxon set") from None
+    for x, y in cords:
+        i, j = index.get(x, -1), index.get(y, -1)
+        if not 0 <= i < j:
+            _refuse_cord(cords, index)
+        nbr[i] |= 1 << j
+        nbr[j] |= 1 << i
     return nbr
+
+
+def _refuse_cord(cords: frozenset[Cord], index: dict[str, int]):
+    """Raise the :class:`CoverError` of the least cord that is not a sorted
+    pair of distinct taxa from ``index``."""
+    x, y = min(c for c in cords if not 0 <= index.get(c[0], -1) < index.get(c[1], -1))
+    if x not in index or y not in index:
+        raise CoverError(f"cord {x},{y} uses a taxon outside the taxon set")
+    cord(x, y)  # raises for x == y
+    raise CoverError(f"cord {x},{y} is not a sorted pair; write it as {y},{x}")
 
 
 def support_map(tree: PhyloTree, cover: TripletCover) -> SupportMap:
@@ -352,12 +362,11 @@ def canonical_cover(tree: PhyloTree, chooser: Chooser | str = "least") -> Triple
         chooser = least_label_chooser
     elif isinstance(chooser, str):
         raise CoverError(f"unknown chooser policy {chooser!r}")
-    cords: set[Cord] = set()
+    triples = []
     for v in sorted(tree.interior_vertices(), key=tree.component_triple):
         comps = tree.components_without(v)
         picks = chooser(tree, v, comps)
         if len(picks) != 3 or any(p not in c for p, c in zip(picks, comps)):
             raise CoverError(f"chooser returned an invalid selection {picks}")
-        a, b, c = picks
-        cords |= {cord(a, b), cord(a, c), cord(b, c)}
-    return TripletCover(tree.taxa, frozenset(cords))
+        triples.append(picks)
+    return TripletCover(tree.taxa, cord_set(triples))

@@ -19,7 +19,7 @@ from .covers import (
     SupportMap,
     TripletCover,
     canonical_cover,
-    cord,
+    cord_set,
     is_triplet_cover,
     minimalize,
     required_cords,
@@ -50,9 +50,8 @@ def random_rational(rng: random.Random) -> Fraction:
     while True:
         num = rng.randrange(1, 17)
         den = rng.randrange(1, 5)
-        value = Fraction(num, den)
-        if Fraction(1, 4) <= value <= 4:
-            return value
+        if den <= 4 * num and num <= 4 * den:
+            return Fraction(num, den)
 
 
 def random_binary_tree(n: int, seed: int) -> PhyloTree:
@@ -304,13 +303,6 @@ def balanced_chooser(seed: int) -> Chooser:
     return choose
 
 
-def _assignment_cover(tree: PhyloTree, picks: dict[int, tuple[str, str, str]]) -> TripletCover:
-    cords = set()
-    for a, b, c in picks.values():
-        cords |= {cord(a, b), cord(a, c), cord(b, c)}
-    return TripletCover(tree.taxa, frozenset(cords))
-
-
 def exhaustive_instances(n: int) -> Iterator[tuple[PhyloTree, TripletCover, dict]]:
     """Every (topology, per-vertex leaf assignment) cover for small n."""
     for t_index, tree in enumerate(enumerate_binary_trees(default_taxa(n))):
@@ -326,8 +318,7 @@ def exhaustive_instances(n: int) -> Iterator[tuple[PhyloTree, TripletCover, dict
             for v in interior
         ]
         for a_index, assignment in enumerate(product(*choice_lists)):
-            picks = dict(zip(interior, assignment))
-            cover = _assignment_cover(tree, picks)
+            cover = TripletCover(tree.taxa, cord_set(assignment))
             yield tree, cover, {
                 "generator": "exhaustive",
                 "n": n,

@@ -155,7 +155,7 @@ def format_length(value: Fraction) -> str:
 def write_newick(tree: PhyloTree) -> str:
     """Canonical Newick: rooted at the interior vertex adjacent to the least
     taxon, children ordered by their least descendant taxon."""
-    index = tree._rooted()
+    index = tree._index
     least, root = index.order[:2]
     text: dict[int, str] = {}
 

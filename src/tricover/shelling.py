@@ -105,11 +105,12 @@ def _forced_steps(
                     yield q, p
 
     ready: list[tuple[float, int, int]] = []
-    queued: set[tuple[int, int]] = set()
+    known = list(nbr)  # bit b of known[a]: the cord ab is present or queued
 
     def push(a: int, b: int) -> None:
-        queued.add((a, b))
-        heappush(ready, (0 if rng is None else rng.random(), a, b))
+        known[a] |= 1 << b
+        known[b] |= 1 << a
+        heappush(ready, (0 if rng is None else rng.random(), min(a, b), max(a, b)))
 
     for a, b in combinations(range(len(taxa)), 2):
         if not nbr[a] >> b & 1 and next(witnesses(a, b), None):
@@ -129,17 +130,14 @@ def _forced_steps(
         nbr[b] |= 1 << a
         both = nbr[a] & nbr[b]
         for u, v in ((a, b), (b, a)):
-            # Missing cords uc whose new witnesses are pairs {v, w}.
-            for c in _bits(nbr[v] & ~nbr[u] & ~(1 << u)):
-                key = (u, c) if u < c else (c, u)
-                if key not in queued and any(
-                    pairing(u, c, v, w) for w in _bits(both & nbr[c])
-                ):
-                    push(*key)
-        # Missing cords cd whose new witness is the pair {a, b}.
+            # Unqueued missing cords uc whose new witnesses are pairs {v, w}.
+            for c in _bits(nbr[v] & ~known[u] & ~(1 << u)):
+                if any(pairing(u, c, v, w) for w in _bits(both & nbr[c])):
+                    push(u, c)
+        # Unqueued missing cords cd whose new witness is the pair {a, b}.
         for c in _bits(both):
-            for d in _bits(both & ~nbr[c] & ~((2 << c) - 1)):
-                if (c, d) not in queued and pairing(c, d, a, b):
+            for d in _bits(both & ~known[c] & ~((2 << c) - 1)):
+                if pairing(c, d, a, b):
                     push(c, d)
 
 
@@ -161,8 +159,7 @@ def cord_closure(
     least valid witness pair; passing ``rng`` draws both at random instead,
     which only permutes the log, never changes the final set.
     """
-    if not is_triplet_cover(tree, cover):
-        raise NotTripletCoverError("cord closure requires a triplet cover")
+    cover_support(tree, cover, "cord closure")
     return _closure(tree, cover, rng)
 
 
@@ -181,8 +178,7 @@ def is_shellable(
 ) -> tuple[bool, tuple[ShellingStep, ...] | None]:
     """Whether the closure reaches every pair (3-taxon covers qualify
     outright); returns the witness step sequence when it does."""
-    if not is_triplet_cover(tree, cover):
-        raise NotTripletCoverError("is_shellable requires a triplet cover")
+    cover_support(tree, cover, "is_shellable")
     return _shellable(tree, cover)
 
 
@@ -194,8 +190,7 @@ def verify_shelling(tree: PhyloTree, cover: TripletCover, steps) -> None:
     witness[0] with cord[0] and witness[1] with cord[1].  The steps must end
     with every pair available.  Raises :class:`WitnessError` otherwise.
     """
-    if not is_triplet_cover(tree, cover):
-        raise NotTripletCoverError("verification requires a triplet cover")
+    cover_support(tree, cover, "verification")
     available = set(cover.cords)
     universe = all_cords(cover.taxa)
     for i, step in enumerate(steps):

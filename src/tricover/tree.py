@@ -72,6 +72,36 @@ class _RootedIndex(NamedTuple):
     depth: dict[int, int]  # edges from the root
     mask: dict[int, int]  # the leaves at or below each vertex
     full: int  # every taxon's bit
+    # The leaf masks of the three components of the tree minus each interior
+    # vertex, ordered by least taxon: the one above, which holds taxa[0],
+    # then the two below.
+    components: dict[int, tuple[int, int, int]]
+
+    @classmethod
+    def walk(cls, adj: dict[int, dict[int, Fraction]], label_leaf: dict[str, int]):
+        """Index the vertices that one walk from the least taxon's leaf
+        reaches: all of them exactly when the graph is connected."""
+        taxa = tuple(sorted(label_leaf))
+        root = label_leaf[taxa[0]]
+        order, parent, depth = [root], {root: root}, {root: 0}
+        for v in order:
+            for w in adj[v]:
+                if w not in parent:
+                    parent[w] = v
+                    depth[w] = depth[v] + 1
+                    order.append(w)
+        mask = {label_leaf[x]: 1 << i for i, x in enumerate(taxa)}
+        for v in reversed(order[1:]):
+            mask[parent[v]] = mask.get(parent[v], 0) | mask[v]
+        full = mask[root]
+        components = {}
+        for v in order[1:]:
+            if len(adj[v]) > 1:
+                a, b = (mask[w] for w in adj[v] if w != parent[v])
+                if b & -b < a & -a:
+                    a, b = b, a
+                components[v] = (full ^ mask[v], a, b)
+        return cls(taxa, order, parent, depth, mask, full, components)
 
 
 class PhyloTree:
@@ -107,17 +137,6 @@ class PhyloTree:
         n_edges = sum(len(nbrs) for nbrs in adj.values()) // 2
         if n_edges != n_vertices - 1:
             raise TreeError(f"{n_edges} edges on {n_vertices} vertices is not a tree")
-        # Connectivity: walk from an arbitrary vertex.
-        seen = {next(iter(adj))}
-        stack = [next(iter(adj))]
-        while stack:
-            for w in adj[stack.pop()]:
-                if w not in seen:
-                    seen.add(w)
-                    stack.append(w)
-        if len(seen) != n_vertices:
-            raise TreeError("graph is not connected")
-
         leaves = {v for v, nbrs in adj.items() if len(nbrs) == 1}
         if set(leaf_labels) != leaves:
             raise TreeError(
@@ -144,8 +163,9 @@ class PhyloTree:
         self._leaf_label = dict(leaf_labels)
         self._label_leaf = {lab: v for v, lab in leaf_labels.items()}
         self._taxa = frozenset(leaf_labels.values())
-        self._dist_cache: dict[tuple[str, str], Fraction] | None = None
-        self._index: _RootedIndex | None = None
+        self._index = _RootedIndex.walk(adj, self._label_leaf)
+        if len(self._index.order) != n_vertices:
+            raise TreeError("graph is not connected")
 
     # -- basic accessors -------------------------------------------------
 
@@ -200,31 +220,13 @@ class PhyloTree:
 
     # -- paths and distances ---------------------------------------------
 
-    def _rooted(self) -> "_RootedIndex":
-        """The tree rooted at the least taxon's leaf (cached)."""
-        if self._index is None:
-            taxa = tuple(sorted(self._taxa))
-            root = self._label_leaf[taxa[0]]
-            order, parent, depth = [root], {root: root}, {root: 0}
-            for v in order:
-                for w in self._adj[v]:
-                    if w not in parent:
-                        parent[w] = v
-                        depth[w] = depth[v] + 1
-                        order.append(w)
-            mask = {self._label_leaf[x]: 1 << i for i, x in enumerate(taxa)}
-            for v in reversed(order[1:]):
-                mask[parent[v]] = mask.get(parent[v], 0) | mask[v]
-            self._index = _RootedIndex(taxa, order, parent, depth, mask, mask[root])
-        return self._index
-
     def _taxa_of(self, mask: int) -> Iterator[str]:
         """The taxa whose bits are set in ``mask``, in sorted order."""
-        return compress(self._rooted().taxa, map("1".__eq__, bin(mask)[:1:-1]))
+        return compress(self._index.taxa, map("1".__eq__, bin(mask)[:1:-1]))
 
     def _path(self, u: int, v: int) -> list[int]:
         """Vertex sequence of the unique u..v path."""
-        index = self._rooted()
+        index = self._index
         head, tail = [u], [v]
         while head[-1] != tail[-1]:
             end = head if index.depth[head[-1]] >= index.depth[tail[-1]] else tail
@@ -233,7 +235,7 @@ class PhyloTree:
 
     def hops(self, x: str, y: str) -> int:
         """Number of edges on the path between taxa x and y."""
-        index = self._rooted()
+        index = self._index
         u, v = self.leaf(x), self.leaf(y)
         top = u
         while index.mask[top] & index.mask[v] != index.mask[v]:
@@ -254,41 +256,35 @@ class PhyloTree:
         return [(min(a, b), max(a, b)) for a, b in zip(path, path[1:])]
 
     def distance_matrix(self) -> dict[tuple[str, str], Fraction]:
-        """All leaf-to-leaf distances, keyed by sorted taxon pairs (cached).
+        """All leaf-to-leaf distances, keyed by sorted taxon pairs.
 
         No library code calls it; it stays because perfbench's traced round
         trip, which the test suite runs, times it."""
-        if self._dist_cache is None:
-            matrix: dict[tuple[str, str], Fraction] = {}
-            for x in sorted(self._taxa):
-                # One BFS per leaf; accumulate path lengths.
-                start = self.leaf(x)
-                acc: dict[int, Fraction] = {start: Fraction(0)}
-                queue = deque([start])
-                while queue:
-                    w = queue.popleft()
-                    for nbr, q in self._adj[w].items():
-                        if nbr not in acc:
-                            acc[nbr] = acc[w] + q
-                            queue.append(nbr)
-                for y in sorted(self._taxa):
-                    if x < y:
-                        matrix[(x, y)] = acc[self.leaf(y)]
-            self._dist_cache = matrix
-        return self._dist_cache
+        matrix: dict[tuple[str, str], Fraction] = {}
+        for x in sorted(self._taxa):
+            # One BFS per leaf; accumulate path lengths.
+            start = self.leaf(x)
+            acc: dict[int, Fraction] = {start: Fraction(0)}
+            queue = deque([start])
+            while queue:
+                w = queue.popleft()
+                for nbr, q in self._adj[w].items():
+                    if nbr not in acc:
+                        acc[nbr] = acc[w] + q
+                        queue.append(nbr)
+            for y in sorted(self._taxa):
+                if x < y:
+                    matrix[(x, y)] = acc[self.leaf(y)]
+        return matrix
 
     # -- components and splits -------------------------------------------
 
-    def _component_masks(self, v: int) -> list[int]:
+    def _component_masks(self, v: int) -> tuple[int, int, int]:
         """Leaf masks of the components of the tree minus interior vertex v,
         ordered by least taxon."""
         if self.is_leaf(v):
             raise TreeError(f"vertex {v} is a leaf, not interior")
-        index = self._rooted()
-        up = index.parent[v]
-        masks = [index.mask[w] for w in self._adj[v] if w != up]
-        masks.append(index.full ^ index.mask[v])
-        return sorted(masks, key=lambda m: m & -m)
+        return self._index.components[v]
 
     def components_without(self, v: int) -> tuple[frozenset[str], ...]:
         """Taxon sets of the components of the tree minus interior vertex v.
@@ -299,7 +295,7 @@ class PhyloTree:
 
     def component_triple(self, v: int) -> tuple[str, str, str]:
         """Canonical name for interior vertex v: least taxon per component."""
-        taxa = self._rooted().taxa
+        taxa = self._index.taxa
         a, b, c = (taxa[(m & -m).bit_length() - 1] for m in self._component_masks(v))
         return a, b, c
 
@@ -309,7 +305,7 @@ class PhyloTree:
 
     def split_lengths(self) -> dict[Split, Fraction]:
         """Map each split to the length of the edge inducing it."""
-        index = self._rooted()
+        index = self._index
         out = {}
         # Each edge joins a vertex to its parent; the vertex's side holds
         # the leaves of its mask, the other side the least taxon.
@@ -349,7 +345,7 @@ class PhyloTree:
 
         # The Steiner tree of the kept leaves: the edges with a kept taxon
         # on each side.
-        index = self._rooted()
+        index = self._index
         keep = sum(1 << i for i, x in enumerate(index.taxa) if x in keep_taxa)
         adj: dict[int, dict[int, Fraction]] = {}
         for v in index.order[1:]:

@@ -73,6 +73,23 @@ def test_analyze_non_cover_exit_2(fig_files, tmp_path, capsys):
     assert report["unsupported_vertex"] == ["a", "c", "d"]
 
 
+@pytest.mark.parametrize("command", ["shell", "decompose"])
+def test_non_cover_exit_2_names_the_vertex(command, fig_files, tmp_path, capsys):
+    tree_path, _ = fig_files
+    bad = dict(FIG_COVER)
+    bad["cords"] = [c for c in FIG_COVER["cords"] if c != ["c", "e"]]
+    cover_path = tmp_path / "bad.json"
+    cover_path.write_text(json.dumps(bad))
+    code = main([command, "--tree", str(tree_path), "--cover", str(cover_path)])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.out == ""
+    assert captured.err == (
+        f"error: {command} requires a triplet cover; "
+        "interior vertex ('a', 'c', 'd') is unsupported\n"
+    )
+
+
 def test_analyze_malformed_json_exit_1(fig_files, tmp_path, capsys):
     tree_path, _ = fig_files
     bad = tmp_path / "broken.json"

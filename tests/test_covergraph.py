@@ -121,7 +121,7 @@ def test_is_two_tree_reference(fig_cover):
     assert set(order) == set(g.vertices)
     for i in range(2, len(order)):
         prior = set(order[:i])
-        nbrs = g.adjacency[order[i]] & prior
+        nbrs = {w for e in g.edges if order[i] in e for w in e} & prior
         assert len(nbrs) == 2
         u, v = sorted(nbrs)
         assert (u, v) in g.edges

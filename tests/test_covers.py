@@ -17,6 +17,7 @@ from tricover import (
     NotTripletCoverError,
     TripletCover,
     all_cords,
+    build_cover_graph,
     canonical_cover,
     cord_set,
     is_hall_type,
@@ -317,6 +318,32 @@ def test_foreign_taxon_cord_is_one_cover_error():
         bad.min_multiplicity()
     with pytest.raises(CoverError, match=r"^cord a,zz uses a taxon outside"):
         TripletCover.make(cover.taxa, [("a", "zz")])
+
+
+def test_reversed_and_self_cords_are_one_cover_error():
+    # A cord is a sorted pair of distinct taxa.  Written in reverse, the
+    # least cord of a minimal cover was read by some layers and not others:
+    # the cover tested as a cover but not as minimal.
+    tree = random_binary_tree(6, 1)
+    cover = minimalize(tree, canonical_cover(tree))
+    assert min(cover.cords) == ("a", "b")
+    reversed_cord = TripletCover(
+        cover.taxa, cover.without(("a", "b")).cords | {("b", "a")}
+    )
+    self_cord = TripletCover(cover.taxa, cover.cords | {("c", "c")})
+    reversed_text = r"^cord b,a is not a sorted pair; write it as a,b$"
+    self_text = r"^a cord needs two distinct taxa, got 'c' twice$"
+    entries = [
+        is_triplet_cover, is_minimal, minimalize, is_shellable,
+        lab.basic_flags, report.classify,
+        lambda tree, cover: cover.min_multiplicity(),
+        lambda tree, cover: build_cover_graph(cover),
+    ]
+    for entry in entries:
+        with pytest.raises(CoverError, match=reversed_text):
+            entry(tree, reversed_cord)
+        with pytest.raises(CoverError, match=self_text):
+            entry(tree, self_cord)
 
 
 def test_cover_validation():

@@ -55,6 +55,27 @@ def test_random_rational_range():
         assert Fraction(1, 4) <= q <= 4
 
 
+def reference_random_rational(rng):
+    """The earlier draw: one Fraction per try, bounded by rational compares."""
+    while True:
+        num = rng.randrange(1, 17)
+        den = rng.randrange(1, 5)
+        value = Fraction(num, den)
+        if Fraction(1, 4) <= value <= 4:
+            return value
+
+
+def test_random_rational_stream_matches_reference():
+    # Same draws, same values, so every seeded tree keeps its lengths.
+    import random
+
+    for seed in range(300):
+        ours, theirs = random.Random(seed), random.Random(seed)
+        for _ in range(50):
+            assert random_rational(ours) == reference_random_rational(theirs)
+        assert ours.getstate() == theirs.getstate()
+
+
 def test_random_tree_reproducible():
     t1 = random_binary_tree(8, 123)
     t2 = random_binary_tree(8, 123)

@@ -54,6 +54,17 @@ def test_closure_full_cover_is_fixed_point(fig_tree):
 def test_closure_requires_cover(fig_tree, fig_cover):
     with pytest.raises(NotTripletCoverError):
         cord_closure(fig_tree, fig_cover.without(("c", "e")))
+    # Each gate keeps its prefix and names the least unsupported vertex.
+    bad = fig_cover.without(("c", "e"))
+    vertex = r"; interior vertex \('a', 'c', 'd'\) is unsupported$"
+    for entry, prefix in (
+        (cord_closure, "cord closure"),
+        (is_shellable, "is_shellable"),
+        (lambda tree, cover: verify_shelling(tree, cover, ()), "verification"),
+    ):
+        text = f"^{prefix} requires a triplet cover{vertex}"
+        with pytest.raises(NotTripletCoverError, match=text):
+            entry(fig_tree, bad)
 
 
 def test_is_shellable_reference(fig_tree, fig_cover):

@@ -5,6 +5,7 @@ graph isomorphism with leaf labels, and the four-point condition is checked
 on randomly generated trees via hypothesis-drawn seeds.
 """
 
+import copy
 import os
 import subprocess
 import sys
@@ -19,7 +20,16 @@ from hypothesis import strategies as st
 
 import tricover
 from conftest import cherries
-from tricover import PhyloTree, TreeError, parse_newick
+from tricover import (
+    PhyloTree,
+    TreeError,
+    canonical_cover,
+    parse_newick,
+    report,
+    seeded_chooser,
+    support_map,
+    write_newick,
+)
 from tricover.jsonio import tree_to_json
 from tricover.lab import enumerate_binary_trees, random_binary_tree
 from tricover.tree import make_quartet, quartet_from_distances
@@ -288,6 +298,29 @@ def test_edge_lengths_exact_and_never_float():
 def test_boolean_edge_length_rejected():
     with pytest.raises(TreeError, match="booleans are not numbers"):
         PhyloTree([(0, 1, True), (0, 2, 1), (0, 3, 1)], {1: "a", 2: "b", 3: "c"})
+
+
+def test_disconnected_graph_with_a_cycle_is_refused():
+    # Nine edges on ten vertices, every degree 1 or 3: only the walk from
+    # the least taxon's leaf shows that the K4 sits apart from the leaves.
+    k4 = [(u, v, 1) for u, v in combinations(range(4), 2)]
+    loose = [(4, 5, 1), (6, 7, 1), (8, 9, 1)]
+    with pytest.raises(TreeError, match="^graph is not connected$"):
+        PhyloTree(k4 + loose, dict(zip(range(4, 10), "abcdef")))
+
+
+def test_queries_leave_the_tree_unchanged():
+    # The constructor builds every index; nothing is filled in later.
+    tree = random_binary_tree(12, 3)
+    cover = canonical_cover(tree, seeded_chooser(3))
+    before = dict(vars(tree))
+    snapshot = copy.deepcopy(before)
+    support_map(tree, cover)
+    report.classify(tree, cover)
+    tree.distance_matrix()
+    write_newick(tree)
+    assert vars(tree) == snapshot
+    assert all(vars(tree)[name] is value for name, value in before.items())
 
 
 def test_degenerate_quartet_raises_under_optimize():
