@@ -205,7 +205,7 @@ def build_parser() -> argparse.ArgumentParser:
         "--hall-cap",
         type=int,
         default=covers.HALL_SUBSET_CAP,
-        help="Hall-type subset-enumeration ceiling (default %(default)s)",
+        help="largest triple family the Hall-type test takes (default %(default)s)",
     )
     p.add_argument("--tree", required=True, help="Newick file")
     p.add_argument("--cover", required=True, help="cover JSON file")

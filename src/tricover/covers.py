@@ -262,6 +262,21 @@ def _augment(match: dict[int, int], sets: list[int], i: int) -> bool:
     return False
 
 
+def _triple_masks(taxa: list[str], triples: list[Triple]) -> list[int]:
+    """Bit i of a triple's mask stands for ``taxa[i]``; a triple with a taxon
+    outside ``taxa`` raises :class:`CoverError`."""
+    index = {x: i for i, x in enumerate(taxa)}
+    masks = []
+    for t in triples:
+        m = 0
+        for x in t:
+            if x not in index:
+                raise CoverError(f"triple {t} uses a taxon outside the taxon set")
+            m |= 1 << index[x]
+        masks.append(m)
+    return masks
+
+
 def is_hall_type(
     taxa: Iterable[str], triples: Iterable[Triple], cap: int = HALL_SUBSET_CAP
 ) -> bool:
@@ -278,15 +293,7 @@ def is_hall_type(
     k = len(triple_list)
     if k > cap:
         raise CapacityError(f"Hall-type check capped at {cap} triples, got {k}")
-    index = {t: i for i, t in enumerate(taxon_list)}
-    masks = []
-    for t in triple_list:
-        m = 0
-        for x in t:
-            if x not in index:
-                raise CoverError(f"triple {t} uses a taxon outside the taxon set")
-            m |= 1 << index[x]
-        masks.append(m)
+    masks = _triple_masks(taxon_list, triple_list)
     full = (1 << len(taxon_list)) - 1
     union_all = 0
     for m in masks:

@@ -14,9 +14,9 @@ from pathlib import Path
 from .covers import TripletCover, cord
 from .covergraph import TwoTreeDecomposition
 from .errors import CoverError
-from .lab import InstanceRecord, basic_flags
 from .newick import parse_newick, write_newick
 from .reconstruct import PartialDistances
+from .report import InstanceRecord, basic_flags
 from .shelling import ShellingStep
 from .tree import PhyloTree, make_quartet
 

@@ -16,19 +16,18 @@ from typing import Callable, Iterator
 
 from .covers import (
     Chooser,
-    SupportMap,
     TripletCover,
     canonical_cover,
     cord_set,
-    is_triplet_cover,
     minimalize,
     required_cords,
+    section_count,
     seeded_chooser,
     support_map,
-    unsupported_vertex,
 )
 from .errors import CapacityError
 from .reconstruct import PartialDistances
+from .report import InstanceRecord, basic_flags
 from .shelling import _shellable, is_ample
 from .tree import PhyloTree
 
@@ -247,44 +246,6 @@ def uniqueness_oracle(
     return survivors
 
 
-@dataclass(frozen=True)
-class InstanceRecord:
-    """A generated (tree, cover) pair with recomputed classification flags."""
-
-    tree: PhyloTree
-    cover: TripletCover
-    flags: dict
-    provenance: dict
-
-
-def _cover_support(tree: PhyloTree, cover: TripletCover) -> SupportMap | None:
-    """The support map when the cords form a triplet cover, else None."""
-    support = support_map(tree, cover)
-    return support if unsupported_vertex(tree, support) is None else None
-
-
-def _sparse(cover: TripletCover, support: SupportMap) -> bool:
-    """Whether a triplet cover's support map has |X| - 2 triples."""
-    return sum(len(triples) for triples in support.values()) == len(cover.taxa) - 2
-
-
-def basic_flags(tree: PhyloTree, cover: TripletCover) -> dict:
-    """Cheap classification flags for fixture records, read from one
-    support map."""
-    support = _cover_support(tree, cover)
-    flags = {
-        "is_cover": support is not None,
-        "cord_count": len(cover),
-        "mu": cover.min_multiplicity(),
-    }
-    if support is not None:
-        flags["is_minimal"] = required_cords(support) == cover.cords
-        flags["is_minimum"] = len(cover) == 2 * len(cover.taxa) - 3
-        flags["is_sparse"] = _sparse(cover, support)
-        flags["is_shellable"] = _shellable(tree, cover)[0]
-    return flags
-
-
 def balanced_chooser(seed: int) -> Chooser:
     """Chooser that favours the least-used leaf in each component, pushing
     every taxon's multiplicity up; useful when hunting high-mu covers."""
@@ -383,37 +344,32 @@ def search_fixture(
     return None
 
 
+# The fixture predicates read a support map's section count: 0 for a
+# non-cover, 1 for a sparse cover and more for any other cover.
 def predicate_minimal_not_sparse(tree: PhyloTree, cover: TripletCover) -> bool:
-    support = _cover_support(tree, cover)
-    return (
-        support is not None
-        and not _sparse(cover, support)
-        and required_cords(support) == cover.cords
-    )
+    support = support_map(tree, cover)
+    return section_count(support) > 1 and required_cords(support) == cover.cords
 
 
 def predicate_sparse_minimal_mu4(tree: PhyloTree, cover: TripletCover) -> bool:
     if cover.min_multiplicity() != 4:
         return False
-    support = _cover_support(tree, cover)
-    return (
-        support is not None
-        and _sparse(cover, support)
-        and required_cords(support) == cover.cords
-    )
+    support = support_map(tree, cover)
+    return section_count(support) == 1 and required_cords(support) == cover.cords
 
 
 def predicate_sparse_not_shellable(tree: PhyloTree, cover: TripletCover) -> bool:
-    support = _cover_support(tree, cover)
     return (
-        support is not None
-        and _sparse(cover, support)
+        section_count(support_map(tree, cover)) == 1
         and not _shellable(tree, cover)[0]
     )
 
 
 def predicate_minimum(tree: PhyloTree, cover: TripletCover) -> bool:
-    return len(cover) == 2 * len(cover.taxa) - 3 and is_triplet_cover(tree, cover)
+    return (
+        len(cover) == 2 * len(cover.taxa) - 3
+        and section_count(support_map(tree, cover)) > 0
+    )
 
 
 def predicate_sparse_shellable_not_ample(
@@ -421,8 +377,8 @@ def predicate_sparse_shellable_not_ample(
 ) -> bool:
     """Shellable although no section has an ample patchwork: the sufficiency
     test is not necessary."""
-    support = _cover_support(tree, cover)
-    if support is None or not _sparse(cover, support):
+    support = support_map(tree, cover)
+    if section_count(support) != 1:
         return False
     if is_ample(frozenset().union(*support.values()))[0]:
         return False

@@ -51,9 +51,12 @@ class _Parser:
         if not match:
             self.fail("expected a branch length")
         token = match.group(0)
-        if "/" in token and int(token.split("/")[1]) == 0:
+        try:
+            value = Fraction(token)
+        except ZeroDivisionError:
             self.fail(f"zero denominator in length literal {token!r}")
-        value = Fraction(token)
+        except ValueError as exc:  # more digits than int() reads
+            self.fail(f"unreadable branch length: {exc}")
         if value <= 0:
             self.fail(f"non-positive branch length {token!r}")
         self.pos = match.end()

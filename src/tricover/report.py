@@ -1,12 +1,15 @@
 """Aggregated classification of a (tree, cover) pair.
 
-One dictionary drives both the CLI reports and the stored fixture records.
-Capacity-limited analyses (Hall-type subsets, ample-patchwork search,
+:func:`classify` gives the CLI report and :func:`basic_flags` the stored
+fixture records' flags; the keys they share are built in one place.
+Capacity-limited analyses (Hall-type family size, ample-patchwork search,
 section enumeration) surface their ceilings as null verdicts plus a note
 instead of silently degrading.
 """
 
 from __future__ import annotations
+
+from dataclasses import dataclass
 
 from .covergraph import (
     build_cover_graph,
@@ -19,6 +22,8 @@ from .covergraph import (
 )
 from .covers import (
     HALL_SUBSET_CAP,
+    SupportMap,
+    Triple,
     TripletCover,
     is_hall_type,
     iter_sections,
@@ -37,6 +42,42 @@ from .shelling import (
 from .tree import PhyloTree
 
 
+@dataclass(frozen=True)
+class InstanceRecord:
+    """A generated (tree, cover) pair with recomputed classification flags."""
+
+    tree: PhyloTree
+    cover: TripletCover
+    flags: dict
+    provenance: dict
+
+
+def _cover_flags(
+    tree: PhyloTree, cover: TripletCover
+) -> tuple[SupportMap, Triple | None, dict]:
+    """The support map, the least unsupported vertex and the flags that
+    :func:`classify` and :func:`basic_flags` share, all read from that map;
+    the support-derived flags are present only for a triplet cover."""
+    mu = cover.min_multiplicity()
+    support = support_map(tree, cover)
+    bad = unsupported_vertex(tree, support)
+    flags = {"is_cover": bad is None, "cord_count": len(cover), "mu": mu}
+    if bad is None:
+        flags["is_minimal"] = required_cords(support) == cover.cords
+        flags["is_minimum"] = len(cover) == 2 * len(cover.taxa) - 3
+        flags["is_sparse"] = section_count(support) == 1
+    return support, bad, flags
+
+
+def basic_flags(tree: PhyloTree, cover: TripletCover) -> dict:
+    """Cheap classification flags for fixture records, read from one
+    support map."""
+    _, bad, flags = _cover_flags(tree, cover)
+    if bad is None:
+        flags["is_shellable"] = _shellable(tree, cover)[0]
+    return flags
+
+
 def classify(
     tree: PhyloTree,
     cover: TripletCover,
@@ -47,19 +88,14 @@ def classify(
     """Full classification report as a JSON-ready dictionary.  Every
     support-derived verdict is read from one support map."""
     notes: list[str] = []
-    n = len(cover.taxa)
+    support, bad, flags = _cover_flags(tree, cover)
     report: dict = {
         "taxa": sorted(cover.taxa),
-        "cord_count": len(cover),
         "cords": [list(c) for c in sorted(cover.cords)],
-        "mu": cover.min_multiplicity(),
+        **flags,
+        "unsupported_vertex": None if bad is None else list(bad),
     }
-
-    support = support_map(tree, cover)
-    bad = unsupported_vertex(tree, support)
-    report["is_cover"] = bad is None
     if bad is not None:
-        report["unsupported_vertex"] = list(bad)
         for key in (
             "is_minimal",
             "is_minimum",
@@ -78,12 +114,8 @@ def classify(
         report["notes"] = notes
         return report
 
-    report["unsupported_vertex"] = None
     triple_family = frozenset().union(*support.values())
     report["triple_set"] = [list(t) for t in sorted(triple_family)]
-    report["is_minimal"] = required_cords(support) == cover.cords
-    report["is_minimum"] = len(cover) == 2 * n - 3
-    report["is_sparse"] = len(triple_family) == n - 2
 
     try:
         report["hall_type"] = is_hall_type(cover.taxa, triple_family, cap=hall_cap)

@@ -23,6 +23,7 @@ from .covers import (
     TripletCover,
     _bits,
     _neighbour_masks,
+    _triple_masks,
     all_cords,
     cord,
     cover_support,
@@ -257,13 +258,7 @@ def is_ample(
     if m > cap:
         raise CapacityError(f"ample-patchwork search capped at {cap} triples")
 
-    taxon_index = {x: i for i, x in enumerate(sorted(union_all))}
-    taxa_mask = []
-    for t in triples:
-        bits = 0
-        for x in t:
-            bits |= 1 << taxon_index[x]
-        taxa_mask.append(bits)
+    taxa_mask = _triple_masks(sorted(union_all), triples)
 
     union_cache: dict[int, int] = {0: 0}
 

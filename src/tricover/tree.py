@@ -39,11 +39,14 @@ def is_valid_label(label: str) -> bool:
 def exact_rational(value, error: type[Exception] = TreeError) -> Fraction:
     """Exact rational from an int, a Fraction or a string ("7/2", "0.25");
     floats are refused, since the float 0.1 is not 1/10, and so are booleans,
-    which JSON keeps apart from numbers.  Raises ``error``."""
+    which JSON keeps apart from numbers, and exponents ("1e9"), whose value
+    can outgrow any budget.  Raises ``error``."""
     if isinstance(value, float):
         raise error(f"floats are not accepted, write {value!r} as a string")
     if isinstance(value, bool):
         raise error(f"booleans are not numbers, got {value!r}")
+    if isinstance(value, str) and "e" in value.lower():
+        raise error(f"bad rational {value!r}: exponents are not accepted")
     try:
         return Fraction(value)
     except (ValueError, ZeroDivisionError, TypeError) as exc:

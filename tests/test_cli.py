@@ -244,6 +244,23 @@ def test_boolean_distance_rejected(fig_files, tmp_path, capsys):
     assert err == "error: booleans are not numbers, got True\n"
 
 
+def test_exponent_distance_is_one_error_line(fig_files, tmp_path, capsys):
+    # "1e400000" once built a 400,001-digit integer and failed on formatting it.
+    _, cover_path = fig_files
+    values = [[x, y, "3"] for x, y in FIG_COVER["cords"]]
+    values[0][2] = "1e400000"
+    dist = {"taxa": ["a", "b", "c", "d", "e"], "distances": values}
+    dist_path = tmp_path / "dist.json"
+    dist_path.write_text(json.dumps(dist))
+    code = main(
+        ["reconstruct", "--cover", str(cover_path), "--dist", str(dist_path),
+         "--out", str(tmp_path / "out.nwk")]
+    )
+    err = capsys.readouterr().err
+    assert code == 1
+    assert err == "error: bad rational '1e400000': exponents are not accepted\n"
+
+
 def test_cap_flags_belong_to_analyze_only(fig_files, tmp_path, capsys):
     _, cover_path = fig_files
     with pytest.raises(SystemExit) as exit_info:

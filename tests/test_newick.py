@@ -61,6 +61,18 @@ def test_syntax_errors_carry_positions(text):
     assert err.value.position is not None
 
 
+@pytest.mark.parametrize(
+    "length",
+    ["1" * 5000, "1/" + "1" * 5000, "0." + "1" * 5000],
+    ids=["integer", "denominator", "decimal"],
+)
+def test_overlong_length_is_newick_error(length):
+    # More digits than int() reads once raised a bare ValueError.
+    with pytest.raises(NewickError, match="unreadable branch length") as err:
+        parse_newick(f"(a:1,b:1,c:{length});")
+    assert err.value.position == 11
+
+
 def test_duplicate_taxon_rejected():
     with pytest.raises(TreeError, match="duplicate taxon"):
         parse_newick("(a:1,a:1,c:1);")

@@ -21,6 +21,7 @@ from hypothesis import strategies as st
 import tricover
 from conftest import cherries
 from tricover import (
+    CoverError,
     PhyloTree,
     TreeError,
     canonical_cover,
@@ -32,7 +33,7 @@ from tricover import (
 )
 from tricover.jsonio import tree_to_json
 from tricover.lab import enumerate_binary_trees, random_binary_tree
-from tricover.tree import make_quartet, quartet_from_distances
+from tricover.tree import exact_rational, make_quartet, quartet_from_distances
 
 
 def to_networkx(tree):
@@ -298,6 +299,15 @@ def test_edge_lengths_exact_and_never_float():
 def test_boolean_edge_length_rejected():
     with pytest.raises(TreeError, match="booleans are not numbers"):
         PhyloTree([(0, 1, True), (0, 2, 1), (0, 3, 1)], {1: "a", 2: "b", 3: "c"})
+
+
+@pytest.mark.parametrize("text", ["1e3", "2E-1", "1e400000"])
+def test_exponent_literals_rejected(text):
+    # Fraction reads these, and the cost grows with the exponent.
+    with pytest.raises(TreeError, match=r"^bad rational .*exponents are not accepted"):
+        exact_rational(text)
+    with pytest.raises(CoverError, match="exponents are not accepted"):
+        exact_rational(text, CoverError)
 
 
 def test_disconnected_graph_with_a_cycle_is_refused():
