@@ -5,9 +5,11 @@ The engine is cherry reduction on one mutable table of cord distances: the
 pendant length at x is half the minimum of d(x,z) + d(x,z') - d(z,z') over
 fully covered triples through x; a cord x,y is a cherry exactly when d(x,y)
 equals the two pendant lengths' sum.  Peeling cherries down to three taxa
-and replaying the log backwards rebuilds the tree.  Everything is exact
-rational arithmetic; a mandatory final pass recomputes every input cord's
-distance, so inconsistent inputs are rejected rather than silently fitted.
+and replaying the log backwards rebuilds the tree.  Everything is exact:
+the table holds each distance times one integer scale, and every halving
+divides an even integer.  A mandatory final pass recomputes every input
+cord's distance, so inconsistent inputs are rejected rather than silently
+fitted.
 """
 
 from __future__ import annotations
@@ -15,6 +17,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations
+from math import lcm
 from typing import Mapping
 
 from .covers import Cord, TripletCover, cord
@@ -36,10 +39,13 @@ class PartialDistances:
         for (x, y), raw in dict(items).items():
             if x not in taxon_set or y not in taxon_set:
                 raise CoverError(f"distance for {x},{y} uses an unknown taxon")
+            key = cord(x, y)
+            if key in values:
+                raise CoverError(f"duplicate distance for {x},{y}")
             value = exact_rational(raw, CoverError)
             if value <= 0:
                 raise CoverError(f"distance for {x},{y} must be positive, got {raw}")
-            values[cord(x, y)] = value
+            values[key] = value
         return cls(taxon_set, values)
 
     @classmethod
@@ -47,7 +53,8 @@ class PartialDistances:
         """Forward-compute the tree's distances on exactly the cover's cords."""
         if tree.taxa != cover.taxa:
             raise CoverError("tree and cover taxa differ")
-        return cls(cover.taxa, {c: tree.distance(*c) for c in sorted(cover.cords)})
+        scale, values = tree.scaled_distances(sorted(cover.cords))
+        return cls(cover.taxa, {c: Fraction(v, scale) for c, v in values.items()})
 
     def __getitem__(self, key: Cord) -> Fraction:
         return self.values[key]
@@ -65,29 +72,58 @@ class ReconstructionResult:
     cherry_log: tuple[tuple[Cord, Fraction, Fraction], ...]
 
 
-_Table = dict[str, dict[str, Fraction]]
+class _Table:
+    """The working instance on integers: ``rows[x][y]`` is d(x,y) times
+    ``scale``, each cord under both its taxa; ``pendants[x]`` is lambda(x)
+    times ``scale``; ``log`` lists the cherries peeled as ((x, y),
+    lambda(x) * scale, lambda(y) * scale).  Fractions are built from these
+    only for outputs and error texts."""
+
+    def __init__(self, cover: TripletCover, dist: PartialDistances):
+        cords = sorted(cover.cords)
+        # Twice the lcm of the denominators makes every entry even, so each
+        # pendant's sum of three entries halves exactly.
+        self.scale = scale = 2 * lcm(*(dist[c].denominator for c in cords))
+        self.rows: dict[str, dict[str, int]] = {x: {} for x in sorted(cover.taxa)}
+        for x, y in cords:
+            q = dist[x, y]
+            self.rows[x][y] = self.rows[y][x] = q.numerator * (scale // q.denominator)
+        self.pendants: dict[str, int] = {}
+        self.log: list[tuple[Cord, int, int]] = []
+
+    def value(self, scaled: int) -> Fraction:
+        return Fraction(scaled, self.scale)
+
+    def half(self, scaled: int) -> int:
+        """Half of ``scaled`` at the table's scale.  An odd value first
+        doubles the scale of every entry, pendant and log entry, so the half
+        is always exact.  Cherry reduction itself never needs that: a cherry
+        has d(x,y) = lambda(x) + lambda(y) even, so its rewrites shift by an
+        even lambda(y) - lambda(x) and the table stays even."""
+        if scaled % 2 == 0:
+            return scaled // 2
+        self.scale *= 2
+        for row in self.rows.values():
+            for z in row:
+                row[z] *= 2
+        for x in self.pendants:
+            self.pendants[x] *= 2
+        self.log[:] = [(c, 2 * lx, 2 * ly) for c, lx, ly in self.log]
+        return scaled
 
 
-def _table(cover: TripletCover, dist: PartialDistances) -> _Table:
-    """The working instance: taxon -> partner -> distance, each cord twice."""
-    table: _Table = {x: {} for x in sorted(cover.taxa)}
-    for x, y in sorted(cover.cords):
-        table[x][y] = table[y][x] = dist[x, y]
-    return table
-
-
-def _pendant(x: str, table: _Table) -> Fraction:
-    """Half the least d(x,z) + d(x,z') - d(z,z') over the fully covered
-    triples through x."""
-    row = table[x]
-    best: Fraction | None = None
-    for z, z2 in combinations(sorted(row), 2):
-        d_zz = table[z].get(z2)
-        if d_zz is None:
-            continue
-        value = (row[z] + row[z2] - d_zz) / 2
-        if best is None or value < best:
-            best = value
+def _pendant(x: str, table: _Table) -> int:
+    """Set and return ``table.pendants[x]``: half the least d(x,z) + d(x,z')
+    - d(z,z') over the fully covered triples through x."""
+    rows = table.rows
+    row = rows[x]
+    best: int | None = None
+    for z, z2 in combinations(row, 2):
+        d_zz = rows[z].get(z2)
+        if d_zz is not None:
+            value = row[z] + row[z2] - d_zz
+            if best is None or value < best:
+                best = value
     if best is None:
         raise NotRealizableError(
             "pendant",
@@ -95,38 +131,46 @@ def _pendant(x: str, table: _Table) -> Fraction:
             "the cord set is not a triplet cover's distance support",
         )
     if best <= 0:
-        raise NotRealizableError("pendant", f"pendant length at {x} is {best} <= 0")
-    return best
+        length = Fraction(best, 2 * table.scale)
+        raise NotRealizableError("pendant", f"pendant length at {x} is {length} <= 0")
+    table.pendants[x] = table.half(best)
+    return table.pendants[x]
 
 
-def _cherry(table: _Table, pendants: Mapping[str, Fraction]) -> Cord:
+def _cherry(table: _Table) -> Cord:
     """Least cord x,y with d(x,y) = lambda(x) + lambda(y)."""
-    for x in sorted(table):
-        for y in sorted(table[x]):
-            if x < y and table[x][y] == pendants[x] + pendants[y]:
-                return (x, y)
+    pendants = table.pendants
+    for x in sorted(table.rows):
+        px = pendants[x]
+        hits = [y for y, d in table.rows[x].items() if y > x and d == px + pendants[y]]
+        if hits:
+            return (x, min(hits))
     raise NotRealizableError(
         "cherry",
         "no cord satisfies d(x,y) = lambda(x) + lambda(y); pendant estimates "
-        + ", ".join(f"{x}={pendants[x]}" for x in sorted(pendants)),
+        + ", ".join(f"{x}={table.value(p)}" for x, p in sorted(pendants.items())),
     )
 
 
-def _reduce(table: _Table, x: str, y: str, lx: Fraction, ly: Fraction) -> None:
-    """Drop x from the cherry x,y: each cord xz becomes yz with
-    d(y,z) = d(x,z) + lambda(y) - lambda(x), in sorted z order."""
-    row = table.pop(x)
+def _reduce(table: _Table, x: str, y: str) -> None:
+    """Peel the cherry x,y into the log and drop x: each cord xz becomes yz
+    with d(y,z) = d(x,z) + lambda(y) - lambda(x), in sorted z order."""
+    rows = table.rows
+    lx, ly = table.pendants.pop(x), table.pendants[y]
+    table.log.append(((x, y), lx, ly))
+    row = rows.pop(x)
     for z in sorted(row):
-        del table[z][x]
+        del rows[z][x]
         # An existing yz agrees: xy, xz, yz cover a triple, and lx + ly = d(x,y).
-        if z == y or z in table[y]:
+        if z == y or z in rows[y]:
             continue
         value = row[z] + ly - lx
         if value <= 0:
             raise NotRealizableError(
-                "reduce", f"rewritten distance for {cord(y, z)} is {value} <= 0"
+                "reduce",
+                f"rewritten distance for {cord(y, z)} is {table.value(value)} <= 0",
             )
-        table[y][z] = table[z][y] = value
+        rows[y][z] = rows[z][y] = value
 
 
 def pendant_length(x: str, cover: TripletCover, dist: PartialDistances) -> Fraction:
@@ -135,13 +179,16 @@ def pendant_length(x: str, cover: TripletCover, dist: PartialDistances) -> Fract
     whenever the distances come from a tree covered by the cord set."""
     if x not in cover.taxa:
         raise CoverError(f"unknown taxon {x!r}")
-    return _pendant(x, _table(cover, dist))
+    table = _Table(cover, dist)
+    return table.value(_pendant(x, table))
 
 
 def find_cherry(cover: TripletCover, dist: PartialDistances) -> Cord:
     """Least cord x,y with d(x,y) exactly lambda(x) + lambda(y)."""
-    table = _table(cover, dist)
-    return _cherry(table, {x: _pendant(x, table) for x in table})
+    table = _Table(cover, dist)
+    for x in table.rows:
+        _pendant(x, table)
+    return _cherry(table)
 
 
 def reduce_instance(
@@ -154,15 +201,20 @@ def reduce_instance(
     x, y = cherry
     if cherry not in cover.cords:
         raise NotRealizableError("reduce", f"cherry {cherry} is not a cord")
-    table = _table(cover, dist)
-    lx, ly = _pendant(x, table), _pendant(y, table)
-    if dist[cherry] != lx + ly:
+    table = _Table(cover, dist)
+    _pendant(x, table)
+    _pendant(y, table)
+    lx, ly = table.pendants[x], table.pendants[y]
+    if table.rows[x][y] != lx + ly:
         raise NotRealizableError(
             "reduce", f"{cherry} fails the cherry criterion: "
-            f"d={dist[cherry]}, pendants {lx}+{ly}"
+            f"d={dist[cherry]}, pendants {table.value(lx)}+{table.value(ly)}"
         )
-    _reduce(table, x, y, lx, ly)
-    values = {(u, v): q for u in table for v, q in table[u].items() if u < v}
+    _reduce(table, x, y)
+    values = {
+        (u, v): table.value(q) for u, row in table.rows.items()
+        for v, q in row.items() if u < v
+    }
     taxa = cover.taxa - {x}
     return TripletCover(taxa, frozenset(values)), PartialDistances(taxa, values)
 
@@ -177,48 +229,54 @@ def reconstruct(cover: TripletCover, dist: PartialDistances) -> ReconstructionRe
     if not dist.matches_cover(cover):
         raise CoverError("distances must be defined exactly on the cover's cords")
 
-    table = _table(cover, dist)
-    pendants: dict[str, Fraction] = {}
-    changed = set(table)
-    log: list[tuple[Cord, Fraction, Fraction]] = []
-    while len(table) > 3:
+    table = _Table(cover, dist)
+    rows = table.rows
+    changed = set(rows)
+    while len(rows) > 3:
         for z in sorted(changed):
-            pendants[z] = _pendant(z, table)
-        x, y = _cherry(table, pendants)
-        lx, ly = pendants.pop(x), pendants[y]
-        log.append(((x, y), lx, ly))
+            _pendant(z, table)
+        x, y = _cherry(table)
         # Only the triples through y, x's old partners and y's partners change.
-        changed = set(table[x])
-        _reduce(table, x, y, lx, ly)
-        changed |= set(table[y])
+        changed = set(rows[x])
+        _reduce(table, x, y)
+        changed |= set(rows[y])
 
-    a, b, c = sorted(table)
+    a, b, c = sorted(rows)
     for u, v in ((a, b), (a, c), (b, c)):
-        if v not in table[u]:
+        if v not in rows[u]:
             raise NotRealizableError(
                 "base", f"three-taxon stage is missing cord {u, v}"
             )
-    d_ab, d_ac, d_bc = table[a][b], table[a][c], table[b][c]
-    base = {
-        a: (d_ab + d_ac - d_bc) / 2,
-        b: (d_ab + d_bc - d_ac) / 2,
-        c: (d_ac + d_bc - d_ab) / 2,
-    }
-    for taxon, value in base.items():
+    for taxon, u, v in ((a, b, c), (b, a, c), (c, a, b)):
+        value = rows[taxon][u] + rows[taxon][v] - rows[u][v]
         if value <= 0:
             raise NotRealizableError(
-                "base", f"three-point formula gives {value} <= 0 at {taxon}"
+                "base",
+                f"three-point formula gives {Fraction(value, 2 * table.scale)} "
+                f"<= 0 at {taxon}",
             )
+        table.pendants[taxon] = table.half(value)
 
-    # Each leaf hangs from one vertex by its pendant edge; edges between
-    # interior vertices never change once placed.  Ids: a, b, c are 0-2, the
-    # centre 3, then each replayed cherry adds its vertex and x's leaf.
-    leaf_of = {a: 0, b: 1, c: 2}
-    hang = {taxon: (3, value) for taxon, value in base.items()}
+    tree = _replay(table, (a, b, c))
+    _verify(tree, dist)
+    log = tuple((xy, table.value(lx), table.value(ly)) for xy, lx, ly in table.log)
+    return ReconstructionResult(tree, log)
+
+
+def _replay(table: _Table, base: tuple[str, str, str]) -> PhyloTree:
+    """The tree: the base taxa hang from one centre, then the cherry log is
+    replayed backwards.
+
+    Each leaf hangs from one vertex by its pendant edge; edges between
+    interior vertices never change once placed.  Ids: the base taxa are 0-2,
+    the centre 3, then each replayed cherry adds its vertex and x's leaf.
+    """
+    leaf_of = {taxon: i for i, taxon in enumerate(base)}
+    hang = {taxon: (3, table.pendants[taxon]) for taxon in base}
     edges: list[tuple[int, int, Fraction]] = []
-    for (x, y), lx, ly in reversed(log):
+    for (x, y), lx, ly in reversed(table.log):
         nbr, length = hang[y]
-        interior = length - ly
+        interior = table.value(length - ly)
         if interior <= 0:
             raise NotRealizableError(
                 "replay",
@@ -228,14 +286,19 @@ def reconstruct(cover: TripletCover, dist: PartialDistances) -> ReconstructionRe
         edges.append((nbr, mid, interior))
         hang[y], hang[x] = (mid, ly), (mid, lx)
         leaf_of[x] = mid + 1
-    edges += [(*sorted((v, leaf_of[t])), q) for t, (v, q) in hang.items()]
-    tree = PhyloTree(sorted(edges), {vid: taxon for taxon, vid in leaf_of.items()})
+    for t, (v, q) in hang.items():
+        edges.append((*sorted((v, leaf_of[t])), table.value(q)))
+    return PhyloTree(sorted(edges), {vid: taxon for taxon, vid in leaf_of.items()})
 
+
+def _verify(tree: PhyloTree, dist: PartialDistances) -> None:
+    """Check every input cord's distance on the rebuilt tree, least cord
+    first."""
+    scale, got = tree.scaled_distances(dist.values)
     for c0, value in sorted(dist.values.items()):
-        got = tree.distance(*c0)
-        if got != value:
+        if got[c0] * value.denominator != value.numerator * scale:
             raise NotRealizableError(
                 "verify",
-                f"reconstructed tree gives d{c0} = {got}, input says {value}",
+                f"reconstructed tree gives d{c0} = {Fraction(got[c0], scale)}, "
+                f"input says {value}",
             )
-    return ReconstructionResult(tree, tuple(log))

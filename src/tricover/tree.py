@@ -10,9 +10,11 @@ of the three components obtained by deleting the vertex.
 
 from __future__ import annotations
 
+import re
 from collections import deque
 from fractions import Fraction
 from itertools import compress
+from math import lcm
 from typing import Iterable, Iterator, NamedTuple
 
 from .errors import TreeError
@@ -36,21 +38,44 @@ def is_valid_label(label: str) -> bool:
     )
 
 
+# What exact_rational reads from a string: an integer, p/q or a decimal, in
+# ASCII digits with an optional sign; no whitespace, underscores or exponents.
+_RATIONAL = re.compile(r"[+-]?([0-9]+(/[0-9]+)?|[0-9]+\.[0-9]*|\.[0-9]+)")
+
+# Error texts quote at most this many characters of a bad literal.
+_QUOTE_MAX = 40
+
+
+def _quote(value) -> str:
+    """The repr of a bad literal, or for a long one its first characters and
+    its length, so that an error stays one short line."""
+    text = value if isinstance(value, str) else repr(value)
+    if len(text) <= _QUOTE_MAX:
+        return repr(value)
+    return f"{text[:_QUOTE_MAX]!r}... ({len(text)} characters)"
+
+
 def exact_rational(value, error: type[Exception] = TreeError) -> Fraction:
     """Exact rational from an int, a Fraction or a string ("7/2", "0.25");
     floats are refused, since the float 0.1 is not 1/10, and so are booleans,
-    which JSON keeps apart from numbers, and exponents ("1e9"), whose value
-    can outgrow any budget.  Raises ``error``."""
+    which JSON keeps apart from numbers, exponents ("1e9"), whose value can
+    outgrow any budget, and strings with whitespace or digit underscores.
+    Raises ``error``."""
     if isinstance(value, float):
         raise error(f"floats are not accepted, write {value!r} as a string")
     if isinstance(value, bool):
         raise error(f"booleans are not numbers, got {value!r}")
-    if isinstance(value, str) and "e" in value.lower():
-        raise error(f"bad rational {value!r}: exponents are not accepted")
+    if isinstance(value, str):
+        if "e" in value.lower():
+            raise error(f"bad rational {_quote(value)}: exponents are not accepted")
+        if not _RATIONAL.fullmatch(value):
+            raise error(
+                f"bad rational {_quote(value)}: write an integer, p/q or a decimal"
+            )
     try:
         return Fraction(value)
     except (ValueError, ZeroDivisionError, TypeError) as exc:
-        raise error(f"bad rational {value!r}: {exc}") from None
+        raise error(f"bad rational {_quote(value)}: {exc}") from None
 
 
 def make_quartet(pair_one: tuple[str, str], pair_two: tuple[str, str]) -> Quartet:
@@ -236,14 +261,39 @@ class PhyloTree:
             end.append(index.parent[end[-1]])
         return head + tail[-2::-1]
 
+    def _meet(self, u: int, v: int) -> int:
+        """The vertex where the u..v path turns: u's least ancestor (u
+        itself included) that has v below it."""
+        parent, mask = self._index.parent, self._index.mask
+        top, below = u, mask[v]
+        while mask[top] & below != below:
+            top = parent[top]
+        return top
+
     def hops(self, x: str, y: str) -> int:
         """Number of edges on the path between taxa x and y."""
-        index = self._index
+        depth = self._index.depth
         u, v = self.leaf(x), self.leaf(y)
-        top = u
-        while index.mask[top] & index.mask[v] != index.mask[v]:
-            top = index.parent[top]
-        return index.depth[u] + index.depth[v] - 2 * index.depth[top]
+        return depth[u] + depth[v] - 2 * depth[self._meet(u, v)]
+
+    def scaled_distances(
+        self, pairs: Iterable[tuple[str, str]]
+    ) -> tuple[int, dict[tuple[str, str], int]]:
+        """The distances between the given taxon pairs as integers times one
+        scale, the lcm of the edge lengths' denominators: (scale, {pair:
+        distance * scale}).  One pass over the tree gives every vertex's
+        scaled distance from the root; each pair then reads three of them."""
+        order, parent, adj = self._index.order, self._index.parent, self._adj
+        scale = lcm(*(adj[v][parent[v]].denominator for v in order[1:]))
+        root = {order[0]: 0}
+        for v in order[1:]:
+            q = adj[v][parent[v]]
+            root[v] = root[parent[v]] + q.numerator * (scale // q.denominator)
+        out = {}
+        for pair in pairs:
+            u, v = map(self.leaf, pair)
+            out[pair] = root[u] + root[v] - 2 * root[self._meet(u, v)]
+        return scale, out
 
     def distance(self, x: str, y: str) -> Fraction:
         """Sum of edge lengths on the path between taxa x and y; 0 iff x == y."""

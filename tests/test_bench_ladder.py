@@ -1,0 +1,21 @@
+"""Smoke test of the reconstruction ladder script at its smallest size."""
+
+import json
+import subprocess
+import sys
+from pathlib import Path
+
+LADDER = Path(__file__).resolve().parents[1] / "tools" / "bench_ladder.py"
+
+
+def test_ladder_runs_at_n20(tmp_path):
+    out = tmp_path / "ladder.json"
+    subprocess.run(
+        [sys.executable, str(LADDER), "--out", str(out), "--sizes", "20",
+         "--repeats", "1"],
+        check=True, capture_output=True, timeout=120,
+    )
+    report = json.loads(out.read_text())
+    assert report["sizes"] == [20] and "parent" not in report
+    for key in ("reconstruct_s", "from_tree_s", "cli_reconstruct_s"):
+        assert report["change"][key]["20"] > 0

@@ -261,6 +261,31 @@ def test_exponent_distance_is_one_error_line(fig_files, tmp_path, capsys):
     assert err == "error: bad rational '1e400000': exponents are not accepted\n"
 
 
+@pytest.mark.parametrize(
+    "value, expected",
+    [(" 3 ", "' 3 '"), ("1_0", "'1_0'"),
+     ("1" * 5000 + "x", repr("1" * 40) + "... (5001 characters)")],
+)
+def test_lax_or_long_distance_is_one_short_error_line(
+    fig_files, tmp_path, capsys, value, expected
+):
+    _, cover_path = fig_files
+    values = [[x, y, "3"] for x, y in FIG_COVER["cords"]]
+    values[0][2] = value
+    dist = {"taxa": ["a", "b", "c", "d", "e"], "distances": values}
+    dist_path = tmp_path / "dist.json"
+    dist_path.write_text(json.dumps(dist))
+    code = main(
+        ["reconstruct", "--cover", str(cover_path), "--dist", str(dist_path),
+         "--out", str(tmp_path / "out.nwk")]
+    )
+    err = capsys.readouterr().err
+    assert code == 1
+    assert err == (
+        f"error: bad rational {expected}: write an integer, p/q or a decimal\n"
+    )
+
+
 def test_cap_flags_belong_to_analyze_only(fig_files, tmp_path, capsys):
     _, cover_path = fig_files
     with pytest.raises(SystemExit) as exit_info:

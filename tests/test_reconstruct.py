@@ -226,3 +226,8 @@ def test_distances_exact_and_never_float():
         PartialDistances.make("abc", {("a", "b"): 0.1})
     with pytest.raises(CoverError, match="bad rational"):
         PartialDistances.make("abc", {("a", "b"): "1/0"})
+
+
+def test_cord_given_in_both_orders_is_refused():
+    with pytest.raises(CoverError, match="^duplicate distance for b,a$"):
+        PartialDistances.make("abc", {("a", "b"): 1, ("b", "a"): 2})

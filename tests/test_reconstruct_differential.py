@@ -1,14 +1,17 @@
-"""Cherry reduction on one distance table, checked against the per-round
-rebuild it replaced.
+"""Cherry reduction on one table of scaled integers, checked against two
+references.
 
-The reference below is the reconstruction taken literally: every round
+The first reference is the reconstruction taken literally: every round
 recomputes all pendant lengths by scanning each taxon's partners over the
 cover, finds the least cord meeting the cherry criterion, recomputes the
 cherry's pendants and rebuilds the reduced cover and distances; the tree is
 replayed on a mutable adjacency and checked against a full distance matrix.
 Rewrites and the final check walk cords in sorted order, so its errors do
-not depend on the hash seed.  The library must give the same cherry log, the
-same tree (vertex ids included) and the same errors, stage and text.
+not depend on the hash seed.  The second is the same table engine as the
+library's, on Fraction values instead of scaled integers, with the final
+check read from ``PhyloTree.distance``.  The library must give the same
+cherry log, the same tree (vertex ids included) and the same errors, stage
+and text as both.
 """
 
 import os
@@ -17,6 +20,7 @@ import subprocess
 import sys
 from fractions import Fraction
 from itertools import combinations
+from math import lcm
 from pathlib import Path
 
 import pytest
@@ -206,6 +210,154 @@ def ref_reconstruct(cover, dist):
     return tree, tuple(log)
 
 
+# -- the Fraction table engine ------------------------------------------------
+
+
+def frac_table(cover, dist):
+    table = {x: {} for x in sorted(cover.taxa)}
+    for x, y in sorted(cover.cords):
+        table[x][y] = table[y][x] = dist[x, y]
+    return table
+
+
+def frac_pendant(x, table):
+    row = table[x]
+    best = None
+    for z, z2 in combinations(sorted(row), 2):
+        d_zz = table[z].get(z2)
+        if d_zz is None:
+            continue
+        value = (row[z] + row[z2] - d_zz) / 2
+        if best is None or value < best:
+            best = value
+    if best is None:
+        raise NotRealizableError(
+            "pendant",
+            f"no fully covered triple contains {x}; "
+            "the cord set is not a triplet cover's distance support",
+        )
+    if best <= 0:
+        raise NotRealizableError("pendant", f"pendant length at {x} is {best} <= 0")
+    return best
+
+
+def frac_cherry(table, pendants):
+    for x in sorted(table):
+        for y in sorted(table[x]):
+            if x < y and table[x][y] == pendants[x] + pendants[y]:
+                return (x, y)
+    raise NotRealizableError(
+        "cherry",
+        "no cord satisfies d(x,y) = lambda(x) + lambda(y); pendant estimates "
+        + ", ".join(f"{x}={pendants[x]}" for x in sorted(pendants)),
+    )
+
+
+def frac_reduce(table, x, y, lx, ly):
+    row = table.pop(x)
+    for z in sorted(row):
+        del table[z][x]
+        if z == y or z in table[y]:
+            continue
+        value = row[z] + ly - lx
+        if value <= 0:
+            raise NotRealizableError(
+                "reduce", f"rewritten distance for {cord(y, z)} is {value} <= 0"
+            )
+        table[y][z] = table[z][y] = value
+
+
+def frac_pendant_length(x, cover, dist):
+    if x not in cover.taxa:
+        raise CoverError(f"unknown taxon {x!r}")
+    return frac_pendant(x, frac_table(cover, dist))
+
+
+def frac_find_cherry(cover, dist):
+    table = frac_table(cover, dist)
+    return frac_cherry(table, {x: frac_pendant(x, table) for x in table})
+
+
+def frac_reduce_instance(cover, dist, cherry):
+    x, y = cherry
+    if cherry not in cover.cords:
+        raise NotRealizableError("reduce", f"cherry {cherry} is not a cord")
+    table = frac_table(cover, dist)
+    lx, ly = frac_pendant(x, table), frac_pendant(y, table)
+    if dist[cherry] != lx + ly:
+        raise NotRealizableError(
+            "reduce", f"{cherry} fails the cherry criterion: "
+            f"d={dist[cherry]}, pendants {lx}+{ly}"
+        )
+    frac_reduce(table, x, y, lx, ly)
+    values = {(u, v): q for u in table for v, q in table[u].items() if u < v}
+    taxa = cover.taxa - {x}
+    return TripletCover(taxa, frozenset(values)), PartialDistances(taxa, values)
+
+
+def frac_reconstruct(cover, dist):
+    if not dist.matches_cover(cover):
+        raise CoverError("distances must be defined exactly on the cover's cords")
+    table = frac_table(cover, dist)
+    pendants = {}
+    changed = set(table)
+    log = []
+    while len(table) > 3:
+        for z in sorted(changed):
+            pendants[z] = frac_pendant(z, table)
+        x, y = frac_cherry(table, pendants)
+        lx, ly = pendants.pop(x), pendants[y]
+        log.append(((x, y), lx, ly))
+        changed = set(table[x])
+        frac_reduce(table, x, y, lx, ly)
+        changed |= set(table[y])
+
+    a, b, c = sorted(table)
+    for u, v in ((a, b), (a, c), (b, c)):
+        if v not in table[u]:
+            raise NotRealizableError(
+                "base", f"three-taxon stage is missing cord {u, v}"
+            )
+    d_ab, d_ac, d_bc = table[a][b], table[a][c], table[b][c]
+    base = {
+        a: (d_ab + d_ac - d_bc) / 2,
+        b: (d_ab + d_bc - d_ac) / 2,
+        c: (d_ac + d_bc - d_ab) / 2,
+    }
+    for taxon, value in base.items():
+        if value <= 0:
+            raise NotRealizableError(
+                "base", f"three-point formula gives {value} <= 0 at {taxon}"
+            )
+
+    leaf_of = {a: 0, b: 1, c: 2}
+    hang = {taxon: (3, value) for taxon, value in base.items()}
+    edges = []
+    for (x, y), lx, ly in reversed(log):
+        nbr, length = hang[y]
+        interior = length - ly
+        if interior <= 0:
+            raise NotRealizableError(
+                "replay",
+                f"attaching {x} beside {y} leaves interior length {interior} <= 0",
+            )
+        mid = 2 * len(leaf_of) - 2
+        edges.append((nbr, mid, interior))
+        hang[y], hang[x] = (mid, ly), (mid, lx)
+        leaf_of[x] = mid + 1
+    edges += [(*sorted((v, leaf_of[t])), q) for t, (v, q) in hang.items()]
+    tree = PhyloTree(sorted(edges), {vid: taxon for taxon, vid in leaf_of.items()})
+
+    for c0, value in sorted(dist.values.items()):
+        got = tree.distance(*c0)
+        if got != value:
+            raise NotRealizableError(
+                "verify",
+                f"reconstructed tree gives d{c0} = {got}, input says {value}",
+            )
+    return tree, tuple(log)
+
+
 def outcome(fn, *args):
     """A comparable record of a call: its result, or its error's type and text."""
     try:
@@ -224,26 +376,34 @@ def ref_rebuilt(cover, dist):
     return write_newick(tree), tree_to_json(tree), log
 
 
+def frac_rebuilt(cover, dist):
+    tree, log = frac_reconstruct(cover, dist)
+    return write_newick(tree), tree_to_json(tree), log
+
+
 def reduced(fn, cover, dist, cherry):
     small_cover, small_dist = fn(cover, dist, cherry)
     return small_cover, dict(small_dist.values)
 
 
 def assert_same(cover, dist, stages=None):
-    """Reconstruction and every public step agree with the reference."""
+    """Reconstruction and every public step agree with both references."""
     got = outcome(rebuilt, cover, dist)
     assert got == outcome(ref_rebuilt, cover, dist)
+    assert got == outcome(frac_rebuilt, cover, dist)
     if stages is not None:
         stages.add(got[1] if got[0] == "NotRealizableError" else got[0])
-    assert outcome(find_cherry, cover, dist) == outcome(ref_find_cherry, cover, dist)
+    cherry = outcome(find_cherry, cover, dist)
+    assert cherry == outcome(ref_find_cherry, cover, dist)
+    assert cherry == outcome(frac_find_cherry, cover, dist)
     for x in sorted(cover.taxa):
-        assert outcome(pendant_length, x, cover, dist) == outcome(
-            ref_pendant_length, x, cover, dist
-        )
+        pendant = outcome(pendant_length, x, cover, dist)
+        assert pendant == outcome(ref_pendant_length, x, cover, dist)
+        assert pendant == outcome(frac_pendant_length, x, cover, dist)
     for c in sorted(cover.cords):
-        assert outcome(reduced, reduce_instance, cover, dist, c) == outcome(
-            reduced, ref_reduce_instance, cover, dist, c
-        )
+        small = outcome(reduced, reduce_instance, cover, dist, c)
+        assert small == outcome(reduced, ref_reduce_instance, cover, dist, c)
+        assert small == outcome(reduced, frac_reduce_instance, cover, dist, c)
     return got
 
 
@@ -271,6 +431,7 @@ def test_rebuild_matches_reference(n, minimal):
     tree, cover, dist = instance(n, n, minimal)
     got = rebuilt(cover, dist)
     assert got == ref_rebuilt(cover, dist)
+    assert got == frac_rebuilt(cover, dist)
     assert write_newick(reconstruct(cover, dist).tree) == write_newick(tree)
 
 
@@ -326,6 +487,7 @@ def test_rewrite_errors_match_reference():
         for c in sorted(cover.cords):
             got = outcome(reduced, reduce_instance, cover, dist, c)
             assert got == outcome(reduced, ref_reduce_instance, cover, dist, c)
+            assert got == outcome(reduced, frac_reduce_instance, cover, dist, c)
             seen += got[0] == "NotRealizableError" and "rewritten" in got[2]
     assert seen >= 10
 
@@ -408,3 +570,82 @@ def test_rewrite_error_independent_of_hash_seed():
         )
         messages.add(run.stdout)
     assert messages == {"reduce: rewritten distance for ('b', 'c') is -2 <= 0\n"}
+
+
+def relabelled_lengths(tree, lengths):
+    """The tree's shape and labels with its edges' lengths replaced in order."""
+    edges = [(u, v, q) for (u, v, _), q in zip(tree.edges(), lengths)]
+    return PhyloTree(edges, {leaf: tree.label(leaf) for leaf in tree.leaves()})
+
+
+# Positive rationals whose denominators mix small ones with ones of 31 or
+# more digits, so the kernel's scale runs far past any machine word.
+rationals = st.builds(
+    Fraction,
+    st.integers(min_value=1, max_value=10**40),
+    st.one_of(st.integers(1, 12), st.integers(10**30, 10**32)),
+)
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    n=st.integers(min_value=4, max_value=12),
+    tree_seed=st.integers(min_value=0, max_value=10**6),
+    chooser_seed=st.integers(min_value=0, max_value=10**6),
+    lengths=st.lists(rationals, min_size=21, max_size=21),
+    overrides=st.lists(st.tuples(st.integers(0, 10**6), rationals), max_size=3),
+)
+def test_agrees_on_large_denominators(n, tree_seed, chooser_seed, lengths, overrides):
+    shape = random_binary_tree(n, tree_seed)
+    tree = relabelled_lengths(shape, lengths)
+    cover = canonical_cover(tree, seeded_chooser(chooser_seed))
+    dist = PartialDistances.from_tree(tree, cover)
+    if not overrides:
+        result = reconstruct(cover, dist)
+        assert result.tree.isomorphic(tree, compare_lengths=True)
+    values = dict(dist.values)
+    for index, value in overrides:
+        values[sorted(values)[index % len(values)]] = value
+    assert_same(cover, PartialDistances(cover.taxa, values))
+
+
+def test_odd_half_doubles_the_scale():
+    # A hand-built table at scale 2 holding d = 3/2 on each cord of a
+    # triangle: the pendant's sum 3 + 3 - 3 is odd, so the scale doubles
+    # before halving, and every stored entry keeps its value.
+    cover = TripletCover.make("abc", [("a", "b"), ("a", "c"), ("b", "c")])
+    dist = PartialDistances.make("abc", dict.fromkeys(sorted(cover.cords), 1))
+    table = reconstruct_module._Table(cover, dist)
+    table.scale = 2
+    table.rows = {"a": {"b": 3, "c": 3}, "b": {"a": 3, "c": 3}, "c": {"a": 3, "b": 3}}
+    table.pendants = {"b": 1}
+    table.log = [(("b", "d"), 1, 5)]
+    scaled = reconstruct_module._pendant("a", table)
+    assert table.scale == 4
+    assert scaled == table.pendants["a"] == 3
+    halves = PartialDistances(cover.taxa, dict.fromkeys(cover.cords, Fraction(3, 2)))
+    assert table.value(scaled) == ref_pendant_length("a", cover, halves)
+    assert table.rows == {
+        "a": {"b": 6, "c": 6}, "b": {"a": 6, "c": 6}, "c": {"a": 6, "b": 6}
+    }
+    assert table.pendants == {"a": 3, "b": 2}
+    assert table.log == [(("b", "d"), 2, 10)]
+    # An even sum halves at the same scale.
+    assert reconstruct_module._pendant("b", table) == 3
+    assert table.scale == 4
+
+
+@pytest.mark.parametrize("n", [3, 4, 9, 30, 64])
+def test_scaled_distances_match_path_sums(n):
+    shape = random_binary_tree(n, 77 + n)
+    rng = random.Random(n)
+    lengths = [
+        Fraction(rng.randint(1, 10**6), rng.choice([1, 3, 10**30 + 7, 2**61 - 1]))
+        for _ in shape.edges()
+    ]
+    for tree in (shape, relabelled_lengths(shape, lengths)):
+        pairs = sorted(all_cords(tree.taxa))
+        scale, got = tree.scaled_distances(pairs)
+        assert scale == lcm(*(q.denominator for *_, q in tree.edges()))
+        assert list(got) == pairs
+        assert all(Fraction(got[p], scale) == tree.distance(*p) for p in pairs)

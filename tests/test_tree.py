@@ -22,6 +22,7 @@ import tricover
 from conftest import cherries
 from tricover import (
     CoverError,
+    PartialDistances,
     PhyloTree,
     TreeError,
     canonical_cover,
@@ -308,6 +309,36 @@ def test_exponent_literals_rejected(text):
         exact_rational(text)
     with pytest.raises(CoverError, match="exponents are not accepted"):
         exact_rational(text, CoverError)
+
+
+@pytest.mark.parametrize("text", ["1_0", " 3 ", "\t7/2\n", "3 / 4", "\u0663", "x"])
+def test_literals_outside_the_grammar_rejected(text):
+    # Fraction reads all but "x": underscores, whitespace, non-ASCII digits.
+    message = r"^bad rational .*: write an integer, p/q or a decimal$"
+    with pytest.raises(TreeError, match=message):
+        PhyloTree([(0, 1, text), (0, 2, 1), (0, 3, 1)], {1: "a", 2: "b", 3: "c"})
+    with pytest.raises(CoverError, match=message):
+        PartialDistances.make("abc", {("a", "b"): text})
+
+
+@pytest.mark.parametrize(
+    "text, value",
+    [("7", 7), ("-2", -2), ("+3/4", Fraction(3, 4)), ("0.25", Fraction(1, 4)),
+     (".5", Fraction(1, 2)), ("5.", 5)],
+)
+def test_integers_fractions_and_decimals_read(text, value):
+    assert exact_rational(text) == value
+
+
+@pytest.mark.parametrize(
+    "raw", ["1" * 5000 + "x", "1" * 5000, "2/" + "0" * 5000, ["1"] * 5000]
+)
+def test_long_bad_literal_gives_a_short_error(raw):
+    with pytest.raises(TreeError) as info:
+        exact_rational(raw)
+    text = str(info.value)
+    assert text.startswith("bad rational ") and len(text) < 300
+    assert f"... ({len(raw if isinstance(raw, str) else repr(raw))} characters)" in text
 
 
 def test_disconnected_graph_with_a_cycle_is_refused():
