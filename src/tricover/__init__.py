@@ -8,7 +8,6 @@ of the tree from distances on a cover.
 """
 
 from .covergraph import (
-    CoverGraph,
     TwoTreeBlock,
     TwoTreeDecomposition,
     all_two_tree_decompositions,

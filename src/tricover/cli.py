@@ -14,12 +14,7 @@ import sys
 from pathlib import Path
 
 from . import covers, jsonio, lab, report, shelling
-from .covergraph import (
-    build_cover_graph,
-    decomposition_from_section,
-    is_strict,
-    verify_counting,
-)
+from .covergraph import decomposition_from_section, is_strict, verify_counting
 from .covers import (
     all_cords,
     canonical_cover,
@@ -96,10 +91,9 @@ def _cmd_decompose(args) -> int:
     support = cover_support(tree, cover, "decompose")
     section = next(iter_sections(support))
     decomposition = decomposition_from_section(section)
-    graph = build_cover_graph(cover)
     payload = jsonio.decomposition_to_json(
         decomposition,
-        strict=is_strict(graph, decomposition),
+        strict=is_strict(cover, decomposition),
         counting=verify_counting(decomposition),
     )
     payload["section"] = [list(t) for t in sorted(section)]
@@ -140,7 +134,7 @@ def _cmd_generate(args) -> int:
         return 1
     tree = lab.random_binary_tree(args.n, args.seed)
     if args.cover_policy == "least":
-        cover = canonical_cover(tree, "least")
+        cover = canonical_cover(tree)
     else:
         cover = canonical_cover(tree, seeded_chooser(args.seed))
     dist = PartialDistances.from_tree(tree, cover)

@@ -1,46 +1,34 @@
 """The cover graph of a cord set and its 2-tree decompositions.
 
-The cover graph has the taxa as vertices and the cords as edges.  Its
-triangles coincide with the supported triples of the cover, which makes the
-graph a purely combinatorial mirror of the tree-side analysis; everything
-here is computed from the graph alone.
+The cover graph has the taxa as vertices and the cords as edges, so a
+:class:`TripletCover` is its own graph: the functions here read the cover's
+neighbour masks, built once on first read.  The graph's triangles coincide
+with the supported triples of the cover, which makes it a purely
+combinatorial mirror of the tree-side analysis; everything here is computed
+from the graph alone.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .covers import Cord, Triple, TripletCover, _bits, _neighbour_masks, cord_set
+from .covers import Cord, Triple, TripletCover, _bits, cord_set
 from .errors import CapacityError, SectionError
 
 DECOMPOSITION_TRIANGLE_CAP = 12
 
 
-class CoverGraph:
-    """A simple undirected graph on a taxon set, held as the neighbour masks
-    of :func:`covers._neighbour_masks`: bit j of ``_nbr[i]`` joins
-    ``_taxa[i]`` and ``_taxa[j]``, the vertices in sorted order."""
+def build_cover_graph(cover: TripletCover) -> TripletCover:
+    """The cover graph of ``cover``, which is the cover itself.
 
-    def __init__(self, vertices, edges):
-        self.vertices = frozenset(vertices)
-        self.edges = frozenset(edges)
-        self._taxa = sorted(self.vertices)
-        self._nbr = _neighbour_masks(self._taxa, self.edges)
-
-    def degree(self, v: str) -> int:
-        return self._nbr[self._taxa.index(v)].bit_count()
-
-    def __repr__(self) -> str:  # pragma: no cover - debugging aid
-        return f"CoverGraph({len(self.vertices)} vertices, {len(self.edges)} edges)"
+    No library code calls it; it stays because perfbench's classify
+    workload, which the test suite runs, imports it."""
+    return cover
 
 
-def build_cover_graph(cover: TripletCover) -> CoverGraph:
-    return CoverGraph(cover.taxa, cover.cords)
-
-
-def triangles(graph: CoverGraph) -> frozenset[Triple]:
+def triangles(cover: TripletCover) -> frozenset[Triple]:
     """All 3-cliques i < j < k, found through common neighbourhoods."""
-    taxa, nbr = graph._taxa, graph._nbr
+    taxa, nbr = cover._taxa, cover._nbr
     return frozenset(
         (taxa[i], taxa[j], taxa[k])
         for i in range(len(taxa))
@@ -49,7 +37,7 @@ def triangles(graph: CoverGraph) -> frozenset[Triple]:
     )
 
 
-def _connected(nbr: list[int], among: int) -> bool:
+def _connected(nbr: tuple[int, ...], among: int) -> bool:
     """Whether the vertices whose bits are set in ``among`` induce a
     connected subgraph."""
     seen = frontier = among & -among
@@ -62,18 +50,18 @@ def _connected(nbr: list[int], among: int) -> bool:
     return seen == among
 
 
-def is_two_connected(graph: CoverGraph) -> bool:
+def is_two_connected(cover: TripletCover) -> bool:
     """Connected with no cut vertex, checked by deleting each vertex in turn."""
-    n = len(graph._taxa)
+    n = len(cover._taxa)
     if n < 3:
         raise ValueError("2-connectivity test needs at least 3 vertices")
     everything = (1 << n) - 1
-    return _connected(graph._nbr, everything) and all(
-        _connected(graph._nbr, everything ^ (1 << v)) for v in range(n)
+    return _connected(cover._nbr, everything) and all(
+        _connected(cover._nbr, everything ^ (1 << v)) for v in range(n)
     )
 
 
-def is_two_tree(graph: CoverGraph) -> tuple[bool, list[str] | None]:
+def is_two_tree(cover: TripletCover) -> tuple[bool, list[str] | None]:
     """Recognise 2-trees by eliminating degree-2 vertices with adjacent
     neighbours; returns a witness construction order when successful.
 
@@ -81,12 +69,12 @@ def is_two_tree(graph: CoverGraph) -> tuple[bool, list[str] | None]:
     triangle, so the elimination directly reverses the defining ordering.
     The least such vertex goes first.
     """
-    n = len(graph._taxa)
+    n = len(cover._taxa)
     if n < 3:
         raise ValueError("a 2-tree needs at least 3 vertices")
-    if len(graph.edges) != 2 * n - 3:
+    if len(cover) != 2 * n - 3:
         return False, None
-    nbr = list(graph._nbr)
+    nbr = list(cover._nbr)
     alive = (1 << n) - 1
     eliminated: list[int] = []
     while alive.bit_count() > 3:
@@ -103,7 +91,7 @@ def is_two_tree(graph: CoverGraph) -> tuple[bool, list[str] | None]:
     last = list(_bits(alive))
     if any(nbr[v].bit_count() != 2 for v in last):
         return False, None
-    return True, [graph._taxa[v] for v in last + eliminated[::-1]]
+    return True, [cover._taxa[v] for v in last + eliminated[::-1]]
 
 
 @dataclass(frozen=True)
@@ -199,13 +187,13 @@ def decomposition_from_section(section) -> TwoTreeDecomposition:
         raise SectionError(str(exc)) from None
 
 
-def is_strict(graph: CoverGraph, decomposition: TwoTreeDecomposition) -> bool:
+def is_strict(cover: TripletCover, decomposition: TwoTreeDecomposition) -> bool:
     """True iff every triangle of the graph lies inside one block's edge set."""
     for block in decomposition.blocks:
-        if not block.edges <= graph.edges:
+        if not block.edges <= cover.cords:
             raise ValueError("decomposition block is not a subgraph")
     block_edges = [block.edges for block in decomposition.blocks]
-    for t in triangles(graph):
+    for t in triangles(cover):
         needed = cord_set([t])
         if not any(needed <= edges for edges in block_edges):
             return False
@@ -219,7 +207,7 @@ def verify_counting(decomposition: TwoTreeDecomposition) -> bool:
 
 
 def all_two_tree_decompositions(
-    graph: CoverGraph, cap: int = DECOMPOSITION_TRIANGLE_CAP
+    cover: TripletCover, cap: int = DECOMPOSITION_TRIANGLE_CAP
 ) -> list[frozenset[frozenset[Triple]]]:
     """Exhaustively enumerate 2-tree decompositions, each reported as the set
     of its blocks' triangle sets.  Desk-scale oracle, capped by triangle count.
@@ -229,16 +217,14 @@ def all_two_tree_decompositions(
     blocks are exactly the consistent triangle subsets, and decompositions
     are exact covers of the edge set by disjoint valid blocks.
     """
-    tris = sorted(triangles(graph))
+    tris = sorted(triangles(cover))
     if len(tris) > cap:
         raise CapacityError(
             f"decomposition search capped at {cap} triangles, got {len(tris)}"
         )
-    edges = sorted(graph.edges)
-    if any(graph.degree(v) == 0 for v in graph.vertices):
+    if not all(cover._nbr):  # an isolated vertex lies in no block
         return []
-    in_triangle = cord_set(tris)
-    if not frozenset(edges) <= in_triangle:
+    if not cover.cords <= cord_set(tris):
         return []
 
     k = len(tris)
@@ -251,26 +237,25 @@ def all_two_tree_decompositions(
         block_vertices = set().union(*(set(t) for t in subset))
         if len(block_edges) != 2 * len(block_vertices) - 3:
             continue
-        block = CoverGraph(block_vertices, block_edges)
+        block = TripletCover(frozenset(block_vertices), block_edges)
         if not is_two_tree(block)[0] or triangles(block) != frozenset(subset):
             continue
         valid_blocks.append((mask, frozenset(subset), block_edges))
 
-    by_edge: dict[Cord, list[int]] = {e: [] for e in edges}
+    by_edge: dict[Cord, list[int]] = {e: [] for e in cover.cords}
     for i, (_, _, block_edges) in enumerate(valid_blocks):
         for e in block_edges:
             by_edge[e].append(i)
 
     results: list[frozenset[frozenset[Triple]]] = []
-    all_edges = frozenset(edges)
 
     def search(covered: frozenset[Cord], used_mask: int, chosen: list[int]):
-        if covered == all_edges:
+        if covered == cover.cords:
             results.append(
                 frozenset(valid_blocks[i][1] for i in chosen)
             )
             return
-        target = min(all_edges - covered)
+        target = min(cover.cords - covered)
         for i in by_edge[target]:
             mask, _, block_edges = valid_blocks[i]
             if mask & used_mask or block_edges & covered:

@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass
+from functools import cached_property
 from itertools import combinations, product
 from typing import Callable, Iterable, Iterator
 
@@ -54,7 +55,12 @@ def all_cords(taxa: Iterable[str]) -> frozenset[Cord]:
 
 @dataclass(frozen=True)
 class TripletCover:
-    """A set of cords over a fixed taxon set (not necessarily a cover)."""
+    """A set of cords over a fixed taxon set (not necessarily a cover).
+
+    The cover is its own cover graph: the taxa are the vertices and the cords
+    the edges.  ``_taxa`` (sorted) and ``_nbr`` (bit j of ``_nbr[i]`` joins
+    ``_taxa[i]`` and ``_taxa[j]``) are built once, on first read; equality
+    and hashing read only ``taxa`` and ``cords``."""
 
     taxa: frozenset[str]
     cords: frozenset[Cord]
@@ -75,19 +81,26 @@ class TripletCover:
             cords.add(cord(x, y))
         return cls(taxon_set, frozenset(cords))
 
+    @cached_property
+    def _taxa(self) -> tuple[str, ...]:
+        return tuple(sorted(self.taxa))
+
+    @cached_property
+    def _nbr(self) -> tuple[int, ...]:
+        return tuple(_neighbour_masks(self._taxa, self.cords))
+
     def __len__(self) -> int:
         return len(self.cords)
 
     def multiplicity(self, x: str) -> int:
-        """Number of cords containing x."""
+        """Number of cords containing x: its degree in the cover graph."""
         if x not in self.taxa:
             raise CoverError(f"unknown taxon {x!r}")
-        return sum(1 for c in self.cords if x in c)
+        return self._nbr[self._taxa.index(x)].bit_count()
 
     def min_multiplicity(self) -> int:
         """Minimum multiplicity over all taxa (the report's "mu")."""
-        nbr = _neighbour_masks(sorted(self.taxa), self.cords)
-        return min(m.bit_count() for m in nbr)
+        return min(m.bit_count() for m in self._nbr)
 
     def add_cords(self, pairs: Iterable[Cord]) -> "TripletCover":
         return TripletCover.make(self.taxa, set(self.cords) | set(pairs))
@@ -112,7 +125,7 @@ def _bits(mask: int) -> Iterator[int]:
         mask ^= low
 
 
-def _neighbour_masks(taxa: list[str], cords: frozenset[Cord]) -> list[int]:
+def _neighbour_masks(taxa: tuple[str, ...], cords: frozenset[Cord]) -> list[int]:
     """Bit j of entry i is set when taxa[i]-taxa[j] is a cord; ``taxa`` is
     sorted, so the bits follow the tree index's leaf masks.  Every cord must
     be a sorted pair of distinct taxa from ``taxa``; otherwise the least
@@ -142,8 +155,7 @@ def support_map(tree: PhyloTree, cover: TripletCover) -> SupportMap:
     """The support of every interior vertex: all triples, one leaf per
     component of the tree minus the vertex, whose three pairs are cords."""
     _check_same_taxa(tree, cover)
-    taxa = sorted(cover.taxa)
-    nbr = _neighbour_masks(taxa, cover.cords)
+    taxa, nbr = cover._taxa, cover._nbr
     result: SupportMap = {}
     for v in tree.interior_vertices():
         comp_a, comp_b, comp_c = tree._component_masks(v)
@@ -362,13 +374,11 @@ def seeded_chooser(seed: int) -> Chooser:
     return choose
 
 
-def canonical_cover(tree: PhyloTree, chooser: Chooser | str = "least") -> TripletCover:
+def canonical_cover(
+    tree: PhyloTree, chooser: Chooser = least_label_chooser
+) -> TripletCover:
     """Cover built by picking one leaf per component at every interior vertex
     and taking the three pairs; always a triplet cover by construction."""
-    if chooser == "least":
-        chooser = least_label_chooser
-    elif isinstance(chooser, str):
-        raise CoverError(f"unknown chooser policy {chooser!r}")
     triples = []
     for v in sorted(tree.interior_vertices(), key=tree.component_triple):
         comps = tree.components_without(v)

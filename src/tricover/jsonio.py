@@ -98,16 +98,11 @@ def distances_to_json(dist: PartialDistances) -> dict:
 
 def distances_from_json(payload) -> PartialDistances:
     taxa, entries = _taxa_and_entries(payload, "distance", "distances")
-    items = {}
     for entry in entries:
         if not (isinstance(entry, list) and len(entry) == 3 and _is_names(entry[:2])):
             raise CoverError(f"bad distance entry {entry!r}")
-        x, y, value = entry
-        key = cord(x, y)
-        if key in items:
-            raise CoverError(f"duplicate distance for {x},{y}")
-        items[key] = value
-    return PartialDistances.make(taxa, items)
+        cord(entry[0], entry[1])  # raises for a self-cord
+    return PartialDistances.make(taxa, [((x, y), value) for x, y, value in entries])
 
 
 def load_distances(path) -> PartialDistances:

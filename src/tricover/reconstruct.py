@@ -34,9 +34,12 @@ class PartialDistances:
 
     @classmethod
     def make(cls, taxa, items) -> "PartialDistances":
+        """Distances from a mapping or an iterable of ((x, y), value) pairs;
+        a cord given twice, in either order, raises :class:`CoverError`."""
         taxon_set = frozenset(taxa)
         values: dict[Cord, Fraction] = {}
-        for (x, y), raw in dict(items).items():
+        pairs = items.items() if isinstance(items, Mapping) else items
+        for (x, y), raw in pairs:
             if x not in taxon_set or y not in taxon_set:
                 raise CoverError(f"distance for {x},{y} uses an unknown taxon")
             key = cord(x, y)

@@ -12,7 +12,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .covergraph import (
-    build_cover_graph,
     decomposition_from_section,
     is_strict,
     is_two_connected,
@@ -125,21 +124,20 @@ def classify(
 
     report["section_count"] = section_count(support)
 
-    graph = build_cover_graph(cover)
-    report["triangle_match"] = triangles(graph) == triple_family
-    report["two_connected"] = is_two_connected(graph)
+    report["triangle_match"] = triangles(cover) == triple_family
+    report["two_connected"] = is_two_connected(cover)
 
     first_section = next(iter_sections(support))
     decomposition = decomposition_from_section(first_section)
     report["decomposition"] = {
         "blocks": decomposition.m,
-        "strict": is_strict(graph, decomposition),
+        "strict": is_strict(cover, decomposition),
         "counting_identity": verify_counting(decomposition),
         "block_sizes": sorted(len(b.vertices) for b in decomposition.blocks),
         "applies_to_minimal_cover": report["is_minimal"],
     }
     if report["is_minimum"]:
-        whole, _ = is_two_tree(graph)
+        whole, _ = is_two_tree(cover)
         report["decomposition"]["graph_is_two_tree"] = whole
 
     shellable, steps = _shellable(tree, cover)

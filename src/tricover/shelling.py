@@ -22,7 +22,6 @@ from .covers import (
     Triple,
     TripletCover,
     _bits,
-    _neighbour_masks,
     _triple_masks,
     all_cords,
     cord,
@@ -68,8 +67,8 @@ def _forced_steps(
     through u or v and the pairs inside N(u) & N(v) are tested again, N
     being the neighbour sets of the cover graph.
     """
-    taxa = sorted(cover.taxa)
-    nbr = _neighbour_masks(taxa, cover.cords)
+    taxa = cover._taxa
+    nbr = list(cover._nbr)  # grows as cords are added; the cover's stays put
     hops = [[0] * len(taxa) for _ in taxa]
     for i, j in combinations(range(len(taxa)), 2):
         hops[i][j] = hops[j][i] = tree.hops(taxa[i], taxa[j])

@@ -21,7 +21,6 @@ from tricover import (
     ShellingStep,
     all_cords,
     all_two_tree_decompositions,
-    build_cover_graph,
     canonical_cover,
     cord_closure,
     cord_set,
@@ -36,6 +35,7 @@ from tricover import (
     is_two_connected,
     is_two_tree,
     iter_sections,
+    least_label_chooser,
     make_quartet,
     minimalize,
     parse_newick,
@@ -144,7 +144,7 @@ def test_criterion_2_reconstruction_roundtrip():
     for seed in range(total):
         n = 4 + seed % 7
         tree = random_binary_tree(n, 20_000 + seed)
-        chooser = "least" if seed % 2 == 0 else seeded_chooser(seed)
+        chooser = least_label_chooser if seed % 2 == 0 else seeded_chooser(seed)
         cover = canonical_cover(tree, chooser)
         dist = PartialDistances.from_tree(tree, cover)
         result = reconstruct(cover, dist)
@@ -187,7 +187,7 @@ def test_criterion_3_uniqueness_oracle():
 def test_criterion_4_cover_graph_theorems(pool):
     checked = 0
     for tree, cover, _ in pool:
-        graph = build_cover_graph(cover)
+        graph = cover
         tri = triangles(graph)
         if tri != supported_triples(tree, cover):
             report(4, "cover graph theorems", False, "triangle bijection broke")
@@ -235,7 +235,7 @@ def test_criterion_6_multiplicity_and_size_bounds(minimal_pool):
             report(6, "multiplicity/size bounds", False, f"|T| = {len(cover)}")
         if len(cover) == 2 * n - 3:
             minimum_seen += 1
-            graph = build_cover_graph(cover)
+            graph = cover
             two_tree, _ = is_two_tree(graph)
             section = next(iter_sections(support_map(tree, cover)))
             blocks = decomposition_from_section(section).m
@@ -254,7 +254,7 @@ def test_criterion_7_decomposition_theorems(minimal_pool):
     checked = sections_checked = uniqueness_checked = 0
     for tree, cover in minimal_pool:
         support = support_map(tree, cover)
-        graph = build_cover_graph(cover)
+        graph = cover
         sparse = is_sparse(tree, cover)
         n = len(cover.taxa)
         exhaustive = None
@@ -305,7 +305,7 @@ def test_criterion_8_patchwork_sufficiency(pool, minimal_pool):
             continue
         section = next(iter_sections(support_map(tree, cover)))
         decomposition = decomposition_from_section(section)
-        graph = build_cover_graph(cover)
+        graph = cover
         if decomposition.m <= 2 and is_strict(graph, decomposition):
             few_blocks += 1
             if not is_shellable(tree, cover)[0]:

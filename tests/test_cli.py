@@ -244,6 +244,33 @@ def test_boolean_distance_rejected(fig_files, tmp_path, capsys):
     assert err == "error: booleans are not numbers, got True\n"
 
 
+@pytest.mark.parametrize(
+    "entry, expected",
+    [(["a", "b", "5"], "duplicate distance for a,b"),
+     (["b", "a", "2"], "duplicate distance for b,a"),
+     (["c", "c", "1"], "a cord needs two distinct taxa, got 'c' twice"),
+     (["a", "z", "1"], "distance for a,z uses an unknown taxon")],
+)
+def test_faulty_distance_entry_is_one_error_line(
+    fig_files, tmp_path, capsys, entry, expected
+):
+    # Each file has one fault: the figure's distances plus one entry.
+    _, cover_path = fig_files
+    values = [[x, y, "3"] for x, y in FIG_COVER["cords"]] + [entry]
+    dist = {"taxa": ["a", "b", "c", "d", "e"], "distances": values}
+    dist_path = tmp_path / "dist.json"
+    dist_path.write_text(json.dumps(dist))
+    with pytest.raises(CoverError, match=f"^{expected}$"):
+        jsonio.load_distances(dist_path)
+    code = main(
+        ["reconstruct", "--cover", str(cover_path), "--dist", str(dist_path),
+         "--out", str(tmp_path / "out.nwk")]
+    )
+    err = capsys.readouterr().err
+    assert code == 1
+    assert err == f"error: {expected}\n"
+
+
 def test_exponent_distance_is_one_error_line(fig_files, tmp_path, capsys):
     # "1e400000" once built a 400,001-digit integer and failed on formatting it.
     _, cover_path = fig_files

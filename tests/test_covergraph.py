@@ -11,7 +11,6 @@ import pytest
 
 import tricover.covergraph as cg
 from tricover import (
-    CoverGraph,
     SectionError,
     TripletCover,
     TwoTreeBlock,
@@ -38,23 +37,24 @@ FIG_SECTION = frozenset({("a", "b", "c"), ("b", "c", "e"), ("c", "d", "e")})
 
 
 def graph_of(cords, vertices="abcde"):
-    return CoverGraph(vertices, frozenset(tuple(sorted(c)) for c in cords))
+    return TripletCover(
+        frozenset(vertices), frozenset(tuple(sorted(c)) for c in cords)
+    )
 
 
 def test_build_cover_graph(fig_cover):
     g = build_cover_graph(fig_cover)
-    assert len(g.vertices) == 5
-    assert len(g.edges) == 7
-    empty = build_cover_graph(TripletCover.make("abcde", []))
-    assert len(empty.edges) == 0
-    k3 = build_cover_graph(
-        TripletCover.make("abc", [("a", "b"), ("a", "c"), ("b", "c")])
-    )
+    assert g is fig_cover
+    assert len(g.taxa) == 5
+    assert len(g.cords) == 7
+    empty = TripletCover.make("abcde", [])
+    assert len(empty.cords) == 0
+    k3 = TripletCover.make("abc", [("a", "b"), ("a", "c"), ("b", "c")])
     assert triangles(k3) == frozenset({("a", "b", "c")})
 
 
 def test_triangles_reference(fig_tree, fig_cover):
-    g = build_cover_graph(fig_cover)
+    g = fig_cover
     assert triangles(g) == FIG_SECTION
     assert triangles(g) == supported_triples(fig_tree, fig_cover)
 
@@ -69,11 +69,11 @@ def test_triangle_bijection_on_random_instances(fig_tree):
     for seed in range(15):
         tree = random_binary_tree(5 + seed % 5, seed)
         cover = canonical_cover(tree, seeded_chooser(seed))
-        assert triangles(build_cover_graph(cover)) == supported_triples(tree, cover)
+        assert triangles(cover) == supported_triples(tree, cover)
 
 
 def test_two_connected_reference(fig_cover):
-    assert is_two_connected(build_cover_graph(fig_cover))
+    assert is_two_connected(fig_cover)
     path = graph_of([("a", "b"), ("b", "c")], vertices="abc")
     assert not is_two_connected(path)
     with pytest.raises(ValueError):
@@ -84,9 +84,9 @@ def test_two_connected_matches_networkx():
     for seed in range(12):
         tree = random_binary_tree(5 + seed % 4, seed)
         cover = canonical_cover(tree, seeded_chooser(seed))
-        g = build_cover_graph(cover)
-        nx_graph = nx.Graph(sorted(g.edges))
-        nx_graph.add_nodes_from(g.vertices)
+        g = cover
+        nx_graph = nx.Graph(sorted(g.cords))
+        nx_graph.add_nodes_from(g.taxa)
         expected = nx.is_connected(nx_graph) and not list(
             nx.articulation_points(nx_graph)
         )
@@ -114,17 +114,17 @@ def brute_force_two_tree(vertices, edges):
 
 
 def test_is_two_tree_reference(fig_cover):
-    g = build_cover_graph(fig_cover)
+    g = fig_cover
     ok, order = is_two_tree(g)
     assert ok
     # The witness order must rebuild the graph triangle by triangle.
-    assert set(order) == set(g.vertices)
+    assert set(order) == set(g.taxa)
     for i in range(2, len(order)):
         prior = set(order[:i])
-        nbrs = {w for e in g.edges if order[i] in e for w in e} & prior
+        nbrs = {w for e in g.cords if order[i] in e for w in e} & prior
         assert len(nbrs) == 2
         u, v = sorted(nbrs)
-        assert (u, v) in g.edges
+        assert (u, v) in g.cords
 
 
 def test_is_two_tree_negative_cases():
@@ -142,7 +142,7 @@ def test_is_two_tree_matches_brute_force():
     pool = list(combinations(vertices, 2))
     checked = positives = 0
     for edges in combinations(pool, 7):
-        g = CoverGraph(vertices, frozenset(edges))
+        g = TripletCover(frozenset(vertices), frozenset(edges))
         got, _ = is_two_tree(g)
         want = brute_force_two_tree(vertices, list(edges))
         assert got == want
@@ -184,7 +184,7 @@ def test_decomposition_block_count_identity(fig_tree, fig_cover):
 
 
 def test_is_strict_reference(fig_cover):
-    g = build_cover_graph(fig_cover)
+    g = fig_cover
     d = decomposition_from_section(FIG_SECTION)
     assert is_strict(g, d)
 
@@ -214,7 +214,7 @@ def test_is_strict_detects_split_triangle():
 
 
 def test_is_strict_requires_subgraph(fig_cover):
-    g = build_cover_graph(fig_cover)
+    g = fig_cover
     alien = TwoTreeDecomposition(
         (
             TwoTreeBlock(
@@ -287,7 +287,7 @@ def test_edge_partition_enforced():
 
 
 def test_exhaustive_decompositions_reference(fig_cover):
-    g = build_cover_graph(fig_cover)
+    g = fig_cover
     decs = all_two_tree_decompositions(g)
     assert decs == [frozenset({FIG_SECTION})]
 
@@ -311,7 +311,7 @@ def test_exhaustive_matches_greedy_on_sections():
         if not is_minimal(tree, cover):
             continue
         support = support_map(tree, cover)
-        g = build_cover_graph(cover)
+        g = cover
         if len(triangles(g)) > 12:
             continue
         decs = all_two_tree_decompositions(g)
@@ -360,7 +360,7 @@ def test_strict_decomposition_three_way_equivalence():
     for seed in range(25):
         tree = random_binary_tree(6, seed)
         cover = canonical_cover(tree, seeded_chooser(seed))
-        g = build_cover_graph(cover)
+        g = cover
         if len(triangles(g)) > 12:
             continue
         decs = all_two_tree_decompositions(g)
@@ -389,7 +389,7 @@ def test_unique_decomposition_implies_sparse():
         cover = minimalize(tree, canonical_cover(tree, seeded_chooser(seed)))
         if not is_minimal(tree, cover):
             continue
-        g = build_cover_graph(cover)
+        g = cover
         if len(triangles(g)) > 12:
             continue
         if len(all_two_tree_decompositions(g)) == 1:
@@ -400,7 +400,7 @@ def test_unique_decomposition_implies_sparse():
     tree, cover, prov = next(islice(random_instances(7, 0), 149, 150))
     assert prov["index"] == 149
     assert is_minimal(tree, cover) and not is_sparse(tree, cover)
-    decs = all_two_tree_decompositions(build_cover_graph(cover))
+    decs = all_two_tree_decompositions(cover)
     assert len(decs) > 1
 
 
@@ -421,7 +421,7 @@ def test_fan_two_tree_decomposes_twice():
     )
     assert len(cover) == 2 * 6 - 3
     assert is_minimal(tree, cover) and is_sparse(tree, cover)
-    g = build_cover_graph(cover)
+    g = cover
     assert is_two_tree(g)[0]
     decs = all_two_tree_decompositions(g)
     assert len(decs) == 2
@@ -443,7 +443,7 @@ def test_decomposition_not_from_section_phenomenon():
     for _ in range(6):
         tree, cover, prov = next(stream)
     assert prov["index"] == 5
-    g = build_cover_graph(cover)
+    g = cover
     decs = all_two_tree_decompositions(g)
     section_partitions = set()
     for section in iter_sections(support_map(tree, cover)):

@@ -1,6 +1,6 @@
 """The neighbour-mask cover graph, checked against the string graph.
 
-``CoverGraph`` holds one neighbour mask per vertex, and ``triangles``,
+A ``TripletCover`` holds one neighbour mask per taxon, and ``triangles``,
 ``is_two_connected`` and ``is_two_tree`` walk those masks.  The references
 below are the earlier implementation over string adjacency sets.  Answers,
 2-tree witness orders included, must agree exactly on graphs of every
@@ -17,8 +17,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from tricover import (
-    CoverGraph,
-    build_cover_graph,
+    TripletCover,
     canonical_cover,
     is_two_connected,
     is_two_tree,
@@ -105,10 +104,10 @@ def networkx_two_connected(vertices, edges):
 def assert_agree(vertices, edges):
     """Compares every answer; returns the 2-connectivity verdict."""
     edges = frozenset(edges)
-    graph = CoverGraph(vertices, edges)
+    graph = TripletCover(frozenset(vertices), edges)
     assert triangles(graph) == reference_triangles(vertices, edges)
     adj = adjacency_of(vertices, edges)
-    assert all(graph.degree(v) == len(adj[v]) for v in vertices)
+    assert all(graph.multiplicity(v) == len(adj[v]) for v in vertices)
     two_connected = reference_is_two_connected(vertices, edges)
     assert is_two_connected(graph) is two_connected
     assert networkx_two_connected(vertices, edges) is two_connected
@@ -160,7 +159,7 @@ def test_agrees_on_near_two_trees():
                     edges.remove(rng.choice(sorted(edges)))
                     edges.add(rng.choice(absent))
             assert_agree(vertices, edges)
-            ok, _ = is_two_tree(CoverGraph(vertices, frozenset(edges)))
+            ok, _ = is_two_tree(TripletCover(frozenset(vertices), frozenset(edges)))
             positives += ok
             negatives += not ok
     assert positives >= 100 and negatives >= 50
@@ -183,7 +182,7 @@ def test_agrees_on_acceptance_pool_covers():
         for tree, cover, _ in islice(random_instances(n, 1000 + n), 50):
             for candidate in (cover, minimalize(tree, cover)):
                 assert assert_agree(sorted(candidate.taxa), candidate.cords)
-                two_trees += is_two_tree(build_cover_graph(candidate))[0]
+                two_trees += is_two_tree(candidate)[0]
     assert two_trees > 100
 
 

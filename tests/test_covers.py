@@ -17,14 +17,16 @@ from tricover import (
     NotTripletCoverError,
     TripletCover,
     all_cords,
-    build_cover_graph,
+    all_two_tree_decompositions,
     canonical_cover,
+    cord_closure,
     cord_set,
     is_hall_type,
     is_minimal,
     is_shellable,
     is_sparse,
     is_triplet_cover,
+    is_two_tree,
     iter_sections,
     minimalize,
     parse_newick,
@@ -32,8 +34,9 @@ from tricover import (
     seeded_chooser,
     support_map,
     supported_triples,
+    triangles,
 )
-from tricover import lab, report
+from tricover import covergraph, covers, lab, report, shelling
 from tricover.covers import cover_support, required_cords, unsupported_vertex
 from tricover.lab import random_binary_tree
 
@@ -272,7 +275,7 @@ def test_cord_set():
 
 
 def test_canonical_cover_least(fig_tree):
-    cover = canonical_cover(fig_tree, "least")
+    cover = canonical_cover(fig_tree)
     assert cover.cords == frozenset(
         [("a", "b"), ("a", "c"), ("b", "c"), ("a", "d"),
          ("c", "d"), ("a", "e"), ("d", "e")]
@@ -292,7 +295,7 @@ def test_canonical_cover_three_leaf():
 def test_canonical_cover_always_covers(seed, n):
     tree = random_binary_tree(n, seed)
     assert is_triplet_cover(tree, canonical_cover(tree, seeded_chooser(seed)))
-    assert is_triplet_cover(tree, canonical_cover(tree, "least"))
+    assert is_triplet_cover(tree, canonical_cover(tree))
 
 
 def test_seeded_chooser_deterministic(fig_tree):
@@ -337,7 +340,7 @@ def test_reversed_and_self_cords_are_one_cover_error():
         is_triplet_cover, is_minimal, minimalize, is_shellable,
         lab.basic_flags, report.classify,
         lambda tree, cover: cover.min_multiplicity(),
-        lambda tree, cover: build_cover_graph(cover),
+        lambda tree, cover: triangles(cover),
     ]
     for entry in entries:
         with pytest.raises(CoverError, match=reversed_text):
@@ -360,3 +363,86 @@ def test_minimal_cover_cords_inside_triples(fig_tree, fig_cover):
     triples = supported_triples(fig_tree, fig_cover)
     assert fig_cover.cords <= cord_set(triples)
     assert cord_set(triples) == fig_cover.cords
+
+
+def graph_index_instances():
+    """(tree, cover, is minimum) for the figure's tree with its least-label
+    cover, a minimum cover at n=10, a chooser cover at n=12 and a non-cover."""
+    fig_tree = parse_newick("((a:1,b:1):1,c:1,(d:1,e:1):1);")
+    fig_cover = canonical_cover(fig_tree)
+    ten = random_binary_tree(10, 0)
+    twelve = random_binary_tree(12, 0)
+    chooser = canonical_cover(twelve, seeded_chooser(0))
+    return [
+        (fig_tree, fig_cover, True),
+        (ten, minimalize(ten, canonical_cover(ten, seeded_chooser(0))), True),
+        (twelve, chooser, False),
+        (twelve, chooser.without(min(chooser.cords)), False),
+    ]
+
+
+@pytest.fixture
+def mask_builds(monkeypatch):
+    """The cord sets that neighbour masks are built from, one per build, in
+    every module that binds the builder."""
+    builds = []
+    real = covers._neighbour_masks
+
+    def build(taxa, cords):
+        builds.append(cords)
+        return real(taxa, cords)
+
+    for module in (covers, covergraph, shelling, report, lab):
+        if hasattr(module, "_neighbour_masks"):
+            monkeypatch.setattr(module, "_neighbour_masks", build)
+    return builds
+
+
+@pytest.mark.parametrize(
+    "entry",
+    [report.classify, lab.basic_flags, *lab.FIXTURE_PREDICATES.values()],
+)
+def test_each_call_builds_the_cover_graph_once(mask_builds, entry):
+    checked = 0
+    for tree, cover, minimum in graph_index_instances():
+        assert minimum == (len(cover) == 2 * len(cover.taxa) - 3)
+        # Every predicate reads a minimum cover's graph; on other covers the
+        # "minimum" target stops at the cord count.
+        if entry is lab.predicate_minimum and not minimum:
+            continue
+        unread = TripletCover(cover.taxa, cover.cords)
+        mask_builds.clear()
+        entry(tree, unread)
+        assert mask_builds == [cover.cords]
+        checked += 1
+    assert checked >= 2
+
+
+def test_closures_leave_the_cover_graph_as_it_was():
+    added = decomposed = two_trees = 0
+    for n in (5, 6, 7):
+        for tree, given, _ in islice(lab.random_instances(n, 40 + n), 12):
+            for cover in (given, minimalize(tree, given)):
+                _, steps = cord_closure(tree, cover)
+                is_shellable(tree, cover)
+                two_trees += is_two_tree(cover)[0]
+                if len(triangles(cover)) <= 12:
+                    all_two_tree_decompositions(cover)
+                    decomposed += 1
+                added += len(steps)
+                unread = TripletCover(cover.taxa, cover.cords)
+                assert cover.min_multiplicity() == unread.min_multiplicity()
+                assert support_map(tree, cover) == support_map(tree, unread)
+                assert triangles(cover) == triangles(unread)
+                assert cover._nbr == unread._nbr
+    assert added > 100 and decomposed > 20 and two_trees > 20
+
+
+def test_read_and_unread_covers_are_one_key(fig_cover):
+    unread = TripletCover(fig_cover.taxa, fig_cover.cords)
+    assert fig_cover.min_multiplicity() == 2
+    assert "_nbr" in vars(fig_cover) and "_nbr" not in vars(unread)
+    assert fig_cover == unread and hash(fig_cover) == hash(unread)
+    assert {fig_cover: "read"}[unread] == "read"
+    assert len({fig_cover, unread}) == 1
+    assert repr(fig_cover) == repr(unread)

@@ -155,7 +155,7 @@ def test_uniqueness_oracle_dropped_cord(fig_tree, fig_cover, fig_dist):
 
 def test_uniqueness_oracle_capacity(fig_cover, fig_dist):
     tree = random_binary_tree(8, 0)
-    cover = canonical_cover(tree, "least")
+    cover = canonical_cover(tree)
     dist = PartialDistances.from_tree(tree, cover)
     with pytest.raises(CapacityError):
         uniqueness_oracle(cover, dist)

@@ -109,6 +109,6 @@ def test_minimal_cover_triples_cover_cords():
         cover = minimalize(tree, canonical_cover(tree, seeded_chooser(seed)))
         assert cord_set(supported_triples(tree, cover)) == cover.cords
     tree = random_binary_tree(7, 3)
-    cover = canonical_cover(tree, "least")
+    cover = canonical_cover(tree)
     grown = cover.add_cords(sorted(all_cords(tree.taxa) - cover.cords)[:1])
     assert cord_set(supported_triples(tree, grown)) <= grown.cords

@@ -16,6 +16,7 @@ from tricover import (
     TripletCover,
     canonical_cover,
     find_cherry,
+    least_label_chooser,
     parse_newick,
     pendant_length,
     reconstruct,
@@ -59,7 +60,7 @@ def test_find_cherry_reference(fig_cover, fig_dist):
 
 def test_find_cherry_quartet_cover():
     tree = parse_newick("((a:1,b:1):1,(c:1,d:1):1);")
-    cover = canonical_cover(tree, "least")
+    cover = canonical_cover(tree)
     dist = PartialDistances.from_tree(tree, cover)
     assert find_cherry(cover, dist) == ("a", "b")
 
@@ -113,7 +114,7 @@ def test_reduce_instance_reference(fig_cover, fig_dist):
 
 def test_reduce_instance_symmetric_cherry():
     tree = parse_newick("((a:1,b:1):1,c:1,(d:1,e:1):1);")
-    cover = canonical_cover(tree, "least")
+    cover = canonical_cover(tree)
     dist = PartialDistances.from_tree(tree, cover)
     x, y = find_cherry(cover, dist)
     _, reduced = reduce_instance(cover, dist, (x, y))
@@ -200,7 +201,7 @@ def test_roundtrip_random_instances():
     for seed in range(40):
         n = 4 + seed % 7
         tree = random_binary_tree(n, seed)
-        chooser = seeded_chooser(seed) if seed % 2 else "least"
+        chooser = seeded_chooser(seed) if seed % 2 else least_label_chooser
         cover = canonical_cover(tree, chooser)
         dist = PartialDistances.from_tree(tree, cover)
         result = reconstruct(cover, dist)
@@ -209,7 +210,7 @@ def test_roundtrip_random_instances():
 
 def test_reduction_preserves_realizability():
     tree = random_binary_tree(7, 11)
-    cover = canonical_cover(tree, "least")
+    cover = canonical_cover(tree)
     dist = PartialDistances.from_tree(tree, cover)
     cherry = find_cherry(cover, dist)
     reduced_cover, reduced_dist = reduce_instance(cover, dist, cherry)
@@ -231,3 +232,14 @@ def test_distances_exact_and_never_float():
 def test_cord_given_in_both_orders_is_refused():
     with pytest.raises(CoverError, match="^duplicate distance for b,a$"):
         PartialDistances.make("abc", {("a", "b"): 1, ("b", "a"): 2})
+
+
+def test_cord_given_twice_as_pairs_is_refused():
+    # Pairs are read as given, so a repeat is refused rather than the last
+    # value silently kept.
+    with pytest.raises(CoverError, match="^duplicate distance for a,b$"):
+        PartialDistances.make("abc", [(("a", "b"), 1), (("a", "b"), 2)])
+    with pytest.raises(CoverError, match="^duplicate distance for b,a$"):
+        PartialDistances.make("abc", [(("a", "b"), 1), (("b", "a"), 1)])
+    dist = PartialDistances.make("abc", [(("b", "a"), 1), (("c", "a"), "3/2")])
+    assert dist.values == {("a", "b"): 1, ("a", "c"): Fraction(3, 2)}

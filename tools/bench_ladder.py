@@ -1,21 +1,26 @@
 #!/usr/bin/env python3
-"""Reconstruction ladder: time ``reconstruct``, ``PartialDistances.from_tree``
-and the CLI ``reconstruct`` at several n, for the working tree and
-optionally for a parent commit, and write the numbers to a JSON file.
+"""Layer ladder: time ``support_map``, ``minimalize``, ``classify``,
+``reconstruct``, ``PartialDistances.from_tree`` and the CLI ``reconstruct``
+at several n, for the working tree and optionally for a parent commit, and
+write the numbers to a JSON file.
 
 Usage, from the repository root::
 
-    python3 tools/bench_ladder.py --out BENCH_9.json --parent 567beea
+    python3 tools/bench_ladder.py --out BENCH_10.json --parent 4f5bda7
     python3 tools/bench_ladder.py --out ladder.json --sizes 20
 
-The input at each n is ``random_binary_tree(n, 1)`` with the minimalized
-``canonical_cover(tree, seeded_chooser(1))`` and its distances from the
-tree; each side builds it with its own library.  Every number is the
-minimum of ``--repeats`` runs, in seconds.  The CLI time is the wall time of
-one ``python -m tricover reconstruct`` process on the input's JSON files.
-``--parent REF`` extracts that commit with ``git archive`` into a temporary
-directory and measures it the same way, each side in its own process.
-Stdlib only.
+The input at each n is ``random_binary_tree(n, 1)`` with ``canonical_cover(tree,
+seeded_chooser(1))``, that cover minimalized, and the minimal cover's
+distances from the tree; each side builds them with its own library.
+``support_map`` and ``minimalize`` run on the chooser cover, ``classify``
+(only for n <= 160) and the reconstruction rows on the minimal one.  Every
+run of the cover layers gets a fresh, equal cover, so any per-cover index is
+built inside the timed call.  Each side runs in ``--repeats`` fresh
+processes, the sides taking turns, and each process times every number
+``--repeats`` times; the file keeps the minimum, in seconds.  The CLI time is
+the wall time of one ``python -m tricover reconstruct`` process on the
+input's JSON files.  ``--parent REF`` extracts that commit with ``git
+archive`` into a temporary directory and measures it the same way.  Stdlib only.
 """
 
 from __future__ import annotations
@@ -34,6 +39,7 @@ from pathlib import Path
 
 ROOT = Path(__file__).resolve().parents[1]
 SIZES = (20, 40, 80, 160, 320, 1000)
+CLASSIFY_MAX = 160
 SEED = 1
 
 
@@ -42,14 +48,17 @@ def measure(src: Path, sizes: list[int], repeats: int, workdir: Path) -> dict:
     sys.path.insert(0, str(src))
     from tricover import (
         PartialDistances,
+        TripletCover,
         canonical_cover,
         jsonio,
         minimalize,
         reconstruct,
         seeded_chooser,
+        support_map,
         write_newick,
     )
     from tricover.lab import random_binary_tree
+    from tricover.report import classify
 
     def best(fn, *args):
         times = []
@@ -59,11 +68,21 @@ def measure(src: Path, sizes: list[int], repeats: int, workdir: Path) -> dict:
             times.append(time.perf_counter() - start)
         return round(min(times), 6), result
 
-    out = {"reconstruct_s": {}, "from_tree_s": {}, "cli_reconstruct_s": {}}
+    def on_fresh(fn, tree, cover):
+        """Time ``fn(tree, c)`` with ``c`` a fresh copy of ``cover``."""
+        return best(lambda: fn(tree, TripletCover(cover.taxa, cover.cords)))[0]
+
+    out = {"support_map_s": {}, "minimalize_s": {}, "classify_s": {},
+           "reconstruct_s": {}, "from_tree_s": {}, "cli_reconstruct_s": {}}
     env = dict(os.environ, PYTHONPATH=str(src))
     for n in sizes:
         tree = random_binary_tree(n, SEED)
-        cover = minimalize(tree, canonical_cover(tree, seeded_chooser(SEED)))
+        chooser_cover = canonical_cover(tree, seeded_chooser(SEED))
+        cover = minimalize(tree, chooser_cover)
+        out["support_map_s"][n] = on_fresh(support_map, tree, chooser_cover)
+        out["minimalize_s"][n] = on_fresh(minimalize, tree, chooser_cover)
+        if n <= CLASSIFY_MAX:
+            out["classify_s"][n] = on_fresh(classify, tree, cover)
         out["from_tree_s"][n], dist = best(PartialDistances.from_tree, tree, cover)
         out["reconstruct_s"][n], result = best(reconstruct, cover, dist)
         if write_newick(result.tree) != write_newick(tree):
@@ -89,16 +108,32 @@ def run_side(src: Path, sizes: list[int], repeats: int) -> dict:
     return json.loads(run.stdout)
 
 
-def parent_side(ref: str, sizes: list[int], repeats: int) -> dict:
-    """Measure commit ``ref``, extracted with ``git archive``."""
+def extract(ref: str, checkout: Path) -> Path:
+    """Extract commit ``ref``'s sources into ``checkout`` with ``git archive``."""
     archive = subprocess.run(
         ["git", "-C", str(ROOT), "archive", "--format=tar", ref, "src"],
         check=True, capture_output=True,
     ).stdout
-    with tempfile.TemporaryDirectory() as checkout:
-        with tarfile.open(fileobj=BytesIO(archive)) as tar:
-            tar.extractall(checkout, filter="data")
-        return run_side(Path(checkout) / "src", sizes, repeats)
+    with tarfile.open(fileobj=BytesIO(archive)) as tar:
+        tar.extractall(checkout, filter="data")
+    return checkout / "src"
+
+
+def measure_sides(sides: dict[str, Path], sizes: list[int], repeats: int) -> dict:
+    """Measure each side in ``repeats`` fresh children, the sides taking turns
+    to go first, and keep the minimum of every number; a noisy spell then
+    slows one child of each side rather than one whole side."""
+    runs: dict[str, list[dict]] = {name: [] for name in sides}
+    order = list(sides)
+    for _ in range(repeats):
+        for name in order:
+            runs[name].append(run_side(sides[name], sizes, repeats))
+        order.reverse()
+    return {
+        name: {key: {n: min(run[key][n] for run in done) for n in done[0][key]}
+               for key in done[0]}
+        for name, done in runs.items()
+    }
 
 
 def speedups(parent: dict, change: dict) -> dict:
@@ -124,17 +159,22 @@ def main(argv=None) -> int:
         parser.error("--out is required")
 
     report = {
-        "inputs": f"random_binary_tree(n, {SEED}), minimalized "
-        f"canonical_cover(tree, seeded_chooser({SEED})), PartialDistances.from_tree",
-        "unit": "s, min of repeats",
+        "inputs": f"random_binary_tree(n, {SEED}), canonical_cover(tree, "
+        f"seeded_chooser({SEED})) for support_map and minimalize, minimalized "
+        f"for classify (n <= {CLASSIFY_MAX}) and PartialDistances.from_tree",
+        "unit": "s, min over repeats processes of repeats runs each",
         "repeats": args.repeats,
         "sizes": args.sizes,
         "machine": f"Python {platform.python_version()}, {os.cpu_count()} CPUs",
     }
+    with tempfile.TemporaryDirectory() as checkout:
+        sides = {"change": ROOT / "src"}
+        if args.parent:
+            sides = {"parent": extract(args.parent, Path(checkout)), **sides}
+        measured = measure_sides(sides, args.sizes, args.repeats)
     if args.parent:
-        report["parent"] = {"ref": args.parent,
-                            **parent_side(args.parent, args.sizes, args.repeats)}
-    report["change"] = run_side(ROOT / "src", args.sizes, args.repeats)
+        report["parent"] = {"ref": args.parent, **measured["parent"]}
+    report["change"] = measured["change"]
     if args.parent:
         report["speedup"] = speedups(report["parent"], report["change"])
     args.out.write_text(json.dumps(report, indent=2) + "\n")
