@@ -75,7 +75,12 @@ class TripletCover:
                 raise CoverError(f"bad taxon label {t!r}")
         cords = set()
         for pair in pairs:
-            x, y = pair
+            try:
+                x, y = pair
+            except (TypeError, ValueError):
+                x = y = None
+            if not (isinstance(x, str) and isinstance(y, str)):
+                raise CoverError(f"bad cord entry {pair!r}")
             if x not in taxon_set or y not in taxon_set:
                 raise CoverError(f"cord {x},{y} uses a taxon outside the taxon set")
             cords.add(cord(x, y))

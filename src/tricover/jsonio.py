@@ -34,7 +34,10 @@ def write_json(payload, path) -> None:
 
 
 def read_json(path):
-    return json.loads(Path(path).read_text(encoding="utf-8"))
+    try:
+        return json.loads(Path(path).read_text(encoding="utf-8"))
+    except RecursionError:
+        raise CoverError("JSON nested too deeply") from None
 
 
 def _is_names(value, size: int | None = None) -> bool:

@@ -23,7 +23,7 @@ from .errors import NewickError
 from .tree import PhyloTree
 
 _LABEL_RE = re.compile(r"[^\s(),:;]+")
-_LENGTH_RE = re.compile(r"\d+/\d+|\d+(\.\d+)?")
+_LENGTH_RE = re.compile(r"[0-9]+/[0-9]+|[0-9]+(\.[0-9]+)?")
 
 
 class _Parser:

@@ -39,7 +39,13 @@ class PartialDistances:
         taxon_set = frozenset(taxa)
         values: dict[Cord, Fraction] = {}
         pairs = items.items() if isinstance(items, Mapping) else items
-        for (x, y), raw in pairs:
+        for item in pairs:
+            try:
+                (x, y), raw = item
+            except (TypeError, ValueError):
+                x = y = None
+            if not (isinstance(x, str) and isinstance(y, str)):
+                raise CoverError(f"bad distance entry {item!r}")
             if x not in taxon_set or y not in taxon_set:
                 raise CoverError(f"distance for {x},{y} uses an unknown taxon")
             key = cord(x, y)

@@ -243,13 +243,23 @@ def is_ample(
     hierarchy, i.e. whether the section splits recursively into two tight
     halves all the way down to singletons.
 
-    Returns the hierarchy (all 2m-1 member sets) as the witness when found.
+    Returns the hierarchy (all 2m-1 member sets, in preorder) when found.
+    Each family is split at its first tight split, and that is enough.  Let
+    g(C) = |union C| - |C|, so C is tight when g(C) = 2.
+    (1) On an ample family g >= 2 for every nonempty subfamily, by induction
+        down the hierarchy: the tight halves A, B of a tight X share
+        (|A|+2) + (|B|+2) - (|X|+2) = 2 taxa, so no split needs that checked.
+    (2) g is submodular.  For a tight split (A, B) of an ample family and a
+        hierarchy member X meeting A, g(X&A) + g(X|A) <= g(X) + g(A) = 4 and
+        both terms are >= 2 by (1), so X&A is tight: the hierarchy cut down
+        to A is a hierarchy of A.
+    (3) So every tight split of an ample family has ample halves, and the
+        first tight split is the first one a full search would accept.  A
+        family that is not ample fails whichever split is taken.
     """
     triples = sorted(set(section))
     m = len(triples)
-    union_all: set[str] = set()
-    for t in triples:
-        union_all |= set(t)
+    union_all = set().union(*triples)
     if m == 0 or len(union_all) != m + 2:
         raise SectionError(
             f"not section-shaped: {m} triples over {len(union_all)} taxa"
@@ -258,7 +268,6 @@ def is_ample(
         raise CapacityError(f"ample-patchwork search capped at {cap} triples")
 
     taxa_mask = _triple_masks(sorted(union_all), triples)
-
     union_cache: dict[int, int] = {0: 0}
 
     def union_of(mask: int) -> int:
@@ -270,51 +279,25 @@ def is_ample(
     def tight(mask: int) -> bool:
         return union_of(mask).bit_count() == mask.bit_count() + 2
 
-    split_choice: dict[int, tuple[int, int] | None] = {}
-
-    def feasible(mask: int) -> bool:
-        if mask in split_choice:
-            return split_choice[mask] is not None
-        if mask.bit_count() == 1:
-            split_choice[mask] = (mask, 0)
-            return True
+    def hierarchy(mask: int) -> list[int] | None:
+        """A hierarchy's member masks in preorder, or None if there is none."""
+        if mask & (mask - 1) == 0:
+            return [mask]
         low = mask & -mask
-        sub = mask
-        while True:
+        sub = (mask - 1) & mask
+        while sub:  # downwards; the first half holds the least triple
+            if sub & low and tight(sub) and tight(mask ^ sub):
+                first = hierarchy(sub)
+                second = first and hierarchy(mask ^ sub)
+                return second and [mask, *first, *second]
             sub = (sub - 1) & mask
-            if sub == 0:
-                break
-            if not sub & low:
-                continue  # fix the least triple in the first half: halves symmetry
-            rest = mask ^ sub
-            if tight(sub) and tight(rest) and feasible(sub) and feasible(rest):
-                # Tight disjoint halves of a tight family overlap in exactly
-                # two taxa; guard the arithmetic while we are here.
-                overlap = union_of(sub) & union_of(rest)
-                if overlap.bit_count() != 2:
-                    raise SectionError("tight split must share 2 taxa")
-                split_choice[mask] = (sub, rest)
-                return True
-        split_choice[mask] = None
-        return False
+        return None
 
-    full = (1 << m) - 1
-    if not feasible(full):
+    members = hierarchy((1 << m) - 1)
+    if members is None:
         return False, None
-
-    hierarchy: list[frozenset[Triple]] = []
-
-    def collect(mask: int):
-        hierarchy.append(
-            frozenset(triples[i] for i in range(m) if mask >> i & 1)
-        )
-        sub, rest = split_choice[mask]
-        if rest:
-            collect(sub)
-            collect(rest)
-
-    collect(full)
-    return True, tuple(hierarchy)
+    return True, tuple(frozenset(t for i, t in enumerate(triples) if mask >> i & 1)
+                       for mask in members)
 
 
 def shellable_via_patchwork(

@@ -154,12 +154,12 @@ MALFORMED_FILES = {
 }
 
 
-@pytest.mark.parametrize("case", sorted(MALFORMED_FILES))
-def test_malformed_json_is_one_error_line(fig_files, tmp_path, capsys, case):
+def run_on_bad_file(fig_files, tmp_path, capsys, kind, text):
+    """Run the command that reads a ``kind`` file on ``text``; the exit code
+    and stderr."""
     tree_path, cover_path = fig_files
-    kind, payload = MALFORMED_FILES[case]
     bad = tmp_path / "bad.json"
-    bad.write_text(json.dumps(payload))
+    bad.write_text(text)
     if kind == "cover":
         argv = ["analyze", "--tree", str(tree_path), "--cover", str(bad)]
     elif kind == "dist":
@@ -169,9 +169,24 @@ def test_malformed_json_is_one_error_line(fig_files, tmp_path, capsys, case):
         argv = ["verify-shelling", "--tree", str(tree_path), "--cover",
                 str(cover_path), "--witness", str(bad)]
     code = main(argv)
-    err = capsys.readouterr().err
+    return code, capsys.readouterr().err
+
+
+@pytest.mark.parametrize("case", sorted(MALFORMED_FILES))
+def test_malformed_json_is_one_error_line(fig_files, tmp_path, capsys, case):
+    kind, payload = MALFORMED_FILES[case]
+    code, err = run_on_bad_file(fig_files, tmp_path, capsys, kind, json.dumps(payload))
     assert code == 1
     assert err.startswith("error: ") and err.count("\n") == 1
+
+
+@pytest.mark.parametrize("kind", ["cover", "dist", "witness"])
+def test_deeply_nested_json_is_one_error_line(fig_files, tmp_path, capsys, kind):
+    # Written as raw text: json.dumps cannot nest this deep.  The decoder's
+    # RecursionError once reached the user as a traceback.
+    code, err = run_on_bad_file(fig_files, tmp_path, capsys, kind, "[" * 200_000)
+    assert code == 1
+    assert err == "error: JSON nested too deeply\n"
 
 
 def test_reconstruct_pipeline(fig_files, tmp_path):

@@ -358,6 +358,17 @@ def test_cover_validation():
         TripletCover.make("abc", [("a", "a")])  # degenerate cord
 
 
+@pytest.mark.parametrize(
+    "pair",
+    [("a", "b", "c"), ("a",), 7, (["a"], "b"), ("a", None)],
+    ids=["three taxa", "one taxon", "int", "list taxon", "null taxon"],
+)
+def test_malformed_cord_entry_is_cover_error(pair):
+    # These once escaped as ValueError or TypeError from tuple unpacking.
+    with pytest.raises(CoverError, match="^bad cord entry "):
+        TripletCover.make("abc", [("a", "b"), pair])
+
+
 def test_minimal_cover_cords_inside_triples(fig_tree, fig_cover):
     # Every cord of a minimal cover lies inside a supported triple.
     triples = supported_triples(fig_tree, fig_cover)

@@ -73,6 +73,13 @@ def test_overlong_length_is_newick_error(length):
     assert err.value.position == 11
 
 
+def test_non_ascii_digits_are_not_lengths():
+    # Arabic-Indic digits: a length literal is ASCII, as in exact_rational.
+    with pytest.raises(NewickError, match="expected a branch length") as err:
+        parse_newick("((a:\u0661,b:1):1,c:\u0662/\u0663,(d:1,e:1):1);")
+    assert err.value.position == 4
+
+
 def test_duplicate_taxon_rejected():
     with pytest.raises(TreeError, match="duplicate taxon"):
         parse_newick("(a:1,a:1,c:1);")

@@ -243,3 +243,20 @@ def test_cord_given_twice_as_pairs_is_refused():
         PartialDistances.make("abc", [(("a", "b"), 1), (("b", "a"), 1)])
     dist = PartialDistances.make("abc", [(("b", "a"), 1), (("c", "a"), "3/2")])
     assert dist.values == {("a", "b"): 1, ("a", "c"): Fraction(3, 2)}
+
+
+@pytest.mark.parametrize(
+    "items",
+    [
+        {("a", "b", "c"): 1},
+        {7: 1},
+        [((["a"], "b"), 1)],
+        [(("a", "b"), 1, 2)],
+        [5],
+    ],
+    ids=["three-taxon key", "int key", "list taxon", "long item", "int item"],
+)
+def test_malformed_distance_entry_is_cover_error(items):
+    # These once escaped as ValueError or TypeError from tuple unpacking.
+    with pytest.raises(CoverError, match="^bad distance entry "):
+        PartialDistances.make("abc", items)

@@ -1,8 +1,8 @@
 #!/usr/bin/env python3
-"""Layer ladder: time ``support_map``, ``minimalize``, ``classify``,
-``reconstruct``, ``PartialDistances.from_tree`` and the CLI ``reconstruct``
-at several n, for the working tree and optionally for a parent commit, and
-write the numbers to a JSON file.
+"""Layer ladder: time ``support_map``, ``minimalize``, ``cord_closure``,
+``classify``, ``reconstruct``, ``PartialDistances.from_tree`` and the CLI
+``reconstruct`` at several n, for the working tree and optionally for a
+parent commit, and write the numbers to a JSON file.
 
 Usage, from the repository root::
 
@@ -12,15 +12,16 @@ Usage, from the repository root::
 The input at each n is ``random_binary_tree(n, 1)`` with ``canonical_cover(tree,
 seeded_chooser(1))``, that cover minimalized, and the minimal cover's
 distances from the tree; each side builds them with its own library.
-``support_map`` and ``minimalize`` run on the chooser cover, ``classify``
-(only for n <= 160) and the reconstruction rows on the minimal one.  Every
-run of the cover layers gets a fresh, equal cover, so any per-cover index is
-built inside the timed call.  Each side runs in ``--repeats`` fresh
-processes, the sides taking turns, and each process times every number
-``--repeats`` times; the file keeps the minimum, in seconds.  The CLI time is
-the wall time of one ``python -m tricover reconstruct`` process on the
-input's JSON files.  ``--parent REF`` extracts that commit with ``git
-archive`` into a temporary directory and measures it the same way.  Stdlib only.
+``support_map`` and ``minimalize`` run on the chooser cover; ``cord_closure``
+(only for n <= 320), ``classify`` (only for n <= 160) and the reconstruction
+rows on the minimal one.  Every run of the cover layers gets a fresh, equal
+cover, so any per-cover index is built inside the timed call.  Each side
+runs in ``--repeats`` fresh processes, the sides taking turns, and each
+process times every number ``--repeats`` times; the file keeps the minimum,
+in seconds.  The CLI time is the wall time of one ``python -m tricover
+reconstruct`` process on the input's JSON files.  ``--parent REF`` extracts
+that commit with ``git archive`` into a temporary directory and measures it
+the same way.  Stdlib only.
 """
 
 from __future__ import annotations
@@ -40,6 +41,7 @@ from pathlib import Path
 ROOT = Path(__file__).resolve().parents[1]
 SIZES = (20, 40, 80, 160, 320, 1000)
 CLASSIFY_MAX = 160
+CLOSURE_MAX = 320
 SEED = 1
 
 
@@ -50,6 +52,7 @@ def measure(src: Path, sizes: list[int], repeats: int, workdir: Path) -> dict:
         PartialDistances,
         TripletCover,
         canonical_cover,
+        cord_closure,
         jsonio,
         minimalize,
         reconstruct,
@@ -72,8 +75,9 @@ def measure(src: Path, sizes: list[int], repeats: int, workdir: Path) -> dict:
         """Time ``fn(tree, c)`` with ``c`` a fresh copy of ``cover``."""
         return best(lambda: fn(tree, TripletCover(cover.taxa, cover.cords)))[0]
 
-    out = {"support_map_s": {}, "minimalize_s": {}, "classify_s": {},
-           "reconstruct_s": {}, "from_tree_s": {}, "cli_reconstruct_s": {}}
+    out = {"support_map_s": {}, "minimalize_s": {}, "closure_s": {},
+           "classify_s": {}, "reconstruct_s": {}, "from_tree_s": {},
+           "cli_reconstruct_s": {}}
     env = dict(os.environ, PYTHONPATH=str(src))
     for n in sizes:
         tree = random_binary_tree(n, SEED)
@@ -81,6 +85,8 @@ def measure(src: Path, sizes: list[int], repeats: int, workdir: Path) -> dict:
         cover = minimalize(tree, chooser_cover)
         out["support_map_s"][n] = on_fresh(support_map, tree, chooser_cover)
         out["minimalize_s"][n] = on_fresh(minimalize, tree, chooser_cover)
+        if n <= CLOSURE_MAX:
+            out["closure_s"][n] = on_fresh(cord_closure, tree, cover)
         if n <= CLASSIFY_MAX:
             out["classify_s"][n] = on_fresh(classify, tree, cover)
         out["from_tree_s"][n], dist = best(PartialDistances.from_tree, tree, cover)
@@ -161,7 +167,8 @@ def main(argv=None) -> int:
     report = {
         "inputs": f"random_binary_tree(n, {SEED}), canonical_cover(tree, "
         f"seeded_chooser({SEED})) for support_map and minimalize, minimalized "
-        f"for classify (n <= {CLASSIFY_MAX}) and PartialDistances.from_tree",
+        f"for cord_closure (n <= {CLOSURE_MAX}), classify (n <= {CLASSIFY_MAX}) "
+        "and PartialDistances.from_tree",
         "unit": "s, min over repeats processes of repeats runs each",
         "repeats": args.repeats,
         "sizes": args.sizes,
