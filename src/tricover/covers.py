@@ -11,12 +11,11 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass
-from functools import cached_property
 from itertools import combinations, product
 from typing import Callable, Iterable, Iterator
 
 from .errors import CapacityError, CoverError, NotTripletCoverError
-from .tree import PhyloTree, is_valid_label
+from .tree import PhyloTree, _quote, is_valid_label
 
 Cord = tuple[str, str]
 Triple = tuple[str, str, str]
@@ -75,24 +74,28 @@ class TripletCover:
                 raise CoverError(f"bad taxon label {t!r}")
         cords = set()
         for pair in pairs:
-            try:
-                x, y = pair
+            try:  # a string is not a pair of one-letter taxa
+                x, y = (None, None) if isinstance(pair, str) else pair
             except (TypeError, ValueError):
                 x = y = None
             if not (isinstance(x, str) and isinstance(y, str)):
-                raise CoverError(f"bad cord entry {pair!r}")
+                raise CoverError(f"bad cord entry {_quote(pair)}")
             if x not in taxon_set or y not in taxon_set:
                 raise CoverError(f"cord {x},{y} uses a taxon outside the taxon set")
             cords.add(cord(x, y))
         return cls(taxon_set, frozenset(cords))
 
-    @cached_property
-    def _taxa(self) -> tuple[str, ...]:
-        return tuple(sorted(self.taxa))
-
-    @cached_property
-    def _nbr(self) -> tuple[int, ...]:
-        return tuple(_neighbour_masks(self._taxa, self.cords))
+    def __getattr__(self, name: str):
+        """Build ``_taxa`` and ``_nbr`` together on the first read of either;
+        later reads find them as plain attributes and never get here."""
+        if name not in ("_taxa", "_nbr"):
+            raise AttributeError(
+                f"{type(self).__name__!r} object has no attribute {name!r}"
+            )
+        taxa = tuple(sorted(self.taxa))
+        object.__setattr__(self, "_taxa", taxa)
+        object.__setattr__(self, "_nbr", tuple(_neighbour_masks(taxa, self.cords)))
+        return vars(self)[name]
 
     def __len__(self) -> int:
         return len(self.cords)

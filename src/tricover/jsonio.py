@@ -18,7 +18,7 @@ from .newick import parse_newick, write_newick
 from .reconstruct import PartialDistances
 from .report import InstanceRecord, basic_flags
 from .shelling import ShellingStep
-from .tree import PhyloTree, make_quartet
+from .tree import PhyloTree, _quote, make_quartet
 
 
 def format_rational(value: Fraction) -> str:
@@ -72,7 +72,7 @@ def cover_from_json(payload) -> TripletCover:
     seen = set()
     for pair in raw:
         if not _is_names(pair, 2):
-            raise CoverError(f"bad cord entry {pair!r}")
+            raise CoverError(f"bad cord entry {_quote(pair)}")
         key = cord(pair[0], pair[1])
         if key in seen:
             raise CoverError(f"duplicate cord {pair}")
@@ -103,7 +103,7 @@ def distances_from_json(payload) -> PartialDistances:
     taxa, entries = _taxa_and_entries(payload, "distance", "distances")
     for entry in entries:
         if not (isinstance(entry, list) and len(entry) == 3 and _is_names(entry[:2])):
-            raise CoverError(f"bad distance entry {entry!r}")
+            raise CoverError(f"bad distance entry {_quote(entry)}")
         cord(entry[0], entry[1])  # raises for a self-cord
     return PartialDistances.make(taxa, [((x, y), value) for x, y, value in entries])
 
@@ -158,7 +158,7 @@ def shelling_from_json(payload) -> tuple[ShellingStep, ...]:
             and len(entry["quartet"]) == 2
             and all(_is_names(pair, 2) for pair in entry["quartet"])
         ):
-            raise CoverError(f"bad shelling step {entry!r}")
+            raise CoverError(f"bad shelling step {_quote(entry)}")
         quartet = make_quartet(tuple(entry["quartet"][0]), tuple(entry["quartet"][1]))
         steps.append(
             ShellingStep(

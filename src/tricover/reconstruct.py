@@ -22,7 +22,7 @@ from typing import Mapping
 
 from .covers import Cord, TripletCover, cord
 from .errors import CoverError, NotRealizableError
-from .tree import PhyloTree, exact_rational
+from .tree import PhyloTree, _quote, exact_rational
 
 
 @dataclass(frozen=True)
@@ -40,12 +40,13 @@ class PartialDistances:
         values: dict[Cord, Fraction] = {}
         pairs = items.items() if isinstance(items, Mapping) else items
         for item in pairs:
-            try:
-                (x, y), raw = item
+            try:  # a string key is not a pair of one-letter taxa
+                pair, raw = item
+                x, y = (None, None) if isinstance(pair, str) else pair
             except (TypeError, ValueError):
                 x = y = None
             if not (isinstance(x, str) and isinstance(y, str)):
-                raise CoverError(f"bad distance entry {item!r}")
+                raise CoverError(f"bad distance entry {_quote(item)}")
             if x not in taxon_set or y not in taxon_set:
                 raise CoverError(f"distance for {x},{y} uses an unknown taxon")
             key = cord(x, y)

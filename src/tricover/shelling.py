@@ -21,7 +21,6 @@ from .covers import (
     SupportMap,
     Triple,
     TripletCover,
-    _bits,
     _triple_masks,
     all_cords,
     cord,
@@ -65,13 +64,12 @@ def _forced_steps(
     least valid witness (a random one with ``rng``).  A new cord uv only
     creates witnesses whose five cords include uv, so only the missing cords
     through u or v and the pairs inside N(u) & N(v) are tested again, N
-    being the neighbour sets of the cover graph.
+    being the neighbour sets of the cover graph.  A taxon whose every cord
+    is present or queued leaves the ``open_`` mask and is not visited again.
     """
     taxa = cover._taxa
     nbr = list(cover._nbr)  # grows as cords are added; the cover's stays put
-    hops = [[0] * len(taxa) for _ in taxa]
-    for i, j in combinations(range(len(taxa)), 2):
-        hops[i][j] = hops[j][i] = tree.hops(taxa[i], taxa[j])
+    hops = tree.hop_matrix()  # in sorted taxon order, as are the masks
 
     def pairing(a: int, b: int, p: int, q: int) -> int:
         """The displayed quartet by the four-point rule on path lengths in
@@ -79,9 +77,10 @@ def _forced_steps(
         displayed pairing has the strictly least sum for any positive
         lengths, unit ones included, so these decide the same quartets as
         the rational distances."""
-        ab = hops[a][b] + hops[p][q]
-        ap = hops[a][p] + hops[b][q]
-        aq = hops[a][q] + hops[b][p]
+        row_a, row_b = hops[a], hops[b]
+        ab = row_a[b] + hops[p][q]
+        ap = row_a[p] + row_b[q]
+        aq = row_a[q] + row_b[p]
         if ap < ab and ap < aq:
             return 1
         if aq < ab and aq < ap:
@@ -95,21 +94,36 @@ def _forced_steps(
     def witnesses(a: int, b: int) -> Iterator[tuple[int, int]]:
         """Valid witnesses of the missing cord ab, in lexicographic order of
         the unordered pair, each ordered to pair with (a, b)."""
-        common = nbr[a] & nbr[b]
-        for p in _bits(common):
-            for q in _bits(common & nbr[p] & ~((2 << p) - 1)):
+        rest = nbr[a] & nbr[b]
+        while rest:
+            low = rest & -rest
+            rest ^= low  # now the common neighbours above p
+            p = low.bit_length() - 1
+            qs = rest & nbr[p]
+            while qs:
+                bit = qs & -qs
+                qs ^= bit
+                q = bit.bit_length() - 1
                 side = pairing(a, b, p, q)
                 if side == 1:
                     yield p, q
                 elif side == 2:
                     yield q, p
 
+    full = (1 << len(taxa)) - 1
+    # Bit b of known[a]: b is a, or the cord ab is present or queued.
+    known = [m | 1 << a for a, m in enumerate(nbr)]
+    open_ = sum(1 << a for a, m in enumerate(known) if m != full)
     ready: list[tuple[float, int, int]] = []
-    known = list(nbr)  # bit b of known[a]: the cord ab is present or queued
 
     def push(a: int, b: int) -> None:
+        nonlocal open_
         known[a] |= 1 << b
         known[b] |= 1 << a
+        if known[a] == full:
+            open_ &= ~(1 << a)
+        if known[b] == full:
+            open_ &= ~(1 << b)
         heappush(ready, (0 if rng is None else rng.random(), min(a, b), max(a, b)))
 
     for a, b in combinations(range(len(taxa)), 2):
@@ -130,13 +144,32 @@ def _forced_steps(
         nbr[b] |= 1 << a
         both = nbr[a] & nbr[b]
         for u, v in ((a, b), (b, a)):
+            if not open_ >> u & 1:
+                continue
             # Unqueued missing cords uc whose new witnesses are pairs {v, w}.
-            for c in _bits(nbr[v] & ~known[u] & ~(1 << u)):
-                if any(pairing(u, c, v, w) for w in _bits(both & nbr[c])):
-                    push(u, c)
+            cs = nbr[v] & ~known[u]
+            while cs:
+                low = cs & -cs
+                cs ^= low
+                c = low.bit_length() - 1
+                ws = both & nbr[c]
+                while ws:
+                    bit = ws & -ws
+                    ws ^= bit
+                    if pairing(u, c, v, bit.bit_length() - 1):
+                        push(u, c)
+                        break
         # Unqueued missing cords cd whose new witness is the pair {a, b}.
-        for c in _bits(both):
-            for d in _bits(both & ~known[c] & ~((2 << c) - 1)):
+        cs = both & open_
+        while cs:
+            low = cs & -cs
+            cs ^= low  # now the open taxa of both above c
+            c = low.bit_length() - 1
+            ds = cs & ~known[c]  # known is symmetric, so a closed d is known
+            while ds:
+                bit = ds & -ds
+                ds ^= bit
+                d = bit.bit_length() - 1
                 if pairing(c, d, a, b):
                     push(c, d)
 

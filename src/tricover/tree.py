@@ -276,6 +276,26 @@ class PhyloTree:
         u, v = self.leaf(x), self.leaf(y)
         return depth[u] + depth[v] - 2 * depth[self._meet(u, v)]
 
+    def hop_matrix(self) -> list[list[int]]:
+        """:meth:`hops` between every two taxa, rows and columns in sorted
+        taxon order, from one pass over the index: taxa split between an
+        interior vertex's two lower components meet at that vertex, and
+        the least taxon's leaf is the root, so its row is the leaf depths."""
+        index = self._index
+        depth = [index.depth[self._label_leaf[x]] for x in index.taxa]
+        hops = [[d] + [0] * (len(depth) - 1) for d in depth]
+        hops[0] = depth[:]
+        for v, (_, low, high) in index.components.items():
+            top = 2 * index.depth[v]
+            below = [j for j in range(high.bit_length()) if high >> j & 1]
+            while low:
+                i = (low & -low).bit_length() - 1
+                low &= low - 1
+                row, base = hops[i], depth[i] - top
+                for j in below:
+                    row[j] = hops[j][i] = base + depth[j]
+        return hops
+
     def scaled_distances(
         self, pairs: Iterable[tuple[str, str]]
     ) -> tuple[int, dict[tuple[str, str], int]]:

@@ -180,6 +180,24 @@ def test_malformed_json_is_one_error_line(fig_files, tmp_path, capsys, case):
     assert err.startswith("error: ") and err.count("\n") == 1
 
 
+LONG = "x" * 5000
+LONG_ENTRIES = {
+    "cover": {"taxa": list("abcde"), "cords": [["a", LONG, "b"]]},
+    "dist": {"taxa": list("abcde"), "distances": [["a", "b", "2", LONG]]},
+    "witness": {"steps": [{"cord": ["a", LONG, "b"], "witness": ["c", "d"]}]},
+}
+
+
+@pytest.mark.parametrize("kind", sorted(LONG_ENTRIES))
+def test_long_bad_entry_is_one_short_error_line(fig_files, tmp_path, capsys, kind):
+    # The entry was once quoted whole: a 5,029-character line for a cover.
+    payload = json.dumps(LONG_ENTRIES[kind])
+    code, err = run_on_bad_file(fig_files, tmp_path, capsys, kind, payload)
+    assert code == 1
+    assert err.startswith("error: bad ") and err.count("\n") == 1
+    assert len(err) < 200
+
+
 @pytest.mark.parametrize("kind", ["cover", "dist", "witness"])
 def test_deeply_nested_json_is_one_error_line(fig_files, tmp_path, capsys, kind):
     # Written as raw text: json.dumps cannot nest this deep.  The decoder's

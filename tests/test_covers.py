@@ -369,6 +369,12 @@ def test_malformed_cord_entry_is_cover_error(pair):
         TripletCover.make("abc", [("a", "b"), pair])
 
 
+def test_string_cord_entry_is_cover_error():
+    # A two-letter string once unpacked as the cord a,b.
+    with pytest.raises(CoverError, match="^bad cord entry 'ab'$"):
+        TripletCover.make("abc", ["ab"])
+
+
 def test_minimal_cover_cords_inside_triples(fig_tree, fig_cover):
     # Every cord of a minimal cover lies inside a supported triple.
     triples = supported_triples(fig_tree, fig_cover)

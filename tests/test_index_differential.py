@@ -294,7 +294,9 @@ def check_index(tree, rng, samples=30, newick_reference=True):
     splits = {ref_split(tree, u, v): q for u, v, q in tree.edges()}
     assert tree.splits() == frozenset(splits)
     assert tree.split_lengths() == splits
-    assert [[tree.hops(x, y) for y in taxa] for x in taxa] == ref_hops(tree, taxa)
+    hops = ref_hops(tree, taxa)
+    assert [[tree.hops(x, y) for y in taxa] for x in taxa] == hops
+    assert tree.hop_matrix() == hops
     assert tree.distance_matrix() == ref_distance_matrix(tree)
     vertices = tree.vertices()
     for _ in range(samples):

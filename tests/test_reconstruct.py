@@ -260,3 +260,10 @@ def test_malformed_distance_entry_is_cover_error(items):
     # These once escaped as ValueError or TypeError from tuple unpacking.
     with pytest.raises(CoverError, match="^bad distance entry "):
         PartialDistances.make("abc", items)
+
+
+@pytest.mark.parametrize("items", [{"ab": 1}, [("ab", 1)]], ids=["mapping", "pairs"])
+def test_string_distance_key_is_cover_error(items):
+    # A two-letter string key once unpacked as the cord a,b with d(a,b) = 1.
+    with pytest.raises(CoverError, match="^bad distance entry "):
+        PartialDistances.make("abc", items)
