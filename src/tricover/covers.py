@@ -15,7 +15,7 @@ from itertools import combinations, product
 from typing import Callable, Iterable, Iterator
 
 from .errors import CapacityError, CoverError, NotTripletCoverError
-from .tree import PhyloTree, _quote, is_valid_label
+from .tree import PhyloTree, _brief, _quote, is_valid_label
 
 Cord = tuple[str, str]
 Triple = tuple[str, str, str]
@@ -28,7 +28,7 @@ HALL_SUBSET_CAP = 22
 
 def cord(x: str, y: str) -> Cord:
     if x == y:
-        raise CoverError(f"a cord needs two distinct taxa, got {x!r} twice")
+        raise CoverError(f"a cord needs two distinct taxa, got {_quote(x)} twice")
     return (x, y) if x < y else (y, x)
 
 
@@ -71,7 +71,7 @@ class TripletCover:
             raise CoverError(f"need at least 3 taxa, got {len(taxon_set)}")
         for t in taxon_set:
             if not is_valid_label(t):
-                raise CoverError(f"bad taxon label {t!r}")
+                raise CoverError(f"bad taxon label {_quote(t)}")
         cords = set()
         for pair in pairs:
             try:  # a string is not a pair of one-letter taxa
@@ -81,7 +81,9 @@ class TripletCover:
             if not (isinstance(x, str) and isinstance(y, str)):
                 raise CoverError(f"bad cord entry {_quote(pair)}")
             if x not in taxon_set or y not in taxon_set:
-                raise CoverError(f"cord {x},{y} uses a taxon outside the taxon set")
+                raise CoverError(
+                    f"cord {_brief(x)},{_brief(y)} uses a taxon outside the taxon set"
+                )
             cords.add(cord(x, y))
         return cls(taxon_set, frozenset(cords))
 
@@ -119,9 +121,10 @@ class TripletCover:
 
 def _check_same_taxa(tree: PhyloTree, cover: TripletCover):
     if tree.taxa != cover.taxa:
+        t = min(tree.taxa ^ cover.taxa)
+        side = "cover" if t in cover.taxa else "tree"
         raise CoverError(
-            f"cover taxa {sorted(cover.taxa)} do not match tree taxa "
-            f"{sorted(tree.taxa)}"
+            f"cover taxa do not match tree taxa: {_brief(t)} is only in the {side}"
         )
 
 
@@ -154,7 +157,9 @@ def _refuse_cord(cords: frozenset[Cord], index: dict[str, int]):
     pair of distinct taxa from ``index``."""
     x, y = min(c for c in cords if not 0 <= index.get(c[0], -1) < index.get(c[1], -1))
     if x not in index or y not in index:
-        raise CoverError(f"cord {x},{y} uses a taxon outside the taxon set")
+        raise CoverError(
+            f"cord {_brief(x)},{_brief(y)} uses a taxon outside the taxon set"
+        )
     cord(x, y)  # raises for x == y
     raise CoverError(f"cord {x},{y} is not a sorted pair; write it as {y},{x}")
 

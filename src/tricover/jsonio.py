@@ -75,7 +75,7 @@ def cover_from_json(payload) -> TripletCover:
             raise CoverError(f"bad cord entry {_quote(pair)}")
         key = cord(pair[0], pair[1])
         if key in seen:
-            raise CoverError(f"duplicate cord {pair}")
+            raise CoverError(f"duplicate cord [{_quote(pair[0])}, {_quote(pair[1])}]")
         seen.add(key)
     return TripletCover.make(taxa, [tuple(pair) for pair in raw])
 

@@ -22,7 +22,7 @@ from typing import Mapping
 
 from .covers import Cord, TripletCover, cord
 from .errors import CoverError, NotRealizableError
-from .tree import PhyloTree, _quote, exact_rational
+from .tree import PhyloTree, _brief, _quote, exact_rational
 
 
 @dataclass(frozen=True)
@@ -48,13 +48,18 @@ class PartialDistances:
             if not (isinstance(x, str) and isinstance(y, str)):
                 raise CoverError(f"bad distance entry {_quote(item)}")
             if x not in taxon_set or y not in taxon_set:
-                raise CoverError(f"distance for {x},{y} uses an unknown taxon")
+                raise CoverError(
+                    f"distance for {_brief(x)},{_brief(y)} uses an unknown taxon"
+                )
             key = cord(x, y)
             if key in values:
-                raise CoverError(f"duplicate distance for {x},{y}")
+                raise CoverError(f"duplicate distance for {_brief(x)},{_brief(y)}")
             value = exact_rational(raw, CoverError)
             if value <= 0:
-                raise CoverError(f"distance for {x},{y} must be positive, got {raw}")
+                raise CoverError(
+                    f"distance for {_brief(x)},{_brief(y)} must be positive, "
+                    f"got {_brief(str(raw))}"
+                )
             values[key] = value
         return cls(taxon_set, values)
 
@@ -91,7 +96,9 @@ class _Table:
 
     def __init__(self, cover: TripletCover, dist: PartialDistances):
         cords = sorted(cover.cords)
-        # Twice the lcm of the denominators makes every entry even, so each
+        # Twice the lcm of the denominators makes every entry even, and the
+        # entries stay even: a cherry's rewrite adds lambda(y) - lambda(x),
+        # which the cherry criterion makes d(x,y) - 2 lambda(x).  So each
         # pendant's sum of three entries halves exactly.
         self.scale = scale = 2 * lcm(*(dist[c].denominator for c in cords))
         self.rows: dict[str, dict[str, int]] = {x: {} for x in sorted(cover.taxa)}
@@ -103,23 +110,6 @@ class _Table:
 
     def value(self, scaled: int) -> Fraction:
         return Fraction(scaled, self.scale)
-
-    def half(self, scaled: int) -> int:
-        """Half of ``scaled`` at the table's scale.  An odd value first
-        doubles the scale of every entry, pendant and log entry, so the half
-        is always exact.  Cherry reduction itself never needs that: a cherry
-        has d(x,y) = lambda(x) + lambda(y) even, so its rewrites shift by an
-        even lambda(y) - lambda(x) and the table stays even."""
-        if scaled % 2 == 0:
-            return scaled // 2
-        self.scale *= 2
-        for row in self.rows.values():
-            for z in row:
-                row[z] *= 2
-        for x in self.pendants:
-            self.pendants[x] *= 2
-        self.log[:] = [(c, 2 * lx, 2 * ly) for c, lx, ly in self.log]
-        return scaled
 
 
 def _pendant(x: str, table: _Table) -> int:
@@ -143,7 +133,7 @@ def _pendant(x: str, table: _Table) -> int:
     if best <= 0:
         length = Fraction(best, 2 * table.scale)
         raise NotRealizableError("pendant", f"pendant length at {x} is {length} <= 0")
-    table.pendants[x] = table.half(best)
+    table.pendants[x] = best // 2
     return table.pendants[x]
 
 
@@ -265,7 +255,7 @@ def reconstruct(cover: TripletCover, dist: PartialDistances) -> ReconstructionRe
                 f"three-point formula gives {Fraction(value, 2 * table.scale)} "
                 f"<= 0 at {taxon}",
             )
-        table.pendants[taxon] = table.half(value)
+        table.pendants[taxon] = value // 2
 
     tree = _replay(table, (a, b, c))
     _verify(tree, dist)

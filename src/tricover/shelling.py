@@ -5,7 +5,7 @@ quartet groups x with a and y with b and whose other five pairs are already
 available; the distance d(a,b) is then forced.  Saturating this rule is a
 closure: a step that is valid once stays valid (the available set only
 grows), so the final cord set does not depend on the order in which steps
-are taken.  The order-randomised variant exists to let tests confirm that.
+are taken.
 """
 
 from __future__ import annotations
@@ -13,7 +13,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 from heapq import heappop, heappush
 from itertools import combinations
-from random import Random
 from typing import Iterator
 
 from .covers import (
@@ -52,20 +51,17 @@ class ShellingStep:
     quartet: Quartet
 
 
-def _forced_steps(
-    tree: PhyloTree, cover: TripletCover, rng: Random | None = None
-) -> Iterator[ShellingStep]:
+def _forced_steps(tree: PhyloTree, cover: TripletCover) -> Iterator[ShellingStep]:
     """The closure's forced additions in order, for a verified triplet cover.
 
     A worklist closure: the heap ``ready`` holds every missing cord that has
-    a valid witness now, keyed by the cord, or by a random draw first when
-    ``rng`` is given; a witness stays valid as cords are added, so a cord
+    a valid witness now; a witness stays valid as cords are added, so a cord
     never leaves the heap but by being added.  The least is added with its
-    least valid witness (a random one with ``rng``).  A new cord uv only
-    creates witnesses whose five cords include uv, so only the missing cords
-    through u or v and the pairs inside N(u) & N(v) are tested again, N
-    being the neighbour sets of the cover graph.  A taxon whose every cord
-    is present or queued leaves the ``open_`` mask and is not visited again.
+    least valid witness.  A new cord uv only creates witnesses whose five
+    cords include uv, so only the missing cords through u or v and the pairs
+    inside N(u) & N(v) are tested again, N being the neighbour sets of the
+    cover graph.  A taxon whose every cord is present or queued leaves the
+    ``open_`` mask and is not visited again.
     """
     taxa = cover._taxa
     nbr = list(cover._nbr)  # grows as cords are added; the cover's stays put
@@ -91,9 +87,10 @@ def _forced_steps(
             f"degenerate quartet {taxa[a]},{taxa[b]},{taxa[p]},{taxa[q]}"
         )
 
-    def witnesses(a: int, b: int) -> Iterator[tuple[int, int]]:
-        """Valid witnesses of the missing cord ab, in lexicographic order of
-        the unordered pair, each ordered to pair with (a, b)."""
+    def witness(a: int, b: int) -> tuple[int, int] | None:
+        """The least valid witness of the missing cord ab in lexicographic
+        order of the unordered pair, ordered to pair with (a, b); None if
+        there is none."""
         rest = nbr[a] & nbr[b]
         while rest:
             low = rest & -rest
@@ -106,15 +103,16 @@ def _forced_steps(
                 q = bit.bit_length() - 1
                 side = pairing(a, b, p, q)
                 if side == 1:
-                    yield p, q
-                elif side == 2:
-                    yield q, p
+                    return p, q
+                if side == 2:
+                    return q, p
+        return None
 
     full = (1 << len(taxa)) - 1
     # Bit b of known[a]: b is a, or the cord ab is present or queued.
     known = [m | 1 << a for a, m in enumerate(nbr)]
     open_ = sum(1 << a for a, m in enumerate(known) if m != full)
-    ready: list[tuple[float, int, int]] = []
+    ready: list[tuple[int, int]] = []
 
     def push(a: int, b: int) -> None:
         nonlocal open_
@@ -124,17 +122,14 @@ def _forced_steps(
             open_ &= ~(1 << a)
         if known[b] == full:
             open_ &= ~(1 << b)
-        heappush(ready, (0 if rng is None else rng.random(), min(a, b), max(a, b)))
+        heappush(ready, (a, b) if a < b else (b, a))
 
     for a, b in combinations(range(len(taxa)), 2):
-        if not nbr[a] >> b & 1 and next(witnesses(a, b), None):
+        if not nbr[a] >> b & 1 and witness(a, b):
             push(a, b)
     while ready:
-        _, a, b = heappop(ready)
-        if rng is None:
-            p, q = next(witnesses(a, b))
-        else:
-            p, q = rng.choice(list(witnesses(a, b)))
+        a, b = heappop(ready)
+        p, q = witness(a, b)
         yield ShellingStep(
             (taxa[a], taxa[b]),
             (taxa[p], taxa[q]),
@@ -175,25 +170,24 @@ def _forced_steps(
 
 
 def _closure(
-    tree: PhyloTree, cover: TripletCover, rng: Random | None = None
+    tree: PhyloTree, cover: TripletCover
 ) -> tuple[frozenset[Cord], tuple[ShellingStep, ...]]:
     """:func:`cord_closure` for a cover already known to be a triplet cover."""
-    steps = tuple(_forced_steps(tree, cover, rng))
+    steps = tuple(_forced_steps(tree, cover))
     return cover.cords | {step.cord for step in steps}, steps
 
 
 def cord_closure(
-    tree: PhyloTree, cover: TripletCover, rng: Random | None = None
+    tree: PhyloTree, cover: TripletCover
 ) -> tuple[frozenset[Cord], tuple[ShellingStep, ...]]:
     """Saturate the forced-addition rule; returns the closed cord set and the
     step log (a shelling prefix, the full shelling when closure completes).
 
     Each step adds the least missing cord that has a valid witness, with its
-    least valid witness pair; passing ``rng`` draws both at random instead,
-    which only permutes the log, never changes the final set.
+    least valid witness pair.
     """
     cover_support(tree, cover, "cord closure")
-    return _closure(tree, cover, rng)
+    return _closure(tree, cover)
 
 
 def _shellable(

@@ -55,6 +55,12 @@ def _quote(value) -> str:
     return f"{text[:_QUOTE_MAX]!r}... ({len(text)} characters)"
 
 
+def _brief(text: str) -> str:
+    """A name or literal for an error text: as it is, or for a long one
+    quoted through :func:`_quote`."""
+    return text if len(text) <= _QUOTE_MAX else _quote(text)
+
+
 def exact_rational(value, error: type[Exception] = TreeError) -> Fraction:
     """Exact rational from an int, a Fraction or a string ("7/2", "0.25");
     floats are refused, since the float 0.1 is not 1/10, and so are booleans,
@@ -227,9 +233,6 @@ class PhyloTree:
 
     def neighbors(self, v: int) -> tuple[int, ...]:
         return tuple(sorted(self._adj[v]))
-
-    def degree(self, v: int) -> int:
-        return len(self._adj[v])
 
     def edge_length(self, u: int, v: int) -> Fraction:
         return self._adj[u][v]

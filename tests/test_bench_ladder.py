@@ -12,7 +12,7 @@ def test_ladder_runs_at_n20(tmp_path):
     out = tmp_path / "ladder.json"
     subprocess.run(
         [sys.executable, str(LADDER), "--out", str(out), "--sizes", "20",
-         "--repeats", "1"],
+         "--repeats", "2"],
         check=True, capture_output=True, timeout=120,
     )
     report = json.loads(out.read_text())
@@ -20,3 +20,4 @@ def test_ladder_runs_at_n20(tmp_path):
     for key in ("support_map_s", "minimalize_s", "closure_s", "classify_s",
                 "reconstruct_s", "from_tree_s", "cli_reconstruct_s"):
         assert report["change"][key]["20"] > 0
+        assert report["change"]["spread"][key]["20"] >= 1

@@ -181,20 +181,49 @@ def test_malformed_json_is_one_error_line(fig_files, tmp_path, capsys, case):
 
 
 LONG = "x" * 5000
+MANY = list("abcde") + [f"t{i:03d}" for i in range(300)]
+# case: (file kind, payload, start of the message)
 LONG_ENTRIES = {
-    "cover": {"taxa": list("abcde"), "cords": [["a", LONG, "b"]]},
-    "dist": {"taxa": list("abcde"), "distances": [["a", "b", "2", LONG]]},
-    "witness": {"steps": [{"cord": ["a", LONG, "b"], "witness": ["c", "d"]}]},
+    "cover": ("cover", {"taxa": list("abcde"), "cords": [["a", LONG, "b"]]},
+              "bad cord entry"),
+    "dist": ("dist", {"taxa": list("abcde"), "distances": [["a", "b", "2", LONG]]},
+             "bad distance entry"),
+    "witness": ("witness",
+                {"steps": [{"cord": ["a", LONG, "b"], "witness": ["c", "d"]}]},
+                "bad shelling step"),
+    "cover-foreign-taxon": ("cover", {"taxa": list("abcde"), "cords": [["a", LONG]]},
+                            "cord a,'xxx"),
+    "cover-duplicate-cord": (
+        "cover", {"taxa": [*"abcde", LONG], "cords": [["a", LONG], [LONG, "a"]]},
+        "duplicate cord ['xxx"),
+    "cover-self-cord": ("cover", {"taxa": [*"abcde", LONG], "cords": [[LONG, LONG]]},
+                        "a cord needs two distinct taxa"),
+    "cover-bad-label": ("cover", {"taxa": [*"abcde", LONG + ";"], "cords": []},
+                        "bad taxon label"),
+    "cover-taxa-mismatch": ("cover", {**FIG_COVER, "taxa": [*"abcde", LONG]},
+                            "cover taxa do not match tree taxa: 'xxx"),
+    "cover-many-taxa-mismatch": ("cover", {**FIG_COVER, "taxa": MANY},
+                                 "cover taxa do not match tree taxa: t000 is"),
+    "dist-unknown-taxon": (
+        "dist", {"taxa": list("abcde"), "distances": [["a", LONG, "1"]]},
+        "distance for a,'xxx"),
+    "dist-duplicate": (
+        "dist", {"taxa": [*"abcde", LONG], "distances": [["a", LONG, "1"]] * 2},
+        "duplicate distance for a,'xxx"),
+    "dist-negative": (
+        "dist", {"taxa": list("abcde"), "distances": [["a", "b", "-" + "1" * 1000]]},
+        "distance for a,b must be positive, got '-111"),
 }
 
 
-@pytest.mark.parametrize("kind", sorted(LONG_ENTRIES))
-def test_long_bad_entry_is_one_short_error_line(fig_files, tmp_path, capsys, kind):
-    # The entry was once quoted whole: a 5,029-character line for a cover.
-    payload = json.dumps(LONG_ENTRIES[kind])
-    code, err = run_on_bad_file(fig_files, tmp_path, capsys, kind, payload)
+@pytest.mark.parametrize("case", sorted(LONG_ENTRIES))
+def test_long_bad_entry_is_one_short_error_line(fig_files, tmp_path, capsys, case):
+    # The entry, the taxon name or both taxon sets were once quoted whole: a
+    # 5,029-character line for a bad cover entry.
+    kind, payload, start = LONG_ENTRIES[case]
+    code, err = run_on_bad_file(fig_files, tmp_path, capsys, kind, json.dumps(payload))
     assert code == 1
-    assert err.startswith("error: bad ") and err.count("\n") == 1
+    assert err.startswith(f"error: {start}") and err.count("\n") == 1
     assert len(err) < 200
 
 

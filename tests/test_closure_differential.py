@@ -7,30 +7,24 @@ distances; the first valid (cord, witness) is added.  The worklist closure
 must produce the same ``ShellingStep`` log (cord, witness and quartet) and
 the same closed set.
 
-``reference_forced_steps`` is the worklist kernel as it stood before the
-open-taxon mask and the one-pass hop matrix, kept verbatim apart from its
-name.  The kernel must give the same step log as it, deterministic and
-under ``rng=random.Random(s)``, and take the same number of draws.
+``reference_forced_steps`` (in ``closure_reference``) is the worklist
+kernel as it stood before the open-taxon mask and the one-pass hop matrix.
+The kernel must give the same step log as it, and the closed set of every
+random order it draws.
 """
 
 from __future__ import annotations
 
-import random
-from heapq import heappop, heappush
 from itertools import combinations, islice
-from random import Random
-from typing import Iterator
 
 import pytest
+from closure_reference import random_order_closure, reference_forced_steps
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from tricover import (
     NotTripletCoverError,
-    PhyloTree,
     ShellingStep,
-    TreeError,
-    TripletCover,
     all_cords,
     canonical_cover,
     cord,
@@ -42,7 +36,6 @@ from tricover import (
     seeded_chooser,
     verify_shelling,
 )
-from tricover.covers import _bits
 from tricover.lab import random_binary_tree, random_instances
 
 
@@ -76,95 +69,6 @@ def reference_closure(tree, cover):
         have.add(step.cord)
         steps.append(step)
     return frozenset(have), tuple(steps)
-
-
-def reference_forced_steps(
-    tree: PhyloTree, cover: TripletCover, rng: Random | None = None
-) -> Iterator[ShellingStep]:
-    """The closure's forced additions in order, for a verified triplet cover.
-
-    A worklist closure: the heap ``ready`` holds every missing cord that has
-    a valid witness now, keyed by the cord, or by a random draw first when
-    ``rng`` is given; a witness stays valid as cords are added, so a cord
-    never leaves the heap but by being added.  The least is added with its
-    least valid witness (a random one with ``rng``).  A new cord uv only
-    creates witnesses whose five cords include uv, so only the missing cords
-    through u or v and the pairs inside N(u) & N(v) are tested again, N
-    being the neighbour sets of the cover graph.
-    """
-    taxa = cover._taxa
-    nbr = list(cover._nbr)  # grows as cords are added; the cover's stays put
-    hops = [[0] * len(taxa) for _ in taxa]
-    for i, j in combinations(range(len(taxa)), 2):
-        hops[i][j] = hops[j][i] = tree.hops(taxa[i], taxa[j])
-
-    def pairing(a: int, b: int, p: int, q: int) -> int:
-        """The displayed quartet by the four-point rule on path lengths in
-        edges: 0 for ab|pq, 1 for ap|bq, 2 for aq|bp.  On a binary tree the
-        displayed pairing has the strictly least sum for any positive
-        lengths, unit ones included, so these decide the same quartets as
-        the rational distances."""
-        ab = hops[a][b] + hops[p][q]
-        ap = hops[a][p] + hops[b][q]
-        aq = hops[a][q] + hops[b][p]
-        if ap < ab and ap < aq:
-            return 1
-        if aq < ab and aq < ap:
-            return 2
-        if ab < ap and ab < aq:
-            return 0
-        raise TreeError(
-            f"degenerate quartet {taxa[a]},{taxa[b]},{taxa[p]},{taxa[q]}"
-        )
-
-    def witnesses(a: int, b: int) -> Iterator[tuple[int, int]]:
-        """Valid witnesses of the missing cord ab, in lexicographic order of
-        the unordered pair, each ordered to pair with (a, b)."""
-        common = nbr[a] & nbr[b]
-        for p in _bits(common):
-            for q in _bits(common & nbr[p] & ~((2 << p) - 1)):
-                side = pairing(a, b, p, q)
-                if side == 1:
-                    yield p, q
-                elif side == 2:
-                    yield q, p
-
-    ready: list[tuple[float, int, int]] = []
-    known = list(nbr)  # bit b of known[a]: the cord ab is present or queued
-
-    def push(a: int, b: int) -> None:
-        known[a] |= 1 << b
-        known[b] |= 1 << a
-        heappush(ready, (0 if rng is None else rng.random(), min(a, b), max(a, b)))
-
-    for a, b in combinations(range(len(taxa)), 2):
-        if not nbr[a] >> b & 1 and next(witnesses(a, b), None):
-            push(a, b)
-    while ready:
-        _, a, b = heappop(ready)
-        if rng is None:
-            p, q = next(witnesses(a, b))
-        else:
-            p, q = rng.choice(list(witnesses(a, b)))
-        yield ShellingStep(
-            (taxa[a], taxa[b]),
-            (taxa[p], taxa[q]),
-            make_quartet((taxa[a], taxa[p]), (taxa[b], taxa[q])),
-        )
-        nbr[a] |= 1 << b
-        nbr[b] |= 1 << a
-        both = nbr[a] & nbr[b]
-        for u, v in ((a, b), (b, a)):
-            # Unqueued missing cords uc whose new witnesses are pairs {v, w}.
-            for c in _bits(nbr[v] & ~known[u] & ~(1 << u)):
-                if any(pairing(u, c, v, w) for w in _bits(both & nbr[c])):
-                    push(u, c)
-        # Unqueued missing cords cd whose new witness is the pair {a, b}.
-        for c in _bits(both):
-            for d in _bits(both & ~known[c] & ~((2 << c) - 1)):
-                if pairing(c, d, a, b):
-                    push(c, d)
-
 
 
 def assert_same_log(tree, cover):
@@ -214,10 +118,11 @@ def test_agrees_on_hypothesis_covers(n, tree_seed, chooser_seed, extra, minimal)
 def test_random_orders_reach_the_same_set(n):
     tree = random_binary_tree(n, 900 + n)
     cover = minimalize(tree, canonical_cover(tree, seeded_chooser(n)))
-    baseline, _ = reference_closure(tree, cover)
+    baseline, _ = cord_closure(tree, cover)
+    assert baseline == reference_closure(tree, cover)[0]
     orders = set()
     for seed in range(5):
-        closed, steps = cord_closure(tree, cover, rng=random.Random(seed))
+        closed, steps = random_order_closure(tree, cover, seed)
         assert closed == baseline
         if closed == all_cords(tree.taxa):
             verify_shelling(tree, cover, steps)
@@ -226,15 +131,9 @@ def test_random_orders_reach_the_same_set(n):
 
 
 def assert_same_kernel_logs(tree, cover):
-    """The kernel and the reference give equal logs, deterministic and for
-    five seeded orders, and draw equally often."""
+    """The kernel and the reference give equal step logs."""
     _, steps = cord_closure(tree, cover)
     assert steps == tuple(reference_forced_steps(tree, cover))
-    for seed in range(5):
-        rng, ref_rng = random.Random(seed), random.Random(seed)
-        _, steps = cord_closure(tree, cover, rng=rng)
-        assert steps == tuple(reference_forced_steps(tree, cover, ref_rng))
-        assert rng.getstate() == ref_rng.getstate()
     return steps
 
 
@@ -257,6 +156,8 @@ def test_kernel_agrees_with_reference_on_chooser_and_minimalized_covers(n):
 
 @pytest.mark.parametrize("n", [8, 16, 24])
 def test_kernel_agrees_with_reference_in_random_orders(n):
+    # The pool whose random orders test_random_orders_reach_the_same_set
+    # draws from the reference.
     tree = random_binary_tree(n, 900 + n)
     cover = minimalize(tree, canonical_cover(tree, seeded_chooser(n)))
     assert assert_same_kernel_logs(tree, cover)

@@ -609,32 +609,6 @@ def test_agrees_on_large_denominators(n, tree_seed, chooser_seed, lengths, overr
     assert_same(cover, PartialDistances(cover.taxa, values))
 
 
-def test_odd_half_doubles_the_scale():
-    # A hand-built table at scale 2 holding d = 3/2 on each cord of a
-    # triangle: the pendant's sum 3 + 3 - 3 is odd, so the scale doubles
-    # before halving, and every stored entry keeps its value.
-    cover = TripletCover.make("abc", [("a", "b"), ("a", "c"), ("b", "c")])
-    dist = PartialDistances.make("abc", dict.fromkeys(sorted(cover.cords), 1))
-    table = reconstruct_module._Table(cover, dist)
-    table.scale = 2
-    table.rows = {"a": {"b": 3, "c": 3}, "b": {"a": 3, "c": 3}, "c": {"a": 3, "b": 3}}
-    table.pendants = {"b": 1}
-    table.log = [(("b", "d"), 1, 5)]
-    scaled = reconstruct_module._pendant("a", table)
-    assert table.scale == 4
-    assert scaled == table.pendants["a"] == 3
-    halves = PartialDistances(cover.taxa, dict.fromkeys(cover.cords, Fraction(3, 2)))
-    assert table.value(scaled) == ref_pendant_length("a", cover, halves)
-    assert table.rows == {
-        "a": {"b": 6, "c": 6}, "b": {"a": 6, "c": 6}, "c": {"a": 6, "b": 6}
-    }
-    assert table.pendants == {"a": 3, "b": 2}
-    assert table.log == [(("b", "d"), 2, 10)]
-    # An even sum halves at the same scale.
-    assert reconstruct_module._pendant("b", table) == 3
-    assert table.scale == 4
-
-
 @pytest.mark.parametrize("n", [3, 4, 9, 30, 64])
 def test_scaled_distances_match_path_sums(n):
     shape = random_binary_tree(n, 77 + n)

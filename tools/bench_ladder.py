@@ -18,7 +18,8 @@ rows on the minimal one.  Every run of the cover layers gets a fresh, equal
 cover, so any per-cover index is built inside the timed call.  Each side
 runs in ``--repeats`` fresh processes, the sides taking turns, and each
 process times every number ``--repeats`` times; the file keeps the minimum,
-in seconds.  The CLI time is the wall time of one ``python -m tricover
+in seconds, and under ``spread`` the ratio of the greatest to the least
+per-process minimum, so that each file states its own noise.  The CLI time is the wall time of one ``python -m tricover
 reconstruct`` process on the input's JSON files.  ``--parent REF`` extracts
 that commit with ``git archive`` into a temporary directory and measures it
 the same way.  Stdlib only.
@@ -128,24 +129,32 @@ def extract(ref: str, checkout: Path) -> Path:
 def measure_sides(sides: dict[str, Path], sizes: list[int], repeats: int) -> dict:
     """Measure each side in ``repeats`` fresh children, the sides taking turns
     to go first, and keep the minimum of every number; a noisy spell then
-    slows one child of each side rather than one whole side."""
+    slows one child of each side rather than one whole side.  Under
+    ``spread`` each side also keeps, for every number, its greatest
+    per-child minimum over its least: the noise that the minimum hides."""
     runs: dict[str, list[dict]] = {name: [] for name in sides}
     order = list(sides)
     for _ in range(repeats):
         for name in order:
             runs[name].append(run_side(sides[name], sizes, repeats))
         order.reverse()
-    return {
-        name: {key: {n: min(run[key][n] for run in done) for n in done[0][key]}
-               for key in done[0]}
-        for name, done in runs.items()
-    }
+    measured = {}
+    for name, done in runs.items():
+        rows = {key: {n: [run[key][n] for run in done] for n in done[0][key]}
+                for key in done[0]}
+        measured[name] = {key: {n: min(t) for n, t in row.items()}
+                          for key, row in rows.items()}
+        measured[name]["spread"] = {
+            key: {n: round(max(t) / min(t), 2) for n, t in row.items()}
+            for key, row in rows.items()
+        }
+    return measured
 
 
 def speedups(parent: dict, change: dict) -> dict:
     return {
         key: {n: round(parent[key][n] / change[key][n], 2) for n in change[key]}
-        for key in change
+        for key in change if key != "spread"
     }
 
 
@@ -169,7 +178,8 @@ def main(argv=None) -> int:
         f"seeded_chooser({SEED})) for support_map and minimalize, minimalized "
         f"for cord_closure (n <= {CLOSURE_MAX}), classify (n <= {CLASSIFY_MAX}) "
         "and PartialDistances.from_tree",
-        "unit": "s, min over repeats processes of repeats runs each",
+        "unit": "s, min over repeats processes of repeats runs each; spread: "
+        "max/min of the per-process minima",
         "repeats": args.repeats,
         "sizes": args.sizes,
         "machine": f"Python {platform.python_version()}, {os.cpu_count()} CPUs",
