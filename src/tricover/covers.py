@@ -105,7 +105,7 @@ class TripletCover:
     def multiplicity(self, x: str) -> int:
         """Number of cords containing x: its degree in the cover graph."""
         if x not in self.taxa:
-            raise CoverError(f"unknown taxon {x!r}")
+            raise CoverError(f"unknown taxon {_quote(x)}")
         return self._nbr[self._taxa.index(x)].bit_count()
 
     def min_multiplicity(self) -> int:
@@ -238,19 +238,33 @@ def minimalize(tree: PhyloTree, cover: TripletCover) -> TripletCover:
     triplet cover.  One ordered pass suffices: covering is monotone, so a
     cord that survives its own trial can never become removable later.
 
-    Each vertex keeps its live support (the triples avoiding every dropped
-    cord); a cord drops when no live support would become empty.
+    A triple is live while none of its cords has been dropped.  From the one
+    support map come a live count per vertex and, per cord, the (vertex,
+    triple) entries holding it.  A cord's trial takes its live entries off
+    their vertices' counts.  If every count stays above 0 the cord drops and
+    those triples die; otherwise the counts are put back.  Each cord is
+    tried once and each entry belongs to one cord, so the pass is linear in
+    the support map.
     """
-    live = cover_support(tree, cover, "minimalize")
+    support = cover_support(tree, cover, "minimalize")
+    live = {v: len(triples) for v, triples in support.items()}
+    holders: dict[Cord, list[tuple[int, Triple]]] = {}
+    for v, triples in support.items():
+        for t in triples:
+            for pair in combinations(t, 2):
+                holders.setdefault(pair, []).append((v, t))
+    dead: set[Triple] = set()
     kept = set(cover.cords)
-    for a, b in sorted(cover.cords):
-        trial = {
-            v: [t for t in triples if a not in t or b not in t]
-            for v, triples in live.items()
-        }
-        if all(trial.values()):
-            live = trial
-            kept.remove((a, b))
+    for c in sorted(cover.cords):
+        entries = [(v, t) for v, t in holders.get(c, ()) if t not in dead]
+        for v, _ in entries:
+            live[v] -= 1
+        if all(live[v] for v, _ in entries):
+            dead.update(t for _, t in entries)
+            kept.remove(c)
+        else:
+            for v, _ in entries:
+                live[v] += 1
     return TripletCover(cover.taxa, frozenset(kept))
 
 

@@ -20,7 +20,7 @@ from fractions import Fraction
 from itertools import count
 
 from .errors import NewickError
-from .tree import PhyloTree
+from .tree import PhyloTree, _quote
 
 _LABEL_RE = re.compile(r"[^\s(),:;]+")
 _LENGTH_RE = re.compile(r"[0-9]+/[0-9]+|[0-9]+(\.[0-9]+)?")
@@ -54,11 +54,11 @@ class _Parser:
         try:
             value = Fraction(token)
         except ZeroDivisionError:
-            self.fail(f"zero denominator in length literal {token!r}")
+            self.fail(f"zero denominator in length literal {_quote(token)}")
         except ValueError as exc:  # more digits than int() reads
             self.fail(f"unreadable branch length: {exc}")
         if value <= 0:
-            self.fail(f"non-positive branch length {token!r}")
+            self.fail(f"non-positive branch length {_quote(token)}")
         self.pos = match.end()
         return value
 
@@ -70,7 +70,7 @@ class _Parser:
         self.pos = match.end()
         self.skip_ws()
         if self.peek() != ":":
-            self.fail(f"missing branch length after leaf {label!r}")
+            self.fail(f"missing branch length after leaf {_quote(label)}")
         self.pos += 1
         self.skip_ws()
         return label, self.parse_length()

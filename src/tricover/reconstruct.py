@@ -178,7 +178,7 @@ def pendant_length(x: str, cover: TripletCover, dist: PartialDistances) -> Fract
     whose three cords are all present; equals the pendant edge length at x
     whenever the distances come from a tree covered by the cord set."""
     if x not in cover.taxa:
-        raise CoverError(f"unknown taxon {x!r}")
+        raise CoverError(f"unknown taxon {_quote(x)}")
     table = _Table(cover, dist)
     return table.value(_pendant(x, table))
 

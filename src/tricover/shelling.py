@@ -35,7 +35,7 @@ from .errors import (
     TreeError,
     WitnessError,
 )
-from .tree import PhyloTree, Quartet, make_quartet
+from .tree import PhyloTree, Quartet, _brief, _quote_each, make_quartet
 
 AMPLE_TRIPLE_CAP = 16
 SECTION_ENUM_LIMIT = 10_000
@@ -224,29 +224,39 @@ def verify_shelling(tree: PhyloTree, cover: TripletCover, steps) -> None:
         a, b = step.cord
         x, y = step.witness
         if step.cord not in universe:
-            raise WitnessError(f"step {i}: {step.cord} is not a pair over the taxa")
+            raise WitnessError(
+                f"step {i}: {_quote_each(step.cord)} is not a pair over the taxa"
+            )
         if step.cord in available:
-            raise WitnessError(f"step {i}: cord {step.cord} already available")
+            raise WitnessError(
+                f"step {i}: cord {_quote_each(step.cord)} already available"
+            )
         if len({a, b, x, y}) != 4:
-            raise WitnessError(f"step {i}: witness {step.witness} overlaps the cord")
+            raise WitnessError(
+                f"step {i}: witness {_quote_each(step.witness)} overlaps the cord"
+            )
         needed = (cord(a, x), cord(a, y), cord(b, x), cord(b, y), cord(x, y))
         missing = [c for c in needed if c not in available]
         if missing:
-            raise WitnessError(f"step {i}: required cords {missing} not yet available")
+            raise WitnessError(
+                f"step {i}: required cords {_quote_each(missing)} not yet available"
+            )
         displayed = tree.quartet_topology(a, b, x, y)
         if displayed != make_quartet((x, a), (y, b)):
             raise WitnessError(
-                f"step {i}: tree displays {displayed}, "
-                f"which does not pair {x} with {a} and {y} with {b}"
+                f"step {i}: tree displays {_quote_each(displayed)}, which does not "
+                f"pair {_brief(x)} with {_brief(a)} and {_brief(y)} with {_brief(b)}"
             )
         if step.quartet != displayed:
             raise WitnessError(
-                f"step {i}: recorded quartet {step.quartet} differs from {displayed}"
+                f"step {i}: recorded quartet {_quote_each(step.quartet)} "
+                f"differs from {_quote_each(displayed)}"
             )
         available.add(step.cord)
     if available != universe:
         raise WitnessError(
-            f"witness incomplete: {sorted(universe - available)} never added"
+            f"witness incomplete: {_quote_each(sorted(universe - available))} "
+            "never added"
         )
 
 

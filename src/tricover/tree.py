@@ -61,6 +61,18 @@ def _brief(text: str) -> str:
     return text if len(text) <= _QUOTE_MAX else _quote(text)
 
 
+def _quote_each(value) -> str:
+    """The repr of a name, or of a tuple or list of them nested to any depth,
+    with each name quoted through :func:`_quote`: short names read exactly
+    as in the repr."""
+    if isinstance(value, (tuple, list)):
+        inner = ", ".join(map(_quote_each, value))
+        if isinstance(value, list):
+            return f"[{inner}]"
+        return f"({inner},)" if len(value) == 1 else f"({inner})"
+    return _quote(value)
+
+
 def exact_rational(value, error: type[Exception] = TreeError) -> Fraction:
     """Exact rational from an int, a Fraction or a string ("7/2", "0.25");
     floats are refused, since the float 0.1 is not 1/10, and so are booleans,
@@ -157,7 +169,7 @@ class PhyloTree:
                 raise TreeError(f"self-loop at vertex {u}")
             q = exact_rational(length)
             if q <= 0:
-                raise TreeError(f"non-positive edge length {length!r}")
+                raise TreeError(f"non-positive edge length {_quote(length)}")
             adj.setdefault(u, {})
             adj.setdefault(v, {})
             if v in adj[u]:
@@ -182,7 +194,7 @@ class PhyloTree:
                 raise TreeError(f"interior vertex {v} has degree {len(nbrs)}, want 3")
         for label in leaf_labels.values():
             if not is_valid_label(label):
-                raise TreeError(f"bad taxon label {label!r}")
+                raise TreeError(f"bad taxon label {_quote(label)}")
         if len(set(leaf_labels.values())) != len(leaf_labels):
             dupes = sorted(
                 lab
@@ -244,7 +256,7 @@ class PhyloTree:
         try:
             return self._label_leaf[taxon]
         except KeyError:
-            raise TreeError(f"unknown taxon {taxon!r}") from None
+            raise TreeError(f"unknown taxon {_quote(taxon)}") from None
 
     def label(self, v: int) -> str:
         return self._leaf_label[v]

@@ -156,11 +156,17 @@ MALFORMED_FILES = {
 
 def run_on_bad_file(fig_files, tmp_path, capsys, kind, text):
     """Run the command that reads a ``kind`` file on ``text``; the exit code
-    and stderr."""
+    and stderr.  A "tree" file goes to ``analyze``; a "long-witness" file to
+    ``verify-shelling`` on the figure with taxon e renamed to ``LONG``."""
     tree_path, cover_path = fig_files
     bad = tmp_path / "bad.json"
     bad.write_text(text)
-    if kind == "cover":
+    if kind == "long-witness":
+        tree_path.write_text(FIG_NEWICK.replace("e:", f"{LONG}:"))
+        cover_path.write_text(json.dumps(LONG_COVER))
+    if kind == "tree":
+        argv = ["analyze", "--tree", str(bad), "--cover", str(cover_path)]
+    elif kind == "cover":
         argv = ["analyze", "--tree", str(tree_path), "--cover", str(bad)]
     elif kind == "dist":
         argv = ["reconstruct", "--cover", str(cover_path), "--dist", str(bad),
@@ -182,6 +188,17 @@ def test_malformed_json_is_one_error_line(fig_files, tmp_path, capsys, case):
 
 LONG = "x" * 5000
 MANY = list("abcde") + [f"t{i:03d}" for i in range(300)]
+# The figure's cover with taxon e renamed to LONG.
+LONG_COVER = {
+    "taxa": [*"abcd", LONG],
+    "cords": [[LONG if t == "e" else t for t in c] for c in FIG_COVER["cords"]],
+}
+
+
+def step(cord, witness, quartet):
+    return {"cord": cord, "witness": witness, "quartet": quartet}
+
+
 # case: (file kind, payload, start of the message)
 LONG_ENTRIES = {
     "cover": ("cover", {"taxa": list("abcde"), "cords": [["a", LONG, "b"]]},
@@ -213,18 +230,74 @@ LONG_ENTRIES = {
     "dist-negative": (
         "dist", {"taxa": list("abcde"), "distances": [["a", "b", "-" + "1" * 1000]]},
         "distance for a,b must be positive, got '-111"),
+    "tree-missing-length": (
+        "tree", FIG_NEWICK.replace("e:1", LONG),
+        "missing branch length after leaf 'xxx"),
+    "tree-zero-denominator": (
+        "tree", FIG_NEWICK.replace("d:1", "d:1/" + "0" * 3000),
+        "zero denominator in length literal '1/000"),
+    "tree-non-positive-length": (
+        "tree", FIG_NEWICK.replace("d:1", "d:" + "0" * 3000),
+        "non-positive branch length '000"),
 }
 
 
 @pytest.mark.parametrize("case", sorted(LONG_ENTRIES))
 def test_long_bad_entry_is_one_short_error_line(fig_files, tmp_path, capsys, case):
     # The entry, the taxon name or both taxon sets were once quoted whole: a
-    # 5,029-character line for a bad cover entry.
+    # 5,029-character line for a bad cover entry.  A tree case's payload is
+    # the Newick text itself.
     kind, payload, start = LONG_ENTRIES[case]
-    code, err = run_on_bad_file(fig_files, tmp_path, capsys, kind, json.dumps(payload))
+    text = payload if kind == "tree" else json.dumps(payload)
+    code, err = run_on_bad_file(fig_files, tmp_path, capsys, kind, text)
     assert code == 1
     assert err.startswith(f"error: {start}") and err.count("\n") == 1
     assert len(err) < 200
+
+
+# case: (file kind, payload, start of the rejection), each a well-formed
+# witness that verify-shelling rejects
+LONG_WITNESSES = {
+    "witness-foreign-cord": (
+        "witness",
+        {"steps": [step(["a", LONG], ["b", "c"], [["a", "b"], ["c", LONG]])]},
+        "step 0: ('a', 'xxx"),
+    "witness-overlap": (
+        "witness", {"steps": [step(["a", "d"], ["a", LONG], [["a", "b"], ["c", "d"]])]},
+        "step 0: witness ('a', 'xxx"),
+    "witness-already-available": (
+        "long-witness",
+        {"steps": [step(["c", LONG], ["a", "b"], [["a", "b"], ["c", "d"]])]},
+        "step 0: cord ('c', 'xxx"),
+    "witness-required-cords": (
+        "long-witness",
+        {"steps": [step(["a", "d"], ["c", LONG], [["a", "c"], ["d", LONG]])]},
+        "step 0: required cords [('a', 'xxx"),
+    "witness-tree-displays": (
+        "long-witness",
+        {"steps": [step(["a", LONG], ["c", "b"], [["a", "b"], ["c", LONG]])]},
+        "step 0: tree displays (('a', 'b'), ('c', 'xxx"),
+    "witness-recorded-quartet": (
+        "long-witness",
+        {"steps": [step(["a", LONG], ["b", "c"], [["a", "c"], ["b", LONG]])]},
+        "step 0: recorded quartet (('a', 'c'), ('b', 'xxx"),
+    "witness-incomplete": (
+        "long-witness", {"steps": []},
+        "witness incomplete: [('a', 'd'), ('a', 'xxx"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(LONG_WITNESSES))
+def test_long_rejected_witness_is_one_short_line(fig_files, tmp_path, capsys, case):
+    # Each rejection once printed the whole cord, witness, quartet or missing
+    # cords: a 5,083-character line for the required cords.  The quartet
+    # texts name the long taxon twice, so the bound is per quoted name.
+    kind, payload, start = LONG_WITNESSES[case]
+    code, err = run_on_bad_file(fig_files, tmp_path, capsys, kind, json.dumps(payload))
+    assert code == 2
+    assert err.startswith(f"witness rejected: {start}") and err.count("\n") == 1
+    quotes = err.count("... (5000 characters)")
+    assert quotes >= 1 and len(err) < 100 + 80 * quotes
 
 
 @pytest.mark.parametrize("kind", ["cover", "dist", "witness"])

@@ -4,7 +4,9 @@
 a cord is required when it lies in every supporting triple of some vertex.
 The reference implementations below are the definition taken literally:
 remove one cord, rerun the full cover test, repeat.  Verdicts and resulting
-cord sets must agree exactly.
+cord sets must agree exactly.  That reference is too slow above n = 64, so
+the large covers are checked against ``reference_trial_minimalize``, the
+earlier pass that rebuilt every vertex's live support at each cord's trial.
 """
 
 from itertools import islice
@@ -16,6 +18,7 @@ from hypothesis import strategies as st
 from tricover import (
     NotTripletCoverError,
     PhyloTree,
+    TripletCover,
     all_cords,
     canonical_cover,
     is_minimal,
@@ -24,6 +27,7 @@ from tricover import (
     seeded_chooser,
 )
 from tricover import cli, covers, lab, report, shelling
+from tricover.covers import cover_support
 from tricover.lab import random_binary_tree, random_instances
 
 
@@ -44,6 +48,20 @@ def reference_minimalize(tree, cover):
         if is_triplet_cover(tree, candidate):
             current = candidate
     return current
+
+
+def reference_trial_minimalize(tree, cover):
+    live = cover_support(tree, cover, "minimalize")
+    kept = set(cover.cords)
+    for a, b in sorted(cover.cords):
+        trial = {
+            v: [t for t in triples if a not in t or b not in t]
+            for v, triples in live.items()
+        }
+        if all(trial.values()):
+            live = trial
+            kept.remove((a, b))
+    return TripletCover(cover.taxa, frozenset(kept))
 
 
 def assert_agree(tree, cover):
@@ -72,6 +90,21 @@ def test_agrees_on_seeded_chooser_covers(n):
         tree = random_binary_tree(n, seed)
         cover = canonical_cover(tree, seeded_chooser(seed))
         assert_agree(tree, cover)
+
+
+@pytest.mark.parametrize("n", [80, 96, 160, 320])
+def test_live_counts_agree_with_trial_pass(n):
+    # Chooser covers, and the same covers grown by a second chooser cover so
+    # that many more cords are tried and many more triples die.
+    for seed in range(2):
+        tree = random_binary_tree(n, seed)
+        cover = canonical_cover(tree, seeded_chooser(seed))
+        second = canonical_cover(tree, seeded_chooser(seed + 100))
+        grown = cover.add_cords(second.cords)
+        for candidate in (cover, grown):
+            result = minimalize(tree, candidate)
+            assert result.cords == reference_trial_minimalize(tree, candidate).cords
+            assert is_minimal(tree, result)
 
 
 @settings(max_examples=60, deadline=None)

@@ -34,6 +34,7 @@ from tricover import (
 )
 from tricover.jsonio import tree_to_json
 from tricover.lab import enumerate_binary_trees, random_binary_tree
+from tricover.reconstruct import pendant_length
 from tricover.tree import exact_rational, make_quartet, quartet_from_distances
 
 
@@ -340,6 +341,40 @@ def test_long_bad_literal_gives_a_short_error(raw):
     assert text.startswith("bad rational ") and len(text) < 300
     assert f"... ({len(raw if isinstance(raw, str) else repr(raw))} characters)" in text
 
+
+
+def star(length="1", label="c"):
+    edges = [(0, 1, "1"), (0, 2, "1"), (0, 3, length)]
+    return PhyloTree(edges, {1: "a", 2: "b", 3: label})
+
+
+# case: (call on the figure's tree, cover and distances and a name, a short
+# and a long bad name, start of the message)
+NAME_ERRORS = {
+    "edge length": (lambda fig, x: star(length=x), "-1", "-" + "1" * 1000,
+                    "non-positive edge length"),
+    "label": (lambda fig, x: star(label=x), "z;", "x" * 5000 + ";", "bad taxon label"),
+    "leaf": (lambda fig, x: fig[0].leaf(x), "z", "x" * 5000, "unknown taxon"),
+    "multiplicity": (lambda fig, x: fig[1].multiplicity(x), "z", "x" * 5000,
+                     "unknown taxon"),
+    "pendant": (lambda fig, x: pendant_length(x, fig[1], fig[2]), "z", "x" * 5000,
+                "unknown taxon"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(NAME_ERRORS))
+def test_long_bad_name_gives_a_short_error(case, fig_tree, fig_cover, fig_dist):
+    # A short name reads as its repr; a long one was once quoted whole.
+    call, short, long, start = NAME_ERRORS[case]
+    fig = (fig_tree, fig_cover, fig_dist)
+    with pytest.raises((TreeError, CoverError)) as info:
+        call(fig, short)
+    assert str(info.value) == f"{start} {short!r}"
+    with pytest.raises((TreeError, CoverError)) as info:
+        call(fig, long)
+    text = str(info.value)
+    assert text.startswith(f"{start} {long[:40]!r}... ({len(long)} characters)")
+    assert len(text) < 120
 
 def test_disconnected_graph_with_a_cycle_is_refused():
     # Nine edges on ten vertices, every degree 1 or 3: only the walk from
