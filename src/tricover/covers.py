@@ -166,12 +166,23 @@ def _refuse_cord(cords: frozenset[Cord], index: dict[str, int]):
 
 def support_map(tree: PhyloTree, cover: TripletCover) -> SupportMap:
     """The support of every interior vertex: all triples, one leaf per
-    component of the tree minus the vertex, whose three pairs are cords."""
+    component of the tree minus the vertex, whose three pairs are cords.
+
+    At each vertex the search walks the leaves a of its smallest component,
+    then b over a's cords into the second and c over the cords shared by a
+    and b into the third.  :func:`make_triple` sorts each triple, so the
+    order of the components does not change the map.  The walk costs the sum
+    over the vertices of min(|A|, |B|, |C|), plus the cords and triples
+    found, where walking one fixed component costs about n^2.  That sum is
+    at most n log2(n): the smallest component is no larger than the smaller
+    of the two below, and a leaf lies in the smaller one below a vertex at
+    most log2(n) times, as the leaves below at least double each time.
+    """
     _check_same_taxa(tree, cover)
     taxa, nbr = cover._taxa, cover._nbr
     result: SupportMap = {}
     for v in tree.interior_vertices():
-        comp_a, comp_b, comp_c = tree._component_masks(v)
+        comp_a, comp_b, comp_c = sorted(tree._component_masks(v), key=int.bit_count)
         result[v] = frozenset(
             make_triple(taxa[a], taxa[b], taxa[c])
             for a in _bits(comp_a)

@@ -39,6 +39,8 @@ from .tree import PhyloTree, Quartet, _brief, _quote_each, make_quartet
 
 AMPLE_TRIPLE_CAP = 16
 SECTION_ENUM_LIMIT = 10_000
+# A "witness incomplete" text names at most this many missing pairs.
+MISSING_PAIRS_SHOWN = 10
 
 
 @dataclass(frozen=True)
@@ -254,9 +256,13 @@ def verify_shelling(tree: PhyloTree, cover: TripletCover, steps) -> None:
             )
         available.add(step.cord)
     if available != universe:
+        missing = sorted(universe - available)
+        if len(missing) <= MISSING_PAIRS_SHOWN:
+            raise WitnessError(f"witness incomplete: {_quote_each(missing)} never added")
+        shown = _quote_each(missing[:MISSING_PAIRS_SHOWN])[:-1]
         raise WitnessError(
-            f"witness incomplete: {_quote_each(sorted(universe - available))} "
-            "never added"
+            f"witness incomplete: {shown}, ...] never added "
+            f"({len(missing)} pairs missing in all)"
         )
 
 

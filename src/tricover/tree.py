@@ -407,15 +407,25 @@ class PhyloTree:
         """Label-preserving isomorphism, i.e. equal split sets.
 
         With ``compare_lengths``, the edge lengths behind matching splits must
-        agree exactly as well.
+        agree exactly as well.  Both trees' indexes give bit i to the i-th
+        sorted taxon and hang from the least taxon's leaf, so once the taxa
+        match, the leaf mask below an edge names its split: the trees are
+        compared as maps from those masks to edge lengths.
         """
         if self.taxa != other.taxa:
             raise TreeError(
                 f"taxon sets differ: {sorted(self.taxa)} vs {sorted(other.taxa)}"
             )
+        mine, theirs = self._edge_masks(), other._edge_masks()
         if compare_lengths:
-            return self.split_lengths() == other.split_lengths()
-        return self.splits() == other.splits()
+            return mine == theirs
+        return mine.keys() == theirs.keys()
+
+    def _edge_masks(self) -> dict[int, Fraction]:
+        """The leaf mask below each edge (the side without the least taxon),
+        mapped to the edge's length."""
+        index = self._index
+        return {index.mask[v]: self._adj[v][index.parent[v]] for v in index.order[1:]}
 
     # -- derived trees -----------------------------------------------------
 

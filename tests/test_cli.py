@@ -300,6 +300,28 @@ def test_long_rejected_witness_is_one_short_line(fig_files, tmp_path, capsys, ca
     assert quotes >= 1 and len(err) < 100 + 80 * quotes
 
 
+def test_incomplete_witness_is_one_bounded_line(tmp_path, capsys):
+    # An empty witness leaves every pair outside the cover missing; the
+    # text once listed them all (747,153 characters for a random cover at
+    # n = 300).  Now it names the first ten and the count.
+    out_dir = tmp_path / "inst"
+    assert main(["generate", "--n", "60", "--seed", "1", "--cover-policy", "random",
+                 "--out-dir", str(out_dir)]) == 0
+    cover = jsonio.load_cover(out_dir / "cover.json")
+    missing = 60 * 59 // 2 - len(cover.cords)
+    witness = tmp_path / "witness.json"
+    witness.write_text(json.dumps({"steps": []}))
+    capsys.readouterr()
+    code = main(["verify-shelling", "--tree", str(out_dir / "tree.nwk"),
+                 "--cover", str(out_dir / "cover.json"), "--witness", str(witness)])
+    err = capsys.readouterr().err
+    assert code == 2 and missing > 10
+    assert err.startswith("witness rejected: witness incomplete: [(")
+    assert err.endswith(f", ...] never added ({missing} pairs missing in all)\n")
+    assert err.count("\n") == 1 and err.count("), (") == 9
+    assert len(err) < 250
+
+
 @pytest.mark.parametrize("kind", ["cover", "dist", "witness"])
 def test_deeply_nested_json_is_one_error_line(fig_files, tmp_path, capsys, kind):
     # Written as raw text: json.dumps cannot nest this deep.  The decoder's

@@ -129,6 +129,27 @@ def test_verifier_rejects_bad_witnesses(fig_tree, fig_cover):
         )
 
 
+@pytest.mark.parametrize("left", [1, 9, 10, 11, 12, "all"])
+def test_incomplete_witness_names_at_most_ten_pairs(left):
+    # A witness cut short leaves pairs missing.  Up to ten are listed as
+    # they always were; a longer list names the first ten and the count.
+    tree = random_binary_tree(12, 3)
+    cover = minimalize(tree, canonical_cover(tree, seeded_chooser(3)))
+    shellable, steps = is_shellable(tree, cover)
+    assert shellable and len(steps) > 12
+    kept = () if left == "all" else steps[: len(steps) - left]
+    missing = sorted({step.cord for step in steps[len(kept):]})
+    with pytest.raises(WitnessError) as info:
+        verify_shelling(tree, cover, kept)
+    if len(missing) <= 10:
+        assert str(info.value) == f"witness incomplete: {missing!r} never added"
+    else:
+        assert str(info.value) == (
+            f"witness incomplete: {missing[:10]!r}"[:-1]
+            + f", ...] never added ({len(missing)} pairs missing in all)"
+        )
+
+
 def test_closure_confluence_randomized(fig_tree, fig_cover):
     baseline, _ = cord_closure(fig_tree, fig_cover)
     for seed in range(10):

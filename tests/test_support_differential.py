@@ -1,8 +1,8 @@
 """The neighbour-mask support search, checked against the string search.
 
-``support_map`` walks the leaf bits of each component of the tree minus a
-vertex through per-taxon neighbour masks, and ``is_triplet_cover`` reads that
-map.  The references below are the earlier implementation: sorted taxon
+``support_map`` walks the leaf bits of the smallest component of the tree
+minus each vertex, then the other two through per-taxon neighbour masks, and
+``is_triplet_cover`` reads that map.  The references below are the earlier implementation: sorted taxon
 components, one ``cord`` lookup per pair, and a cover test that stops at the
 first supporting triple of each vertex.  Support maps and verdicts must agree
 exactly, on covers and on cord sets that are not covers.
@@ -23,6 +23,7 @@ from tricover import (
     is_triplet_cover,
     make_triple,
     minimalize,
+    parse_newick,
     seeded_chooser,
     support_map,
 )
@@ -82,14 +83,56 @@ def test_agrees_on_acceptance_pool():
     assert 0 < verdicts.count(False) < 300
 
 
-@pytest.mark.parametrize("n", list(range(4, 25)) + [32, 40, 48, 64])
+def assert_agree_on_chooser_covers(tree, seed):
+    """The seed's chooser cover, it minimalized, and it grown by another."""
+    cover = canonical_cover(tree, seeded_chooser(seed))
+    grown = cover.add_cords(canonical_cover(tree, seeded_chooser(seed + 7)).cords)
+    for candidate in (cover, minimalize(tree, cover), grown):
+        assert assert_agree(tree, candidate)
+
+
+@pytest.mark.parametrize("n", list(range(4, 25)) + [32, 40, 48, 64, 96, 160])
 def test_agrees_on_chooser_minimalized_and_grown_covers(n):
     for seed in range(2):
-        tree = random_binary_tree(n, seed)
-        cover = canonical_cover(tree, seeded_chooser(seed))
-        grown = cover.add_cords(canonical_cover(tree, seeded_chooser(seed + 7)).cords)
-        for candidate in (cover, minimalize(tree, cover), grown):
-            assert assert_agree(tree, candidate)
+        assert_agree_on_chooser_covers(random_binary_tree(n, seed), seed)
+
+
+def caterpillar(names):
+    text = f"{names[0]}:1"
+    for name in names[1:-1]:
+        text = f"({text},{name}:1):1"
+    return f"({text},{names[-1]}:1);"
+
+
+def balanced(names):
+    def side(part):
+        if len(part) == 1:
+            return f"{part[0]}:1"
+        half = len(part) // 2
+        return f"({side(part[:half])},{side(part[half:])}):1"
+
+    half = len(names) // 2
+    return f"({side(names[:half])},{side(names[half:])});"
+
+
+@pytest.mark.parametrize("shape", [caterpillar, balanced])
+@pytest.mark.parametrize("n", [32, 64])
+@pytest.mark.parametrize("labels", ["in order", "shuffled"])
+def test_agrees_on_caterpillar_and_balanced_trees(shape, n, labels):
+    # The search walks each vertex's smallest component, the one above on a
+    # tie.  The tree's index hangs from the least taxon's leaf, and shuffled
+    # names move that leaf.  Along a caterpillar the smallest component is
+    # a pendant leaf: the first or the second one below when the names are
+    # shuffled, the leaf above at the least taxon's neighbour.  In a
+    # balanced tree it is a cherry's leaf, or the equal part above on the
+    # path from the least taxon.
+    names = [f"t{i:02d}" for i in range(n)]
+    if labels == "shuffled":
+        random.Random(n).shuffle(names)
+    tree = parse_newick(shape(names))
+    assert sorted(tree.taxa) == sorted(names)
+    for seed in range(2):
+        assert_agree_on_chooser_covers(tree, seed)
 
 
 @pytest.mark.parametrize("n", [4, 6, 9, 12, 16, 24])

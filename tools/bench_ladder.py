@@ -1,7 +1,8 @@
 #!/usr/bin/env python3
-"""Layer ladder: time ``support_map``, ``minimalize``, ``is_minimal``,
-``cord_closure``, ``classify``, ``reconstruct``, ``PartialDistances.from_tree``
-and the CLI ``reconstruct`` at several n, for the working tree and optionally
+"""Layer ladder: time ``support_map``, ``is_triplet_cover``, ``minimalize``,
+``is_minimal``, ``cord_closure``, ``classify``, ``reconstruct``,
+``PartialDistances.from_tree``, ``PhyloTree.isomorphic`` and the CLI
+``reconstruct`` at several n, for the working tree and optionally
 for a parent commit, and write the numbers to a JSON file.
 
 Usage, from the repository root::
@@ -12,15 +13,16 @@ Usage, from the repository root::
 The input at each n is ``random_binary_tree(n, 1)`` with ``canonical_cover(tree,
 seeded_chooser(1))``, that cover minimalized, and the minimal cover's
 distances from the tree; each side builds them with its own library.
-``support_map``, ``minimalize`` and ``is_minimal`` run on the chooser cover;
-``cord_closure`` (only for n <= 320), ``classify`` (only for n <= 160) and
-the reconstruction rows on the minimal one.  Every run of the cover layers
-gets a fresh, equal cover, so any per-cover index is built inside the timed
-call.  Each side runs in ``--repeats`` fresh processes, the sides taking
-turns, and each process times every number ``--repeats`` times; the file
-keeps the minimum, in seconds, and under ``spread`` the ratio of the
-greatest to the least per-process minimum, so that each file states its own
-noise.  The CLI time is the wall time of one ``python -m tricover
+``support_map``, ``is_triplet_cover``, ``minimalize`` and ``is_minimal`` run
+on the chooser cover; ``cord_closure`` (only for n <= 320), ``classify`` (only
+for n <= 160) and the reconstruction rows on the minimal one; ``isomorphic``
+compares the tree with its Newick re-parse, lengths included.  Every run of
+the cover layers gets a fresh, equal cover, so any per-cover index is built
+inside the timed call.  Each side runs in ``--repeats`` fresh processes,
+the sides taking turns, and each process times every number ``--repeats``
+times; the file keeps the minimum, in seconds, and under ``spread`` the
+ratio of the greatest to the least per-process minimum, so that each file
+states its own noise.  The CLI time is the wall time of one ``python -m tricover
 reconstruct`` process on the input's JSON files.  ``--parent REF`` extracts
 that commit with ``git archive`` into a temporary directory and measures it
 the same way.  Stdlib only.
@@ -56,8 +58,10 @@ def measure(src: Path, sizes: list[int], repeats: int, workdir: Path) -> dict:
         canonical_cover,
         cord_closure,
         is_minimal,
+        is_triplet_cover,
         jsonio,
         minimalize,
+        parse_newick,
         reconstruct,
         seeded_chooser,
         support_map,
@@ -78,15 +82,17 @@ def measure(src: Path, sizes: list[int], repeats: int, workdir: Path) -> dict:
         """Time ``fn(tree, c)`` with ``c`` a fresh copy of ``cover``."""
         return best(lambda: fn(tree, TripletCover(cover.taxa, cover.cords)))[0]
 
-    out = {"support_map_s": {}, "minimalize_s": {}, "is_minimal_s": {},
-           "closure_s": {}, "classify_s": {}, "reconstruct_s": {},
-           "from_tree_s": {}, "cli_reconstruct_s": {}}
+    out = {"support_map_s": {}, "is_triplet_cover_s": {}, "minimalize_s": {},
+           "is_minimal_s": {}, "closure_s": {}, "classify_s": {},
+           "reconstruct_s": {}, "from_tree_s": {}, "isomorphic_s": {},
+           "cli_reconstruct_s": {}}
     env = dict(os.environ, PYTHONPATH=str(src))
     for n in sizes:
         tree = random_binary_tree(n, SEED)
         chooser_cover = canonical_cover(tree, seeded_chooser(SEED))
         cover = minimalize(tree, chooser_cover)
         out["support_map_s"][n] = on_fresh(support_map, tree, chooser_cover)
+        out["is_triplet_cover_s"][n] = on_fresh(is_triplet_cover, tree, chooser_cover)
         out["minimalize_s"][n] = on_fresh(minimalize, tree, chooser_cover)
         out["is_minimal_s"][n] = on_fresh(is_minimal, tree, chooser_cover)
         if n <= CLOSURE_MAX:
@@ -97,6 +103,12 @@ def measure(src: Path, sizes: list[int], repeats: int, workdir: Path) -> dict:
         out["reconstruct_s"][n], result = best(reconstruct, cover, dist)
         if write_newick(result.tree) != write_newick(tree):
             raise SystemExit(f"reconstruct at n={n} did not give the tree back")
+        again = parse_newick(write_newick(tree))
+        out["isomorphic_s"][n], same = best(
+            lambda: tree.isomorphic(again, compare_lengths=True)
+        )
+        if not same:
+            raise SystemExit(f"the tree at n={n} differs from its Newick re-parse")
         cover_path, dist_path = workdir / f"cover{n}.json", workdir / f"dist{n}.json"
         jsonio.save_cover(cover, cover_path)
         jsonio.save_distances(dist, dist_path)
@@ -178,9 +190,10 @@ def main(argv=None) -> int:
 
     report = {
         "inputs": f"random_binary_tree(n, {SEED}), canonical_cover(tree, "
-        f"seeded_chooser({SEED})) for support_map, minimalize and is_minimal, "
-        f"minimalized for cord_closure (n <= {CLOSURE_MAX}), classify "
-        f"(n <= {CLASSIFY_MAX}) and PartialDistances.from_tree",
+        f"seeded_chooser({SEED})) for support_map, is_triplet_cover, minimalize "
+        f"and is_minimal, minimalized for cord_closure (n <= {CLOSURE_MAX}), "
+        f"classify (n <= {CLASSIFY_MAX}) and PartialDistances.from_tree; "
+        "isomorphic: the tree against its Newick re-parse, with lengths",
         "unit": "s, min over repeats processes of repeats runs each; spread: "
         "max/min of the per-process minima",
         "repeats": args.repeats,
