@@ -389,25 +389,44 @@ def iter_sections(support: SupportMap) -> Iterator[frozenset[Triple]]:
         yield frozenset(choice)
 
 
-Chooser = Callable[[PhyloTree, int, tuple[frozenset[str], ...]], tuple[str, str, str]]
+# A chooser gets the tree's sorted taxa, an interior vertex and the leaf
+# masks of its three components (bit i stands for taxa[i], ordered by least
+# taxon) and returns one taxon from each component.
+Chooser = Callable[[tuple[str, ...], int, tuple[int, int, int]], tuple[str, str, str]]
 
 
 def least_label_chooser(
-    tree: PhyloTree, v: int, comps: tuple[frozenset[str], ...]
+    taxa: tuple[str, ...], v: int, masks: tuple[int, int, int]
 ) -> tuple[str, str, str]:
-    return tuple(min(comp) for comp in comps)  # type: ignore[return-value]
+    picks = tuple(taxa[(m & -m).bit_length() - 1] for m in masks)
+    return picks  # type: ignore[return-value]
+
+
+def _nth_bit(mask: int, k: int) -> int:
+    """Index of the set bit of ``mask`` with k set bits below it, found by
+    halving on bit counts."""
+    lo, hi = 0, mask.bit_length()
+    # Below lo at most k bits are set, below hi more than k.
+    while hi - lo > 1:
+        mid = (lo + hi) // 2
+        if (mask & ((1 << mid) - 1)).bit_count() <= k:
+            lo = mid
+        else:
+            hi = mid
+    return lo
 
 
 def seeded_chooser(seed: int) -> Chooser:
-    """One uniformly random leaf per component, reproducible from the seed.
+    """One uniformly random leaf per component, reproducible from the seed:
+    the k-th of the component's taxa in sorted order, k drawn uniformly.
 
     The returned chooser is stateful; :func:`canonical_cover` invokes it in
     the canonical interior-vertex order, which keeps results deterministic.
     """
     rng = random.Random(seed)
 
-    def choose(tree, v, comps):
-        return tuple(sorted(comp)[rng.randrange(len(comp))] for comp in comps)
+    def choose(taxa, v, masks):
+        return tuple(taxa[_nth_bit(m, rng.randrange(m.bit_count()))] for m in masks)
 
     return choose
 
@@ -417,11 +436,13 @@ def canonical_cover(
 ) -> TripletCover:
     """Cover built by picking one leaf per component at every interior vertex
     and taking the three pairs; always a triplet cover by construction."""
+    taxa = tree._index.taxa
+    bit = {x: 1 << i for i, x in enumerate(taxa)}
     triples = []
     for v in sorted(tree.interior_vertices(), key=tree.component_triple):
-        comps = tree.components_without(v)
-        picks = chooser(tree, v, comps)
-        if len(picks) != 3 or any(p not in c for p, c in zip(picks, comps)):
+        masks = tree._component_masks(v)
+        picks = chooser(taxa, v, masks)
+        if len(picks) != 3 or any(not bit.get(p, 0) & m for p, m in zip(picks, masks)):
             raise CoverError(f"chooser returned an invalid selection {picks}")
         triples.append(picks)
     return TripletCover(tree.taxa, cord_set(triples))

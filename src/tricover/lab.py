@@ -17,6 +17,7 @@ from typing import Callable, Iterator
 from .covers import (
     Chooser,
     TripletCover,
+    _bits,
     canonical_cover,
     cord_set,
     minimalize,
@@ -252,10 +253,11 @@ def balanced_chooser(seed: int) -> Chooser:
     rng = random.Random(seed)
     usage: dict[str, int] = {}
 
-    def choose(tree, v, comps):
+    def choose(taxa, v, masks):
         picks = []
-        for comp in comps:
-            best = min(sorted(comp), key=lambda t: (usage.get(t, 0), rng.random()))
+        for m in masks:
+            comp = (taxa[i] for i in _bits(m))
+            best = min(comp, key=lambda t: (usage.get(t, 0), rng.random()))
             picks.append(best)
         for t in picks:
             usage[t] = usage.get(t, 0) + 1

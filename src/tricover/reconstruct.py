@@ -4,19 +4,20 @@ given only on the cords of a triplet cover.
 The engine is cherry reduction on one mutable table of cord distances: the
 pendant length at x is half the minimum of d(x,z) + d(x,z') - d(z,z') over
 fully covered triples through x; a cord x,y is a cherry exactly when d(x,y)
-equals the two pendant lengths' sum.  Peeling cherries down to three taxa
-and replaying the log backwards rebuilds the tree.  Everything is exact:
-the table holds each distance times one integer scale, and every halving
-divides an even integer.  A mandatory final pass recomputes every input
-cord's distance, so inconsistent inputs are rejected rather than silently
-fitted.
+equals the two pendant lengths' sum.  Both are read from heaps, of fixed
+triple values per taxon and of candidate cords, not by rescanning rows.
+Peeling cherries down to three taxa and replaying the log backwards
+rebuilds the tree.  Everything is exact: the table holds each distance
+times one integer scale, and every halving divides an even integer.  A
+mandatory final pass recomputes every input cord's distance, so
+inconsistent inputs are rejected rather than silently fitted.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import combinations
+from heapq import heappop, heappush
 from math import lcm
 from typing import Mapping
 
@@ -92,7 +93,17 @@ class _Table:
     ``scale``, each cord under both its taxa; ``pendants[x]`` is lambda(x)
     times ``scale``; ``log`` lists the cherries peeled as ((x, y),
     lambda(x) * scale, lambda(y) * scale).  Fractions are built from these
-    only for outputs and error texts."""
+    only for outputs and error texts.
+
+    A cord's value never changes while it exists: a rewrite onto an existing
+    cord keeps its value, and cords go only when a taxon is peeled.  So a
+    fully covered triple's three values d(a,b) + d(a,c) - d(b,c), one at each
+    taxon, are fixed from its last cord's creation until one of its taxa is
+    peeled.  ``triples[x]`` is a heap of (value at x, z, z') over x's
+    triples, each pushed once, with peeled ones dropped lazily; its top is
+    twice lambda(x).  ``cherries`` is a heap of candidate cords, pushed when
+    created or when an end's pendant changes, and checked again when read.
+    """
 
     def __init__(self, cover: TripletCover, dist: PartialDistances):
         cords = sorted(cover.cords)
@@ -107,44 +118,63 @@ class _Table:
             self.rows[x][y] = self.rows[y][x] = q.numerator * (scale // q.denominator)
         self.pendants: dict[str, int] = {}
         self.log: list[tuple[Cord, int, int]] = []
+        self.triples: dict[str, list[tuple[int, str, str]]] = {x: [] for x in self.rows}
+        self.cherries: list[Cord] = []
+        for a, b in cords:
+            for c in self.rows[a].keys() & self.rows[b].keys():
+                if c > b:
+                    self.add_triple(a, b, c)
 
     def value(self, scaled: int) -> Fraction:
         return Fraction(scaled, self.scale)
 
+    def add_triple(self, a: str, b: str, c: str) -> None:
+        """Push the newly covered triple a,b,c onto its three taxa's heaps."""
+        rows = self.rows
+        ab, ac, bc = rows[a][b], rows[a][c], rows[b][c]
+        heappush(self.triples[a], (ab + ac - bc, b, c))
+        heappush(self.triples[b], (ab + bc - ac, a, c))
+        heappush(self.triples[c], (ac + bc - ab, a, b))
+
 
 def _pendant(x: str, table: _Table) -> int:
     """Set and return ``table.pendants[x]``: half the least d(x,z) + d(x,z')
-    - d(z,z') over the fully covered triples through x."""
-    rows = table.rows
-    row = rows[x]
-    best: int | None = None
-    for z, z2 in combinations(row, 2):
-        d_zz = rows[z].get(z2)
-        if d_zz is not None:
-            value = row[z] + row[z2] - d_zz
-            if best is None or value < best:
-                best = value
-    if best is None:
+    - d(z,z') over the fully covered triples through x, the top of x's heap
+    once triples with a peeled taxon are dropped.  A changed value pushes
+    the cords of x that now meet the cherry criterion."""
+    rows, heap = table.rows, table.triples[x]
+    while heap and (heap[0][1] not in rows or heap[0][2] not in rows):
+        heappop(heap)
+    if not heap:
         raise NotRealizableError(
             "pendant",
             f"no fully covered triple contains {x}; "
             "the cord set is not a triplet cover's distance support",
         )
+    best = heap[0][0]
     if best <= 0:
         length = Fraction(best, 2 * table.scale)
         raise NotRealizableError("pendant", f"pendant length at {x} is {length} <= 0")
-    table.pendants[x] = best // 2
-    return table.pendants[x]
+    pendants, lx = table.pendants, best // 2
+    if pendants.get(x) != lx:
+        pendants[x] = lx
+        for z, d in rows[x].items():
+            lz = pendants.get(z)
+            if lz is not None and d == lx + lz:
+                heappush(table.cherries, (x, z) if x < z else (z, x))
+    return lx
 
 
 def _cherry(table: _Table) -> Cord:
-    """Least cord x,y with d(x,y) = lambda(x) + lambda(y)."""
-    pendants = table.pendants
-    for x in sorted(table.rows):
-        px = pendants[x]
-        hits = [y for y, d in table.rows[x].items() if y > x and d == px + pendants[y]]
-        if hits:
-            return (x, min(hits))
+    """Least cord x,y with d(x,y) = lambda(x) + lambda(y): the least
+    candidate that still is one."""
+    rows, pendants, heap = table.rows, table.pendants, table.cherries
+    while heap:
+        x, y = heap[0]
+        d = rows[x].get(y) if x in rows else None
+        if d is not None and d == pendants[x] + pendants[y]:
+            return x, y
+        heappop(heap)
     raise NotRealizableError(
         "cherry",
         "no cord satisfies d(x,y) = lambda(x) + lambda(y); pendant estimates "
@@ -154,7 +184,9 @@ def _cherry(table: _Table) -> Cord:
 
 def _reduce(table: _Table, x: str, y: str) -> None:
     """Peel the cherry x,y into the log and drop x: each cord xz becomes yz
-    with d(y,z) = d(x,z) + lambda(y) - lambda(x), in sorted z order."""
+    with d(y,z) = d(x,z) + lambda(y) - lambda(x), in sorted z order.  Each
+    new cord is a cherry candidate and completes the triples y,z,w with w a
+    partner of both."""
     rows = table.rows
     lx, ly = table.pendants.pop(x), table.pendants[y]
     table.log.append(((x, y), lx, ly))
@@ -171,6 +203,9 @@ def _reduce(table: _Table, x: str, y: str) -> None:
                 f"rewritten distance for {cord(y, z)} is {table.value(value)} <= 0",
             )
         rows[y][z] = rows[z][y] = value
+        for w in rows[y].keys() & rows[z].keys():
+            table.add_triple(y, z, w)
+        heappush(table.cherries, cord(y, z))
 
 
 def pendant_length(x: str, cover: TripletCover, dist: PartialDistances) -> Fraction:
@@ -202,9 +237,7 @@ def reduce_instance(
     if cherry not in cover.cords:
         raise NotRealizableError("reduce", f"cherry {cherry} is not a cord")
     table = _Table(cover, dist)
-    _pendant(x, table)
-    _pendant(y, table)
-    lx, ly = table.pendants[x], table.pendants[y]
+    lx, ly = _pendant(x, table), _pendant(y, table)
     if table.rows[x][y] != lx + ly:
         raise NotRealizableError(
             "reduce", f"{cherry} fails the cherry criterion: "

@@ -7,11 +7,13 @@ cover, finds the least cord meeting the cherry criterion, recomputes the
 cherry's pendants and rebuilds the reduced cover and distances; the tree is
 replayed on a mutable adjacency and checked against a full distance matrix.
 Rewrites and the final check walk cords in sorted order, so its errors do
-not depend on the hash seed.  The second is the same table engine as the
-library's, on Fraction values instead of scaled integers, with the final
-check read from ``PhyloTree.distance``.  The library must give the same
-cherry log, the same tree (vertex ids included) and the same errors, stage
-and text as both.
+not depend on the hash seed.  The second is one mutable table, on Fraction
+values instead of scaled integers, that recomputes each changed pendant by
+scanning every pair of its row and finds each cherry by rescanning every
+row, with the final check read from ``PhyloTree.distance``.  The library,
+which reads pendants and cherries from heaps of fixed triple values and
+candidate cords, must give the same cherry log, the same tree (vertex ids
+included) and the same errors, stage and text as both.
 """
 
 import os
@@ -442,6 +444,15 @@ def test_steps_match_reference_on_covers(n):
             assert_same(*instance(n, 10 * n + seed, minimal)[1:])
 
 
+def perturbed(dist, rng, moves):
+    """The distances with ``moves`` cords moved by a small amount."""
+    values = dict(dist.values)
+    for c in rng.sample(sorted(values), moves):
+        step = rng.choice([-2, -1, Fraction(-1, 2), Fraction(1, 2), 1, 3])
+        values[c] = max(Fraction(1, 4), values[c] + step)
+    return PartialDistances(dist.taxa, values)
+
+
 def test_errors_match_reference_on_perturbed_covers():
     # One or two cords of a true cover moved by a small amount.
     stages = set()
@@ -450,12 +461,40 @@ def test_errors_match_reference_on_perturbed_covers():
         for seed in range(4):
             _, cover, dist = instance(n, 100 * n + seed, seed % 2 == 1)
             for k in range(4):
-                values = dict(dist.values)
-                for c in rng.sample(sorted(values), 1 + k % 2):
-                    step = rng.choice([-2, -1, Fraction(-1, 2), Fraction(1, 2), 1, 3])
-                    values[c] = max(Fraction(1, 4), values[c] + step)
-                assert_same(cover, PartialDistances(cover.taxa, values), stages)
+                assert_same(cover, perturbed(dist, rng, 1 + k % 2), stages)
     assert {"ok", "pendant", "cherry", "replay"} <= stages
+
+
+def test_errors_match_reference_on_larger_perturbed_covers():
+    # The perturbed pool above at n = 40-80, where rows are long and the
+    # pendant and cherry heaps hold many stale entries.
+    stages = set()
+    rng = random.Random(17)
+    for n in (40, 56, 80):
+        for seed in range(2):
+            _, cover, dist = instance(n, 100 * n + seed, seed % 2 == 1)
+            for moves in (1, 2):
+                assert_same(cover, perturbed(dist, rng, moves), stages)
+    assert {"ok", "cherry"} <= stages
+
+
+def ladder_instance(n):
+    """The benchmark ladder's input at n: the seed-1 tree, its seed-1
+    chooser cover minimalized, and that cover's distances."""
+    tree = random_binary_tree(n, 1)
+    cover = minimalize(tree, canonical_cover(tree, seeded_chooser(1)))
+    return tree, cover, PartialDistances.from_tree(tree, cover)
+
+
+# The literal reference alone takes several seconds at n = 320.
+@pytest.mark.parametrize("n, literal", [(160, True), (320, False)])
+def test_ladder_cover_matches_the_references(n, literal):
+    tree, cover, dist = ladder_instance(n)
+    got = rebuilt(cover, dist)
+    if literal:
+        assert got == ref_rebuilt(cover, dist)
+    assert got == frac_rebuilt(cover, dist)
+    assert got[0] == write_newick(tree)
 
 
 def test_errors_match_reference_on_random_cord_sets():
@@ -570,6 +609,45 @@ def test_rewrite_error_independent_of_hash_seed():
         )
         messages.add(run.stdout)
     assert messages == {"reduce: rewritten distance for ('b', 'c') is -2 <= 0\n"}
+
+
+HASH_SEED_REBUILD = """
+import random
+from fractions import Fraction
+from tricover import (NotRealizableError, PartialDistances, canonical_cover,
+                      minimalize, reconstruct, seeded_chooser, write_newick)
+from tricover.lab import random_binary_tree
+tree = random_binary_tree(48, 3)
+cover = minimalize(tree, canonical_cover(tree, seeded_chooser(3)))
+dist = PartialDistances.from_tree(tree, cover)
+rng = random.Random(5)
+for trial in range(8):
+    values = dict(dist.values)
+    if trial:
+        c = rng.choice(sorted(values))
+        values[c] = max(Fraction(1, 4), values[c] + rng.choice([-1, Fraction(1, 2), 2]))
+    try:
+        result = reconstruct(cover, PartialDistances(dist.taxa, values))
+        print(write_newick(result.tree), result.cherry_log)
+    except NotRealizableError as exc:
+        print(exc)
+"""
+
+
+def test_reconstruct_independent_of_hash_seed():
+    # The kernel walks sets of shared partners when it pushes triples; the
+    # heaps' tops, and so every log, tree and error, must not depend on it.
+    outputs = set()
+    for seed in range(1, 5):
+        env = dict(os.environ, PYTHONHASHSEED=str(seed), PYTHONPATH=str(SRC))
+        run = subprocess.run(
+            [sys.executable, "-c", HASH_SEED_REBUILD],
+            env=env, capture_output=True, text=True, check=True,
+        )
+        outputs.add(run.stdout)
+    assert len(outputs) == 1
+    lines = outputs.pop().splitlines()
+    assert len(lines) == 8 and any(": " in line for line in lines)
 
 
 def relabelled_lengths(tree, lengths):

@@ -1,9 +1,10 @@
 #!/usr/bin/env python3
-"""Layer ladder: time ``support_map``, ``is_triplet_cover``, ``minimalize``,
-``is_minimal``, ``cord_closure``, ``classify``, ``reconstruct``,
-``PartialDistances.from_tree``, ``PhyloTree.isomorphic`` and the CLI
-``reconstruct`` at several n, for the working tree and optionally
-for a parent commit, and write the numbers to a JSON file.
+"""Layer ladder: time ``canonical_cover``, ``support_map``,
+``is_triplet_cover``, ``minimalize``, ``is_minimal``, ``cord_closure``,
+``classify``, ``reconstruct``, ``PartialDistances.from_tree``,
+``PhyloTree.isomorphic`` and the CLI ``reconstruct`` at several n, for the
+working tree and optionally for a parent commit, and write the numbers to a
+JSON file.
 
 Usage, from the repository root::
 
@@ -13,6 +14,7 @@ Usage, from the repository root::
 The input at each n is ``random_binary_tree(n, 1)`` with ``canonical_cover(tree,
 seeded_chooser(1))``, that cover minimalized, and the minimal cover's
 distances from the tree; each side builds them with its own library.
+``canonical_cover`` builds the chooser cover with a fresh chooser each run;
 ``support_map``, ``is_triplet_cover``, ``minimalize`` and ``is_minimal`` run
 on the chooser cover; ``cord_closure`` (only for n <= 320), ``classify`` (only
 for n <= 160) and the reconstruction rows on the minimal one; ``isomorphic``
@@ -82,14 +84,16 @@ def measure(src: Path, sizes: list[int], repeats: int, workdir: Path) -> dict:
         """Time ``fn(tree, c)`` with ``c`` a fresh copy of ``cover``."""
         return best(lambda: fn(tree, TripletCover(cover.taxa, cover.cords)))[0]
 
-    out = {"support_map_s": {}, "is_triplet_cover_s": {}, "minimalize_s": {},
-           "is_minimal_s": {}, "closure_s": {}, "classify_s": {},
-           "reconstruct_s": {}, "from_tree_s": {}, "isomorphic_s": {},
-           "cli_reconstruct_s": {}}
+    out = {"canonical_cover_s": {}, "support_map_s": {}, "is_triplet_cover_s": {},
+           "minimalize_s": {}, "is_minimal_s": {}, "closure_s": {},
+           "classify_s": {}, "reconstruct_s": {}, "from_tree_s": {},
+           "isomorphic_s": {}, "cli_reconstruct_s": {}}
     env = dict(os.environ, PYTHONPATH=str(src))
     for n in sizes:
         tree = random_binary_tree(n, SEED)
-        chooser_cover = canonical_cover(tree, seeded_chooser(SEED))
+        out["canonical_cover_s"][n], chooser_cover = best(
+            lambda: canonical_cover(tree, seeded_chooser(SEED))
+        )
         cover = minimalize(tree, chooser_cover)
         out["support_map_s"][n] = on_fresh(support_map, tree, chooser_cover)
         out["is_triplet_cover_s"][n] = on_fresh(is_triplet_cover, tree, chooser_cover)
@@ -190,8 +194,9 @@ def main(argv=None) -> int:
 
     report = {
         "inputs": f"random_binary_tree(n, {SEED}), canonical_cover(tree, "
-        f"seeded_chooser({SEED})) for support_map, is_triplet_cover, minimalize "
-        f"and is_minimal, minimalized for cord_closure (n <= {CLOSURE_MAX}), "
+        f"seeded_chooser({SEED})) for canonical_cover, support_map, "
+        "is_triplet_cover, minimalize and is_minimal, minimalized for "
+        f"cord_closure (n <= {CLOSURE_MAX}), "
         f"classify (n <= {CLASSIFY_MAX}) and PartialDistances.from_tree; "
         "isomorphic: the tree against its Newick re-parse, with lengths",
         "unit": "s, min over repeats processes of repeats runs each; spread: "
