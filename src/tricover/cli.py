@@ -1,10 +1,11 @@
 """Command-line front end.
 
-Exit codes: 0 success; 1 I/O or file-format error; 2 non-cover input
-(``analyze``, ``decompose``, ``shell``; the message names an unsupported
-vertex) or failed witness verification (``verify-shelling``); 3 unrealizable
-distances (``reconstruct``).  Identical inputs and flags yield byte-identical
-outputs.
+Exit codes: 0 success; 1 I/O or file-format error; 2 a usage error (argparse
+refuses a negative count, cap or budget, and ``--n-min`` above ``--n-max``),
+non-cover input (``analyze``, ``decompose``, ``shell``; the message names an
+unsupported vertex) or failed witness verification (``verify-shelling``); 3
+unrealizable distances (``reconstruct``).  Identical inputs and flags yield
+byte-identical outputs.
 """
 
 from __future__ import annotations
@@ -174,6 +175,17 @@ def _cmd_fixtures(args) -> int:
     return 0
 
 
+def _count(text: str) -> int:
+    """An option value that counts something: a non-negative integer."""
+    try:
+        value = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"invalid int value: {text!r}") from None
+    if value < 0:
+        raise argparse.ArgumentTypeError(f"must not be negative, got {value}")
+    return value
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="tricover",
@@ -185,19 +197,19 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("analyze", help="classify a cover")
     p.add_argument(
         "--limit-sections",
-        type=int,
+        type=_count,
         default=shelling.SECTION_ENUM_LIMIT,
         help="section enumeration ceiling (default %(default)s)",
     )
     p.add_argument(
         "--ample-cap",
-        type=int,
+        type=_count,
         default=shelling.AMPLE_TRIPLE_CAP,
         help="ample-patchwork triple ceiling (default %(default)s)",
     )
     p.add_argument(
         "--hall-cap",
-        type=int,
+        type=_count,
         default=covers.HALL_SUBSET_CAP,
         help="largest triple family the Hall-type test takes (default %(default)s)",
     )
@@ -243,7 +255,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--target", choices=sorted(lab.FIXTURE_PREDICATES), required=True)
     p.add_argument("--n-min", type=int, default=5)
     p.add_argument("--n-max", type=int, default=8)
-    p.add_argument("--budget", type=int, default=2000)
+    p.add_argument("--budget", type=_count, default=2000)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--out-dir", required=True)
     p.set_defaults(func=_cmd_fixtures)
@@ -252,7 +264,10 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
+    parser = build_parser()
+    args = parser.parse_args(argv)
+    if args.command == "fixtures" and args.n_min > args.n_max:
+        parser.error(f"fixtures: --n-min {args.n_min} is above --n-max {args.n_max}")
     try:
         return args.func(args)
     except (NotTripletCoverError, SectionError) as exc:

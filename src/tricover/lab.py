@@ -382,7 +382,8 @@ def predicate_sparse_shellable_not_ample(
     support = support_map(tree, cover)
     if section_count(support) != 1:
         return False
-    if is_ample(frozenset().union(*support.values()))[0]:
+    section = frozenset().union(*support.values())
+    if is_ample(section, cap=len(section))[0]:
         return False
     return _shellable(tree, cover)[0]
 

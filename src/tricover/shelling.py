@@ -20,6 +20,7 @@ from .covers import (
     SupportMap,
     Triple,
     TripletCover,
+    _bits,
     _triple_masks,
     all_cords,
     cord,
@@ -287,18 +288,34 @@ def is_ample(
     halves all the way down to singletons.
 
     Returns the hierarchy (all 2m-1 member sets, in preorder) when found.
-    Each family is split at its first tight split, and that is enough.  Let
+    The search merges bottom-up: it starts from the m singletons and, while
+    two members share exactly 2 taxa, replaces them by their union.  The family is ample iff one member
+    remains, and the merge history is then the hierarchy.  Let
     g(C) = |union C| - |C|, so C is tight when g(C) = 2.
     (1) On an ample family g >= 2 for every nonempty subfamily, by induction
         down the hierarchy: the tight halves A, B of a tight X share
         (|A|+2) + (|B|+2) - (|X|+2) = 2 taxa, so no split needs that checked.
-    (2) g is submodular.  For a tight split (A, B) of an ample family and a
-        hierarchy member X meeting A, g(X&A) + g(X|A) <= g(X) + g(A) = 4 and
-        both terms are >= 2 by (1), so X&A is tight: the hierarchy cut down
-        to A is a hierarchy of A.
-    (3) So every tight split of an ample family has ample halves, and the
-        first tight split is the first one a full search would accept.  A
-        family that is not ample fails whichever split is taken.
+        Two disjoint tight members A, B have g(A|B) = 4 - s, s the number of
+        taxa they share, so every merge of the search gives a tight member.
+    (2) So no two disjoint tight members of an ample family share 3 or more
+        taxa: their union would have g <= 1.
+    (3) If an ample family is split into k >= 2 tight members, two of them
+        share exactly 2 taxa.  Take a hierarchy of the family and a minimal
+        node N that lies in no single member; its halves lie in members
+        M_i and M_j with i != j.  g is submodular, so
+        g(M_i|N) + g(M_i&N) <= g(M_i) + g(N) = 4; M_i&N holds a half of
+        N, so both terms are >= 2 by (1) and M_i|N is tight.  Likewise M_j meets M_i|N, so
+        M_i|M_j = M_i|N|M_j is tight: M_i and M_j share exactly 2 taxa.
+    So on an ample family every merge order ends in one member, and two
+    members that share 3 or more taxa, or k >= 2 members no two of which
+    share exactly 2, prove that the family is not ample.
+
+    A worklist holds the members that may have a partner.  A member looks
+    for one among the holders of its shared taxa (those held by two or more
+    members).  One with no partner leaves the list; a later merge that gives
+    it one finds it from the other side, since the merged member goes back
+    on the list.  A merge moves the smaller member's shared taxa into the
+    larger member's slot of the per-taxon index.
     """
     triples = sorted(set(section))
     m = len(triples)
@@ -310,37 +327,58 @@ def is_ample(
     if m > cap:
         raise CapacityError(f"ample-patchwork search capped at {cap} triples")
 
-    taxa_mask = _triple_masks(sorted(union_all), triples)
-    union_cache: dict[int, int] = {0: 0}
+    # Slot i starts as triple i; a merge keeps one slot and empties the other.
+    mask = _triple_masks(sorted(union_all), triples)
+    holders: list[set[int]] = [set() for _ in union_all]
+    for i, taxa in enumerate(mask):
+        for x in _bits(taxa):
+            holders[x].add(i)
+    shared = sum(1 << x for x, slots in enumerate(holders) if len(slots) > 1)
 
-    def union_of(mask: int) -> int:
-        if mask not in union_cache:
-            low = mask & -mask
-            union_cache[mask] = union_of(mask ^ low) | taxa_mask[low.bit_length() - 1]
-        return union_cache[mask]
-
-    def tight(mask: int) -> bool:
-        return union_of(mask).bit_count() == mask.bit_count() + 2
-
-    def hierarchy(mask: int) -> list[int] | None:
-        """A hierarchy's member masks in preorder, or None if there is none."""
-        if mask & (mask - 1) == 0:
-            return [mask]
-        low = mask & -mask
-        sub = (mask - 1) & mask
-        while sub:  # downwards; the first half holds the least triple
-            if sub & low and tight(sub) and tight(mask ^ sub):
-                first = hierarchy(sub)
-                second = first and hierarchy(mask ^ sub)
-                return second and [mask, *first, *second]
-            sub = (sub - 1) & mask
+    def partner(a: int) -> int | None:
+        """A member that shares 2 or more taxa with member ``a``, or None."""
+        for x in _bits(mask[a] & shared):
+            for b in holders[x]:
+                if b != a and (mask[a] & mask[b]).bit_count() > 1:
+                    return b
         return None
 
-    members = hierarchy((1 << m) - 1)
-    if members is None:
+    node = list(range(m))  # slot -> hierarchy node; node m + k is merge k
+    halves: list[tuple[int, int]] = []
+    work = list(range(m - 1, -1, -1))
+    while work:
+        a = work.pop()
+        b = partner(a) if mask[a] else None  # an emptied slot was merged away
+        if b is None:
+            continue
+        if (mask[a] & mask[b]).bit_count() > 2:
+            return False, None
+        keep, gone = (a, b) if mask[a].bit_count() >= mask[b].bit_count() else (b, a)
+        for x in _bits(mask[gone] & shared):
+            holders[x].discard(gone)
+            if not mask[keep] >> x & 1:
+                holders[x].add(keep)
+            elif len(holders[x]) == 1:
+                shared ^= 1 << x
+        mask[keep] |= mask[gone]
+        mask[gone] = 0
+        halves.append((node[a], node[b]))
+        node[keep] = m + len(halves) - 1
+        work.append(keep)
+
+    if len(halves) < m - 1:
         return False, None
-    return True, tuple(frozenset(t for i, t in enumerate(triples) if mask >> i & 1)
-                       for mask in members)
+    members = [frozenset((t,)) for t in triples]
+    for first, second in halves:
+        members.append(members[first] | members[second])
+    order: list[frozenset[Triple]] = []
+    stack = [len(members) - 1]
+    while stack:
+        v = stack.pop()
+        order.append(members[v])
+        if v >= m:
+            stack.extend(reversed(halves[v - m]))
+    return True, tuple(order)
 
 
 def shellable_via_patchwork(

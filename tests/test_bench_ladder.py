@@ -19,6 +19,6 @@ def test_ladder_runs_at_n20(tmp_path):
     assert report["sizes"] == [20] and "parent" not in report
     for key in ("canonical_cover_s", "support_map_s", "is_triplet_cover_s",
                 "minimalize_s", "is_minimal_s", "closure_s", "classify_s",
-                "reconstruct_s", "from_tree_s", "isomorphic_s", "cli_reconstruct_s"):
+                "is_ample_s", "reconstruct_s", "from_tree_s", "isomorphic_s", "cli_reconstruct_s"):
         assert report["change"][key]["20"] > 0
         assert report["change"]["spread"][key]["20"] >= 1

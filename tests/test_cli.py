@@ -619,6 +619,51 @@ def test_fixtures_minimum_target(tmp_path):
     assert stored["flags"] == record.flags
 
 
+def test_fixtures_search_past_the_ample_cap(tmp_path):
+    # A sparse cover at n = 20 has an 18-triple section, above the default
+    # ample cap; the predicate lifts the cap to the section's size.
+    out_dir = tmp_path / "fixtures"
+    code = main(
+        ["fixtures", "--target", "sparse-shellable-not-ample", "--n-min", "20",
+         "--n-max", "20", "--budget", "50", "--out-dir", str(out_dir)]
+    )
+    assert code == 0
+    summary = json.loads(
+        (out_dir / "sparse-shellable-not-ample-summary.json").read_text()
+    )
+    assert summary["found"] is True
+    record = jsonio.load_instance_record(summary["record"])
+    assert len(record.cover.taxa) == 20 and record.flags["is_sparse"]
+
+
+USAGE_ERRORS = {
+    "--limit-sections": (["analyze", "--limit-sections", "-5"],
+                         "argument --limit-sections: must not be negative, got -5"),
+    "--ample-cap": (["analyze", "--ample-cap", "-1"],
+                    "argument --ample-cap: must not be negative, got -1"),
+    "--hall-cap": (["analyze", "--hall-cap", "-3"],
+                   "argument --hall-cap: must not be negative, got -3"),
+    "--budget": (["fixtures", "--target", "minimum", "--budget", "-1"],
+                 "argument --budget: must not be negative, got -1"),
+    "--n-min": (["fixtures", "--target", "minimum", "--n-min", "9", "--n-max", "5"],
+                "fixtures: --n-min 9 is above --n-max 5"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(USAGE_ERRORS))
+def test_bad_counts_are_usage_errors(fig_files, tmp_path, capsys, case):
+    tree_path, cover_path = fig_files
+    argv, message = USAGE_ERRORS[case]
+    files = (["--tree", str(tree_path), "--cover", str(cover_path)]
+             if argv[0] == "analyze" else ["--out-dir", str(tmp_path / "out")])
+    with pytest.raises(SystemExit) as exit_info:
+        main(argv + files)
+    assert exit_info.value.code == 2
+    err = capsys.readouterr().err
+    assert err.startswith("usage: tricover") and f"error: {message}\n" in err
+    assert not (tmp_path / "out").exists()
+
+
 def test_instance_record_roundtrip(tmp_path):
     from tricover.lab import predicate_minimum, search_fixture
 

@@ -1,7 +1,7 @@
 #!/usr/bin/env python3
 """Layer ladder: time ``canonical_cover``, ``support_map``,
 ``is_triplet_cover``, ``minimalize``, ``is_minimal``, ``cord_closure``,
-``classify``, ``reconstruct``, ``PartialDistances.from_tree``,
+``classify``, ``is_ample``, ``reconstruct``, ``PartialDistances.from_tree``,
 ``PhyloTree.isomorphic`` and the CLI ``reconstruct`` at several n, for the
 working tree and optionally for a parent commit, and write the numbers to a
 JSON file.
@@ -17,8 +17,12 @@ distances from the tree; each side builds them with its own library.
 ``canonical_cover`` builds the chooser cover with a fresh chooser each run;
 ``support_map``, ``is_triplet_cover``, ``minimalize`` and ``is_minimal`` run
 on the chooser cover; ``cord_closure`` (only for n <= 320), ``classify`` (only
-for n <= 160) and the reconstruction rows on the minimal one; ``isomorphic``
-compares the tree with its Newick re-parse, lengths included.  Every run of
+for n <= 160) and the reconstruction rows on the minimal one; ``is_ample``
+takes the minimal cover's first section with the cap at its size, and a size
+where one call runs over ``AMPLE_LIMIT_S`` seconds is left out of the row,
+with every larger one (an exponential search cannot finish there, and its
+memo would fill the memory); ``isomorphic`` compares the tree with its
+Newick re-parse, lengths included.  Every run of
 the cover layers gets a fresh, equal cover, so any per-cover index is built
 inside the timed call.  Each side runs in ``--repeats`` fresh processes,
 the sides taking turns, and each process times every number ``--repeats``
@@ -36,11 +40,13 @@ import argparse
 import json
 import os
 import platform
+import signal
 import subprocess
 import sys
 import tarfile
 import tempfile
 import time
+from functools import partial
 from io import BytesIO
 from pathlib import Path
 
@@ -48,7 +54,30 @@ ROOT = Path(__file__).resolve().parents[1]
 SIZES = (20, 40, 80, 160, 320, 1000)
 CLASSIFY_MAX = 160
 CLOSURE_MAX = 320
+AMPLE_LIMIT_S = 1
 SEED = 1
+
+
+class _OverLimit(Exception):
+    pass
+
+
+def finishes(fn) -> bool:
+    """Whether ``fn()`` returns within ``AMPLE_LIMIT_S`` seconds of wall time;
+    a call over the limit is interrupted."""
+    def stop(signum, frame):
+        raise _OverLimit
+
+    previous = signal.signal(signal.SIGALRM, stop)
+    signal.setitimer(signal.ITIMER_REAL, AMPLE_LIMIT_S)
+    try:
+        fn()
+        return True
+    except _OverLimit:
+        return False
+    finally:
+        signal.setitimer(signal.ITIMER_REAL, 0)
+        signal.signal(signal.SIGALRM, previous)
 
 
 def measure(src: Path, sizes: list[int], repeats: int, workdir: Path) -> dict:
@@ -59,9 +88,11 @@ def measure(src: Path, sizes: list[int], repeats: int, workdir: Path) -> dict:
         TripletCover,
         canonical_cover,
         cord_closure,
+        is_ample,
         is_minimal,
         is_triplet_cover,
         jsonio,
+        iter_sections,
         minimalize,
         parse_newick,
         reconstruct,
@@ -86,10 +117,11 @@ def measure(src: Path, sizes: list[int], repeats: int, workdir: Path) -> dict:
 
     out = {"canonical_cover_s": {}, "support_map_s": {}, "is_triplet_cover_s": {},
            "minimalize_s": {}, "is_minimal_s": {}, "closure_s": {},
-           "classify_s": {}, "reconstruct_s": {}, "from_tree_s": {},
+           "classify_s": {}, "is_ample_s": {}, "reconstruct_s": {}, "from_tree_s": {},
            "isomorphic_s": {}, "cli_reconstruct_s": {}}
     env = dict(os.environ, PYTHONPATH=str(src))
-    for n in sizes:
+    ample_in_reach = True
+    for n in sorted(sizes):
         tree = random_binary_tree(n, SEED)
         out["canonical_cover_s"][n], chooser_cover = best(
             lambda: canonical_cover(tree, seeded_chooser(SEED))
@@ -103,6 +135,11 @@ def measure(src: Path, sizes: list[int], repeats: int, workdir: Path) -> dict:
             out["closure_s"][n] = on_fresh(cord_closure, tree, cover)
         if n <= CLASSIFY_MAX:
             out["classify_s"][n] = on_fresh(classify, tree, cover)
+        section = next(iter_sections(support_map(tree, cover)))
+        ample = partial(is_ample, section, cap=len(section))
+        ample_in_reach = ample_in_reach and finishes(ample)
+        if ample_in_reach:
+            out["is_ample_s"][n] = best(ample)[0]
         out["from_tree_s"][n], dist = best(PartialDistances.from_tree, tree, cover)
         out["reconstruct_s"][n], result = best(reconstruct, cover, dist)
         if write_newick(result.tree) != write_newick(tree):
@@ -172,7 +209,8 @@ def measure_sides(sides: dict[str, Path], sizes: list[int], repeats: int) -> dic
 
 def speedups(parent: dict, change: dict) -> dict:
     return {
-        key: {n: round(parent[key][n] / change[key][n], 2) for n in change[key]}
+        key: {n: round(parent[key][n] / change[key][n], 2)
+              for n in change[key] if n in parent[key]}
         for key in change if key != "spread"
     }
 
@@ -197,7 +235,9 @@ def main(argv=None) -> int:
         f"seeded_chooser({SEED})) for canonical_cover, support_map, "
         "is_triplet_cover, minimalize and is_minimal, minimalized for "
         f"cord_closure (n <= {CLOSURE_MAX}), "
-        f"classify (n <= {CLASSIFY_MAX}) and PartialDistances.from_tree; "
+        f"classify (n <= {CLASSIFY_MAX}), is_ample on its first section with "
+        f"the cap at the section's size (left out from the first n where one "
+        f"call runs over {AMPLE_LIMIT_S} s) and PartialDistances.from_tree; "
         "isomorphic: the tree against its Newick re-parse, with lengths",
         "unit": "s, min over repeats processes of repeats runs each; spread: "
         "max/min of the per-process minima",
