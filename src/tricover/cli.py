@@ -1,7 +1,8 @@
 """Command-line front end.
 
 Exit codes: 0 success; 1 I/O or file-format error; 2 a usage error (argparse
-refuses a negative count, cap or budget, and ``--n-min`` above ``--n-max``),
+refuses a negative count, cap or budget, a taxon count below 3, and
+``--n-min`` above ``--n-max``),
 non-cover input (``analyze``, ``decompose``, ``shell``; the message names an
 unsupported vertex) or failed witness verification (``verify-shelling``); 3
 unrealizable distances (``reconstruct``).  Identical inputs and flags yield
@@ -130,9 +131,6 @@ def _cmd_verify_shelling(args) -> int:
 
 
 def _cmd_generate(args) -> int:
-    if args.n < 3:
-        print("--n must be at least 3", file=sys.stderr)
-        return 1
     tree = lab.random_binary_tree(args.n, args.seed)
     if args.cover_policy == "least":
         cover = canonical_cover(tree)
@@ -175,14 +173,26 @@ def _cmd_fixtures(args) -> int:
     return 0
 
 
-def _count(text: str) -> int:
-    """An option value that counts something: a non-negative integer."""
+def _integer(text: str) -> int:
     try:
-        value = int(text)
+        return int(text)
     except ValueError:
         raise argparse.ArgumentTypeError(f"invalid int value: {text!r}") from None
+
+
+def _count(text: str) -> int:
+    """An option value that counts something: a non-negative integer."""
+    value = _integer(text)
     if value < 0:
         raise argparse.ArgumentTypeError(f"must not be negative, got {value}")
+    return value
+
+
+def _taxon_count(text: str) -> int:
+    """An option value that counts taxa: an integer of at least 3."""
+    value = _integer(text)
+    if value < 3:
+        raise argparse.ArgumentTypeError(f"need at least 3 taxa, got {value}")
     return value
 
 
@@ -243,7 +253,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=_cmd_verify_shelling)
 
     p = sub.add_parser("generate", help="emit a seeded tree + cover + distances")
-    p.add_argument("--n", type=int, required=True)
+    p.add_argument("--n", type=_taxon_count, required=True)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument(
         "--cover-policy", choices=["least", "random"], default="least"
@@ -253,7 +263,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("fixtures", help="search for captioned-property fixtures")
     p.add_argument("--target", choices=sorted(lab.FIXTURE_PREDICATES), required=True)
-    p.add_argument("--n-min", type=int, default=5)
+    p.add_argument("--n-min", type=_taxon_count, default=5)
     p.add_argument("--n-max", type=int, default=8)
     p.add_argument("--budget", type=_count, default=2000)
     p.add_argument("--seed", type=int, default=0)

@@ -170,8 +170,10 @@ def support_map(tree: PhyloTree, cover: TripletCover) -> SupportMap:
 
     At each vertex the search walks the leaves a of its smallest component,
     then b over a's cords into the second and c over the cords shared by a
-    and b into the third.  :func:`make_triple` sorts each triple, so the
-    order of the components does not change the map.  The walk costs the sum
+    and b into the third.  The three bit indices are sorted as integers,
+    which sorts the triple's taxa since bit i is the i-th sorted taxon, so
+    the order of the components does not change the map; they lie in
+    disjoint components, so they are distinct.  The walk costs the sum
     over the vertices of min(|A|, |B|, |C|), plus the cords and triples
     found, where walking one fixed component costs about n^2.  That sum is
     at most n log2(n): the smallest component is no larger than the smaller
@@ -183,12 +185,13 @@ def support_map(tree: PhyloTree, cover: TripletCover) -> SupportMap:
     result: SupportMap = {}
     for v in tree.interior_vertices():
         comp_a, comp_b, comp_c = sorted(tree._component_masks(v), key=int.bit_count)
-        result[v] = frozenset(
-            make_triple(taxa[a], taxa[b], taxa[c])
-            for a in _bits(comp_a)
-            for b in _bits(nbr[a] & comp_b)
-            for c in _bits(nbr[a] & nbr[b] & comp_c)
-        )
+        found = []
+        for a in _bits(comp_a):
+            for b in _bits(nbr[a] & comp_b):
+                for c in _bits(nbr[a] & nbr[b] & comp_c):
+                    i, j, k = sorted((a, b, c))
+                    found.append((taxa[i], taxa[j], taxa[k]))
+        result[v] = frozenset(found)
     # Supports of distinct vertices are disjoint (each triple's median is
     # the supported vertex); guard the bookkeeping.
     total = sum(len(s) for s in result.values())
@@ -435,14 +438,22 @@ def canonical_cover(
     tree: PhyloTree, chooser: Chooser = least_label_chooser
 ) -> TripletCover:
     """Cover built by picking one leaf per component at every interior vertex
-    and taking the three pairs; always a triplet cover by construction."""
+    and taking the three pairs; always a triplet cover by construction.
+
+    The chooser sees the vertices in :meth:`PhyloTree.component_triple`
+    order, which is the order of the lowest bits of their component masks,
+    as bit i is the i-th sorted taxon."""
     taxa = tree._index.taxa
     bit = {x: 1 << i for i, x in enumerate(taxa)}
-    triples = []
-    for v in sorted(tree.interior_vertices(), key=tree.component_triple):
-        masks = tree._component_masks(v)
+    components = tree._index.components
+    cords = set()
+    for v in sorted(components, key=lambda v: [m & -m for m in components[v]]):
+        masks = components[v]
         picks = chooser(taxa, v, masks)
         if len(picks) != 3 or any(not bit.get(p, 0) & m for p, m in zip(picks, masks)):
             raise CoverError(f"chooser returned an invalid selection {picks}")
-        triples.append(picks)
-    return TripletCover(tree.taxa, cord_set(triples))
+        a, b, c = picks
+        cords.add((a, b) if a < b else (b, a))
+        cords.add((a, c) if a < c else (c, a))
+        cords.add((b, c) if b < c else (c, b))
+    return TripletCover(tree.taxa, frozenset(cords))

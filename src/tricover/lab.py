@@ -9,6 +9,7 @@ cross-checks at desk scale.
 from __future__ import annotations
 
 import random
+from bisect import insort
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import product
@@ -29,7 +30,7 @@ from .covers import (
 from .errors import CapacityError
 from .reconstruct import PartialDistances
 from .report import InstanceRecord, basic_flags
-from .shelling import _shellable, is_ample
+from .shelling import _ample_merge, _shellable
 from .tree import PhyloTree
 
 ENUMERATION_CAP = 8
@@ -45,31 +46,44 @@ def default_taxa(n: int) -> list[str]:
     return [_LETTERS[i] if i < 26 else f"t{i + 1}" for i in range(n)]
 
 
+# The 40 (numerator, denominator) draws that random_rational accepts, each
+# with its length built once; a Fraction is immutable, so trees share them.
+_LENGTHS = {
+    (num, den): Fraction(num, den)
+    for num in range(1, 17)
+    for den in range(1, 5)
+    if den <= 4 * num and num <= 4 * den
+}
+
+
 def random_rational(rng: random.Random) -> Fraction:
-    """A random exact length in [1/4, 4] with small numerator/denominator."""
+    """A random exact length in [1/4, 4] with small numerator/denominator:
+    a numerator in 1..16 and a denominator in 1..4 are drawn until their
+    ratio lies in that range."""
     while True:
-        num = rng.randrange(1, 17)
-        den = rng.randrange(1, 5)
-        if den <= 4 * num and num <= 4 * den:
-            return Fraction(num, den)
+        length = _LENGTHS.get((rng.randrange(1, 17), rng.randrange(1, 5)))
+        if length is not None:
+            return length
 
 
 def random_binary_tree(n: int, seed: int) -> PhyloTree:
     """Uniformly random topology on n taxa (sequential leaf attachment to a
-    uniformly chosen edge), with seeded rational lengths in [1/4, 4]."""
+    uniformly chosen edge), with seeded rational lengths in [1/4, 4].
+
+    The edges stay in one sorted list, from which the drawn index is popped;
+    the new interior vertex has the largest id so far, so its three edges
+    are (u, mid), (v, mid) and (k, mid), each inserted in order."""
     taxa = default_taxa(n)
     rng = random.Random(seed)
     # Leaves take ids 0..n-1, interior vertices n, n+1, ...
-    edges: set[tuple[int, int]] = {(0, n), (1, n), (2, n)}
-    next_interior = n + 1
+    edges = [(0, n), (1, n), (2, n)]
     for k in range(3, n):
-        ordered = sorted(edges)
-        u, v = ordered[rng.randrange(len(ordered))]
-        edges.remove((u, v))
-        mid = next_interior
-        next_interior += 1
-        edges |= {(min(u, mid), max(u, mid)), (min(v, mid), max(v, mid)), (k, mid)}
-    weighted = [(u, v, random_rational(rng)) for u, v in sorted(edges)]
+        mid = n + k - 2
+        u, v = edges.pop(rng.randrange(len(edges)))
+        insort(edges, (u, mid))
+        insort(edges, (v, mid))
+        insort(edges, (k, mid))
+    weighted = [(u, v, random_rational(rng)) for u, v in edges]
     return PhyloTree(weighted, {i: taxa[i] for i in range(n)})
 
 
@@ -251,17 +265,16 @@ def balanced_chooser(seed: int) -> Chooser:
     """Chooser that favours the least-used leaf in each component, pushing
     every taxon's multiplicity up; useful when hunting high-mu covers."""
     rng = random.Random(seed)
-    usage: dict[str, int] = {}
+    usage: dict[int, int] = {}  # by taxon index: one chooser serves one tree
 
     def choose(taxa, v, masks):
-        picks = []
-        for m in masks:
-            comp = (taxa[i] for i in _bits(m))
-            best = min(comp, key=lambda t: (usage.get(t, 0), rng.random()))
-            picks.append(best)
-        for t in picks:
-            usage[t] = usage.get(t, 0) + 1
-        return tuple(picks)
+        picks = [
+            min(_bits(m), key=lambda i: (usage.get(i, 0), rng.random()))
+            for m in masks
+        ]
+        for i in picks:
+            usage[i] = usage.get(i, 0) + 1
+        return tuple(taxa[i] for i in picks)
 
     return choose
 
@@ -383,7 +396,7 @@ def predicate_sparse_shellable_not_ample(
     if section_count(support) != 1:
         return False
     section = frozenset().union(*support.values())
-    if is_ample(section, cap=len(section))[0]:
+    if _ample_merge(section, len(section)) is not None:
         return False
     return _shellable(tree, cover)[0]
 

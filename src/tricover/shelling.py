@@ -309,6 +309,29 @@ def is_ample(
     So on an ample family every merge order ends in one member, and two
     members that share 3 or more taxa, or k >= 2 members no two of which
     share exactly 2, prove that the family is not ample.
+    """
+    halves = _ample_merge(section, cap)
+    if halves is None:
+        return False, None
+    members = [frozenset((t,)) for t in sorted(set(section))]
+    m = len(members)
+    for first, second in halves:
+        members.append(members[first] | members[second])
+    order: list[frozenset[Triple]] = []
+    stack = [len(members) - 1]
+    while stack:
+        v = stack.pop()
+        order.append(members[v])
+        if v >= m:
+            stack.extend(reversed(halves[v - m]))
+    return True, tuple(order)
+
+
+def _ample_merge(section, cap: int) -> list[tuple[int, int]] | None:
+    """The merges of :func:`is_ample`'s search, or None when the section is
+    not ample; raises its :class:`SectionError` and :class:`CapacityError`.
+    Node i < m is the i-th triple in sorted order and node m + k the union
+    of the two nodes of the k-th merge, so the last node is the section.
 
     A worklist holds the members that may have a partner.  A member looks
     for one among the holders of its shared taxa (those held by two or more
@@ -352,7 +375,7 @@ def is_ample(
         if b is None:
             continue
         if (mask[a] & mask[b]).bit_count() > 2:
-            return False, None
+            return None
         keep, gone = (a, b) if mask[a].bit_count() >= mask[b].bit_count() else (b, a)
         for x in _bits(mask[gone] & shared):
             holders[x].discard(gone)
@@ -366,19 +389,7 @@ def is_ample(
         node[keep] = m + len(halves) - 1
         work.append(keep)
 
-    if len(halves) < m - 1:
-        return False, None
-    members = [frozenset((t,)) for t in triples]
-    for first, second in halves:
-        members.append(members[first] | members[second])
-    order: list[frozenset[Triple]] = []
-    stack = [len(members) - 1]
-    while stack:
-        v = stack.pop()
-        order.append(members[v])
-        if v >= m:
-            stack.extend(reversed(halves[v - m]))
-    return True, tuple(order)
+    return halves if len(halves) == m - 1 else None
 
 
 def shellable_via_patchwork(
@@ -403,8 +414,7 @@ def _patchwork_search(
     for i, section in enumerate(iter_sections(support)):
         if i >= limit_sections:
             break
-        ample, _ = is_ample(section, cap=ample_cap)
-        if ample:
+        if _ample_merge(section, ample_cap) is not None:
             return True, section
     if section_count(support) <= limit_sections:
         return False, None

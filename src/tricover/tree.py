@@ -78,7 +78,9 @@ def exact_rational(value, error: type[Exception] = TreeError) -> Fraction:
     floats are refused, since the float 0.1 is not 1/10, and so are booleans,
     which JSON keeps apart from numbers, exponents ("1e9"), whose value can
     outgrow any budget, and strings with whitespace or digit underscores.
-    Raises ``error``."""
+    Raises ``error``.  A Fraction is returned as it is: it is immutable."""
+    if type(value) is Fraction:
+        return value
     if isinstance(value, float):
         raise error(f"floats are not accepted, write {value!r} as a string")
     if isinstance(value, bool):
@@ -168,7 +170,7 @@ class PhyloTree:
             if u == v:
                 raise TreeError(f"self-loop at vertex {u}")
             q = exact_rational(length)
-            if q <= 0:
+            if q.numerator <= 0:
                 raise TreeError(f"non-positive edge length {_quote(length)}")
             adj.setdefault(u, {})
             adj.setdefault(v, {})

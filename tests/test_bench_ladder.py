@@ -17,8 +17,13 @@ def test_ladder_runs_at_n20(tmp_path):
     )
     report = json.loads(out.read_text())
     assert report["sizes"] == [20] and "parent" not in report
-    for key in ("canonical_cover_s", "support_map_s", "is_triplet_cover_s",
-                "minimalize_s", "is_minimal_s", "closure_s", "classify_s",
-                "is_ample_s", "reconstruct_s", "from_tree_s", "isomorphic_s", "cli_reconstruct_s"):
-        assert report["change"][key]["20"] > 0
-        assert report["change"]["spread"][key]["20"] >= 1
+    rows = [(key, "20") for key in (
+        "random_binary_tree_s", "canonical_cover_s", "support_map_s",
+        "is_triplet_cover_s", "minimalize_s", "is_minimal_s", "closure_s",
+        "classify_s", "is_ample_s", "reconstruct_s", "from_tree_s",
+        "isomorphic_s", "cli_reconstruct_s")]
+    # The instance stream is timed at one fixed n, whatever the sizes.
+    rows.append(("random_instances_s", "12"))
+    for key, n in rows:
+        assert report["change"][key][n] > 0
+        assert report["change"]["spread"][key][n] >= 1

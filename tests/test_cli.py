@@ -517,7 +517,11 @@ def test_generate_deterministic_bytes(tmp_path):
 
 
 def test_generate_rejects_small_n(tmp_path, capsys):
-    assert main(["generate", "--n", "2", "--out-dir", str(tmp_path)]) == 1
+    with pytest.raises(SystemExit) as exit_info:
+        main(["generate", "--n", "2", "--out-dir", str(tmp_path / "out")])
+    assert exit_info.value.code == 2
+    assert "argument --n: need at least 3 taxa, got 2" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
 
 
 def test_decompose_report(fig_files, tmp_path):
@@ -647,6 +651,15 @@ USAGE_ERRORS = {
                  "argument --budget: must not be negative, got -1"),
     "--n-min": (["fixtures", "--target", "minimum", "--n-min", "9", "--n-max", "5"],
                 "fixtures: --n-min 9 is above --n-max 5"),
+    "--n-min below 3": (["fixtures", "--target", "minimum", "--n-min", "1"],
+                        "argument --n-min: need at least 3 taxa, got 1"),
+    "--n-min 2 to --n-max 2": (
+        ["fixtures", "--target", "minimum", "--n-min", "2", "--n-max", "2"],
+        "argument --n-min: need at least 3 taxa, got 2"),
+    "generate --n": (["generate", "--n", "2"],
+                     "argument --n: need at least 3 taxa, got 2"),
+    "generate --n negative": (["generate", "--n", "-4", "--seed", "1"],
+                              "argument --n: need at least 3 taxa, got -4"),
 }
 
 

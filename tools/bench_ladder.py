@@ -1,10 +1,12 @@
 #!/usr/bin/env python3
-"""Layer ladder: time ``canonical_cover``, ``support_map``,
-``is_triplet_cover``, ``minimalize``, ``is_minimal``, ``cord_closure``,
-``classify``, ``is_ample``, ``reconstruct``, ``PartialDistances.from_tree``,
-``PhyloTree.isomorphic`` and the CLI ``reconstruct`` at several n, for the
-working tree and optionally for a parent commit, and write the numbers to a
-JSON file.
+"""Layer ladder: time ``random_binary_tree``, ``canonical_cover``,
+``support_map``, ``is_triplet_cover``, ``minimalize``, ``is_minimal``,
+``cord_closure``, ``classify``, ``is_ample``, ``reconstruct``,
+``PartialDistances.from_tree``, ``PhyloTree.isomorphic`` and the CLI
+``reconstruct`` at several n, and the
+fixture search's instance stream ``random_instances`` at one fixed n, for
+the working tree and optionally for a parent commit, and write the numbers
+to a JSON file.
 
 Usage, from the repository root::
 
@@ -14,7 +16,9 @@ Usage, from the repository root::
 The input at each n is ``random_binary_tree(n, 1)`` with ``canonical_cover(tree,
 seeded_chooser(1))``, that cover minimalized, and the minimal cover's
 distances from the tree; each side builds them with its own library.
-``canonical_cover`` builds the chooser cover with a fresh chooser each run;
+``random_binary_tree`` builds that tree; ``random_instances`` takes the
+first ``INSTANCES_TAKEN`` items of ``random_instances(INSTANCES_N, 1)``,
+whatever the sizes, and is keyed by that n.  ``canonical_cover`` builds the chooser cover with a fresh chooser each run;
 ``support_map``, ``is_triplet_cover``, ``minimalize`` and ``is_minimal`` run
 on the chooser cover; ``cord_closure`` (only for n <= 320), ``classify`` (only
 for n <= 160) and the reconstruction rows on the minimal one; ``is_ample``
@@ -48,6 +52,7 @@ import tempfile
 import time
 from functools import partial
 from io import BytesIO
+from itertools import islice
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parents[1]
@@ -56,6 +61,8 @@ CLASSIFY_MAX = 160
 CLOSURE_MAX = 320
 AMPLE_LIMIT_S = 1
 SEED = 1
+INSTANCES_N = 12
+INSTANCES_TAKEN = 50
 
 
 class _OverLimit(Exception):
@@ -100,7 +107,7 @@ def measure(src: Path, sizes: list[int], repeats: int, workdir: Path) -> dict:
         support_map,
         write_newick,
     )
-    from tricover.lab import random_binary_tree
+    from tricover.lab import random_binary_tree, random_instances
     from tricover.report import classify
 
     def best(fn, *args):
@@ -115,14 +122,18 @@ def measure(src: Path, sizes: list[int], repeats: int, workdir: Path) -> dict:
         """Time ``fn(tree, c)`` with ``c`` a fresh copy of ``cover``."""
         return best(lambda: fn(tree, TripletCover(cover.taxa, cover.cords)))[0]
 
-    out = {"canonical_cover_s": {}, "support_map_s": {}, "is_triplet_cover_s": {},
+    out = {"random_binary_tree_s": {}, "random_instances_s": {},
+           "canonical_cover_s": {}, "support_map_s": {}, "is_triplet_cover_s": {},
            "minimalize_s": {}, "is_minimal_s": {}, "closure_s": {},
            "classify_s": {}, "is_ample_s": {}, "reconstruct_s": {}, "from_tree_s": {},
            "isomorphic_s": {}, "cli_reconstruct_s": {}}
     env = dict(os.environ, PYTHONPATH=str(src))
+    out["random_instances_s"][INSTANCES_N], _ = best(
+        lambda: list(islice(random_instances(INSTANCES_N, SEED), INSTANCES_TAKEN))
+    )
     ample_in_reach = True
     for n in sorted(sizes):
-        tree = random_binary_tree(n, SEED)
+        out["random_binary_tree_s"][n], tree = best(random_binary_tree, n, SEED)
         out["canonical_cover_s"][n], chooser_cover = best(
             lambda: canonical_cover(tree, seeded_chooser(SEED))
         )
@@ -231,7 +242,9 @@ def main(argv=None) -> int:
         parser.error("--out is required")
 
     report = {
-        "inputs": f"random_binary_tree(n, {SEED}), canonical_cover(tree, "
+        "inputs": f"random_binary_tree(n, {SEED}) (timed as random_binary_tree), "
+        f"the first {INSTANCES_TAKEN} items of random_instances({INSTANCES_N}, "
+        f"{SEED}) (random_instances, keyed by {INSTANCES_N}), canonical_cover(tree, "
         f"seeded_chooser({SEED})) for canonical_cover, support_map, "
         "is_triplet_cover, minimalize and is_minimal, minimalized for "
         f"cord_closure (n <= {CLOSURE_MAX}), "
