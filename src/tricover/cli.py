@@ -18,7 +18,6 @@ from pathlib import Path
 from . import covers, jsonio, lab, report, shelling
 from .covergraph import decomposition_from_section, is_strict, verify_counting
 from .covers import (
-    all_cords,
     canonical_cover,
     cover_support,
     iter_sections,
@@ -37,7 +36,7 @@ from .errors import (
 )
 from .newick import parse_newick, write_newick
 from .reconstruct import PartialDistances, reconstruct
-from .shelling import _closure, verify_shelling
+from .shelling import _closure, _reaches_every_pair, verify_shelling
 
 _FORMAT_ERRORS = (NewickError, TreeError, CoverError, OSError, ValueError)
 
@@ -108,9 +107,9 @@ def _cmd_shell(args) -> int:
     tree = _load_tree(args.tree)
     cover = jsonio.load_cover(args.cover)
     cover_support(tree, cover, "shell")
-    closed, steps = _closure(tree, cover)
+    _, steps = _closure(tree, cover)
     payload = jsonio.shelling_to_json(steps)
-    payload["shellable"] = closed == all_cords(cover.taxa)
+    payload["shellable"] = _reaches_every_pair(cover, len(steps))
     if not payload["shellable"]:
         payload["stalled_after"] = len(steps)
     _emit(payload, args.json)

@@ -11,11 +11,15 @@ from the graph alone.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from heapq import heappop, heappush
 
-from .covers import Cord, Triple, TripletCover, _bits, cord_set
+from .covers import Cord, Triple, TripletCover, _bits, _triple_masks, cord_set
 from .errors import CapacityError, SectionError
+from .tree import _quote_each, _quote_first
 
 DECOMPOSITION_TRIANGLE_CAP = 12
+# A "re-enters the block" text names at most this many block taxa.
+BLOCK_TAXA_SHOWN = 10
 
 
 def build_cover_graph(cover: TripletCover) -> TripletCover:
@@ -152,35 +156,58 @@ def decomposition_from_section(section) -> TwoTreeDecomposition:
     start the next block.  Valid sections always produce 2-tree blocks; any
     violation means the input was not a section and raises
     :class:`SectionError`.
+
+    The triples are taxon masks.  A triple shares two taxa with a block
+    triple exactly when one of its pairs is a block pair, so a block keeps
+    its pairs' masks as its frontier; each new pair puts the unused triples
+    through it on a heap of sorted positions, whose least is the next pick.
     """
-    remaining = sorted(set(section))
-    if not remaining:
+    triples = sorted(set(section))
+    if not triples:
         raise SectionError("empty triple family")
+    taxa = sorted(set().union(*triples))
+    masks = _triple_masks(taxa, triples)
+    pairs = []
+    through: dict[int, list[int]] = {}  # pair mask -> positions of its triples
+    for i, m in enumerate(masks):
+        low, high = m & -m, 1 << (m.bit_length() - 1)
+        pairs.append((m ^ low, low | high, m ^ high))
+        for pair in pairs[i]:
+            through.setdefault(pair, []).append(i)
+    queued = [False] * len(triples)
     blocks: list[TwoTreeBlock] = []
-    while remaining:
-        seq = [remaining.pop(0)]
-        vertices = set(seq[0])
-        while True:
-            pick = None
-            for t in remaining:
-                if any(len(set(t) & set(prev)) == 2 for prev in seq):
-                    pick = t
-                    break
-            if pick is None:
-                break
-            fresh = set(pick) - vertices
-            if len(fresh) != 1:
+    for first in range(len(triples)):
+        if queued[first]:
+            continue
+        queued[first] = True
+        seq: list[Triple] = []
+        vertices = 0
+        frontier: set[int] = set()
+        ready = [first]
+        while ready:
+            i = heappop(ready)
+            if seq and (masks[i] & ~vertices).bit_count() != 1:
+                names = [taxa[x] for x in _bits(vertices)]
+                shown = _quote_first(names, BLOCK_TAXA_SHOWN)
+                if len(names) > BLOCK_TAXA_SHOWN:
+                    shown += f" ({len(names)} taxa)"
                 raise SectionError(
-                    f"triple {pick} re-enters the block on {sorted(vertices)}; "
-                    "the family is not a section"
+                    f"triple {_quote_each(triples[i])} re-enters the block on "
+                    f"{shown}; the family is not a section"
                 )
-            remaining.remove(pick)
-            seq.append(pick)
-            vertices |= set(pick)
-        edges = cord_set(seq)
-        if len(edges) != 2 * len(vertices) - 3:
+            seq.append(triples[i])
+            vertices |= masks[i]
+            for pair in pairs[i]:
+                if pair not in frontier:
+                    frontier.add(pair)
+                    for j in through[pair]:
+                        if not queued[j]:
+                            queued[j] = True
+                            heappush(ready, j)
+        block_taxa, edges = frozenset().union(*seq), cord_set(seq)
+        if len(edges) != 2 * len(block_taxa) - 3:
             raise SectionError("block is not a 2-tree; the family is not a section")
-        blocks.append(TwoTreeBlock(frozenset(vertices), edges, tuple(seq)))
+        blocks.append(TwoTreeBlock(block_taxa, edges, tuple(seq)))
     try:
         return TwoTreeDecomposition(tuple(blocks))
     except ValueError as exc:
@@ -188,15 +215,23 @@ def decomposition_from_section(section) -> TwoTreeDecomposition:
 
 
 def is_strict(cover: TripletCover, decomposition: TwoTreeDecomposition) -> bool:
-    """True iff every triangle of the graph lies inside one block's edge set."""
+    """True iff every triangle of the graph lies inside one block's edge set.
+
+    Block edge sets are disjoint, so each cord has at most one block, and a
+    triangle lies inside one block when its three cords have the same one."""
     for block in decomposition.blocks:
         if not block.edges <= cover.cords:
             raise ValueError("decomposition block is not a subgraph")
-    block_edges = [block.edges for block in decomposition.blocks]
-    for t in triangles(cover):
-        needed = cord_set([t])
-        if not any(needed <= edges for edges in block_edges):
-            return False
+    owner = {c: b for b, block in enumerate(decomposition.blocks) for c in block.edges}
+    taxa, nbr = cover._taxa, cover._nbr
+    for i, x in enumerate(taxa):
+        for j in _bits(nbr[i] & ~((2 << i) - 1)):
+            y = taxa[j]
+            home = owner.get((x, y))
+            for k in _bits(nbr[i] & nbr[j] & ~((2 << j) - 1)):
+                z = taxa[k]
+                if home is None or not owner.get((x, z)) == home == owner.get((y, z)):
+                    return False
     return True
 
 

@@ -15,7 +15,7 @@ from itertools import combinations, product
 from typing import Callable, Iterable, Iterator
 
 from .errors import CapacityError, CoverError, NotTripletCoverError
-from .tree import PhyloTree, _brief, _quote, is_valid_label
+from .tree import PhyloTree, _brief, _quote, _quote_each, is_valid_label
 
 Cord = tuple[str, str]
 Triple = tuple[str, str, str]
@@ -34,7 +34,9 @@ def cord(x: str, y: str) -> Cord:
 
 def make_triple(x: str, y: str, z: str) -> Triple:
     if len({x, y, z}) != 3:
-        raise CoverError(f"a triple needs three distinct taxa: {x},{y},{z}")
+        raise CoverError(
+            f"a triple needs three distinct taxa: {_brief(x)},{_brief(y)},{_brief(z)}"
+        )
     a, b, c = sorted((x, y, z))
     return (a, b, c)
 
@@ -161,6 +163,7 @@ def _refuse_cord(cords: frozenset[Cord], index: dict[str, int]):
             f"cord {_brief(x)},{_brief(y)} uses a taxon outside the taxon set"
         )
     cord(x, y)  # raises for x == y
+    x, y = _brief(x), _brief(y)
     raise CoverError(f"cord {x},{y} is not a sorted pair; write it as {y},{x}")
 
 
@@ -324,7 +327,9 @@ def _triple_masks(taxa: list[str], triples: list[Triple]) -> list[int]:
         m = 0
         for x in t:
             if x not in index:
-                raise CoverError(f"triple {t} uses a taxon outside the taxon set")
+                raise CoverError(
+                    f"triple {_quote_each(t)} uses a taxon outside the taxon set"
+                )
             m |= 1 << index[x]
         masks.append(m)
     return masks
@@ -451,7 +456,9 @@ def canonical_cover(
         masks = components[v]
         picks = chooser(taxa, v, masks)
         if len(picks) != 3 or any(not bit.get(p, 0) & m for p, m in zip(picks, masks)):
-            raise CoverError(f"chooser returned an invalid selection {picks}")
+            raise CoverError(
+                f"chooser returned an invalid selection {_quote_each(picks)}"
+            )
         a, b, c = picks
         cords.add((a, b) if a < b else (b, a))
         cords.add((a, c) if a < c else (c, a))

@@ -30,7 +30,7 @@ from .covers import (
 from .errors import CapacityError
 from .reconstruct import PartialDistances
 from .report import InstanceRecord, basic_flags
-from .shelling import _ample_merge, _shellable
+from .shelling import _ample_merge, _shelling_cords
 from .tree import PhyloTree
 
 ENUMERATION_CAP = 8
@@ -376,7 +376,7 @@ def predicate_sparse_minimal_mu4(tree: PhyloTree, cover: TripletCover) -> bool:
 def predicate_sparse_not_shellable(tree: PhyloTree, cover: TripletCover) -> bool:
     return (
         section_count(support_map(tree, cover)) == 1
-        and not _shellable(tree, cover)[0]
+        and not _shelling_cords(tree, cover)[0]
     )
 
 
@@ -398,7 +398,7 @@ def predicate_sparse_shellable_not_ample(
     section = frozenset().union(*support.values())
     if _ample_merge(section, len(section)) is not None:
         return False
-    return _shellable(tree, cover)[0]
+    return _shelling_cords(tree, cover)[0]
 
 
 FIXTURE_PREDICATES = {

@@ -36,7 +36,7 @@ from .shelling import (
     AMPLE_TRIPLE_CAP,
     SECTION_ENUM_LIMIT,
     _patchwork_search,
-    _shellable,
+    _shelling_cords,
 )
 from .tree import PhyloTree
 
@@ -73,7 +73,7 @@ def basic_flags(tree: PhyloTree, cover: TripletCover) -> dict:
     support map."""
     _, bad, flags = _cover_flags(tree, cover)
     if bad is None:
-        flags["is_shellable"] = _shellable(tree, cover)[0]
+        flags["is_shellable"] = _shelling_cords(tree, cover)[0]
     return flags
 
 
@@ -140,11 +140,9 @@ def classify(
         whole, _ = is_two_tree(cover)
         report["decomposition"]["graph_is_two_tree"] = whole
 
-    shellable, steps = _shellable(tree, cover)
+    shellable, added = _shelling_cords(tree, cover)
     report["shellable"] = shellable
-    report["shelling_added"] = (
-        [list(step.cord) for step in steps] if shellable else None
-    )
+    report["shelling_added"] = [list(c) for c in added] if shellable else None
 
     try:
         verdict, _ = _patchwork_search(support, limit_sections, ample_cap)

@@ -36,7 +36,7 @@ from .errors import (
     TreeError,
     WitnessError,
 )
-from .tree import PhyloTree, Quartet, _brief, _quote_each, make_quartet
+from .tree import PhyloTree, Quartet, _brief, _quote_each, _quote_first, make_quartet
 
 AMPLE_TRIPLE_CAP = 16
 SECTION_ENUM_LIMIT = 10_000
@@ -54,8 +54,12 @@ class ShellingStep:
     quartet: Quartet
 
 
-def _forced_steps(tree: PhyloTree, cover: TripletCover) -> Iterator[ShellingStep]:
-    """The closure's forced additions in order, for a verified triplet cover.
+def _forced_indices(
+    tree: PhyloTree, cover: TripletCover
+) -> Iterator[tuple[int, int, int, int]]:
+    """The closure's forced additions in order, for a verified triplet cover,
+    as sorted-taxon indices ``(a, b, p, q)``: the cord ``(a, b)``, a < b,
+    and its witness ``(p, q)``, ordered so that p pairs with a and q with b.
 
     A worklist closure: the heap ``ready`` holds every missing cord that has
     a valid witness now; a witness stays valid as cords are added, so a cord
@@ -132,12 +136,7 @@ def _forced_steps(tree: PhyloTree, cover: TripletCover) -> Iterator[ShellingStep
             push(a, b)
     while ready:
         a, b = heappop(ready)
-        p, q = witness(a, b)
-        yield ShellingStep(
-            (taxa[a], taxa[b]),
-            (taxa[p], taxa[q]),
-            make_quartet((taxa[a], taxa[p]), (taxa[b], taxa[q])),
-        )
+        yield (a, b, *witness(a, b))
         nbr[a] |= 1 << b
         nbr[b] |= 1 << a
         both = nbr[a] & nbr[b]
@@ -172,6 +171,40 @@ def _forced_steps(tree: PhyloTree, cover: TripletCover) -> Iterator[ShellingStep
                     push(c, d)
 
 
+def _forced_steps(tree: PhyloTree, cover: TripletCover) -> Iterator[ShellingStep]:
+    """:func:`_forced_indices` as :class:`ShellingStep` records.  Bit i is the
+    i-th sorted taxon, so comparing indices orders the quartet's pairs as
+    :func:`make_quartet` orders their names."""
+    taxa = cover._taxa
+    for a, b, p, q in _forced_indices(tree, cover):
+        one = (taxa[a], taxa[p]) if a < p else (taxa[p], taxa[a])
+        two = (taxa[b], taxa[q]) if b < q else (taxa[q], taxa[b])
+        first = min(a, p) < min(b, q)
+        yield ShellingStep(
+            (taxa[a], taxa[b]), (taxa[p], taxa[q]), (one, two) if first else (two, one)
+        )
+
+
+def _reaches_every_pair(cover: TripletCover, added: int) -> bool:
+    """Whether ``added`` forced additions complete ``cover``: its cords are
+    distinct sorted pairs (its neighbour masks refuse any other), and so are
+    the additions, none of them a cord of the cover."""
+    n = len(cover.taxa)
+    return len(cover.cords) + added == n * (n - 1) // 2
+
+
+def _shelling_cords(
+    tree: PhyloTree, cover: TripletCover
+) -> tuple[bool, list[Cord] | None]:
+    """Whether a verified triplet cover is shellable and, when it is, the
+    cords the closure adds in order; builds no step, witness or quartet."""
+    added = [(a, b) for a, b, _, _ in _forced_indices(tree, cover)]
+    if not _reaches_every_pair(cover, len(added)):
+        return False, None
+    taxa = cover._taxa
+    return True, [(taxa[a], taxa[b]) for a, b in added]
+
+
 def _closure(
     tree: PhyloTree, cover: TripletCover
 ) -> tuple[frozenset[Cord], tuple[ShellingStep, ...]]:
@@ -197,8 +230,8 @@ def _shellable(
     tree: PhyloTree, cover: TripletCover
 ) -> tuple[bool, tuple[ShellingStep, ...] | None]:
     """:func:`is_shellable` for a cover already known to be a triplet cover."""
-    closed, steps = _closure(tree, cover)
-    if closed == all_cords(cover.taxa):
+    _, steps = _closure(tree, cover)
+    if _reaches_every_pair(cover, len(steps)):
         return True, steps
     return False, None
 
@@ -258,13 +291,11 @@ def verify_shelling(tree: PhyloTree, cover: TripletCover, steps) -> None:
         available.add(step.cord)
     if available != universe:
         missing = sorted(universe - available)
-        if len(missing) <= MISSING_PAIRS_SHOWN:
-            raise WitnessError(f"witness incomplete: {_quote_each(missing)} never added")
-        shown = _quote_each(missing[:MISSING_PAIRS_SHOWN])[:-1]
-        raise WitnessError(
-            f"witness incomplete: {shown}, ...] never added "
-            f"({len(missing)} pairs missing in all)"
-        )
+        shown = _quote_first(missing, MISSING_PAIRS_SHOWN)
+        text = f"witness incomplete: {shown} never added"
+        if len(missing) > MISSING_PAIRS_SHOWN:
+            text += f" ({len(missing)} pairs missing in all)"
+        raise WitnessError(text)
 
 
 def patchwork_membership(section, subset) -> bool:

@@ -55,9 +55,10 @@ def _quote(value) -> str:
     return f"{text[:_QUOTE_MAX]!r}... ({len(text)} characters)"
 
 
-def _brief(text: str) -> str:
-    """A name or literal for an error text: as it is, or for a long one
-    quoted through :func:`_quote`."""
+def _brief(value) -> str:
+    """A name or literal for an error text: as ``str`` gives it, or for a
+    long one quoted through :func:`_quote`."""
+    text = str(value)
     return text if len(text) <= _QUOTE_MAX else _quote(text)
 
 
@@ -71,6 +72,14 @@ def _quote_each(value) -> str:
             return f"[{inner}]"
         return f"({inner},)" if len(value) == 1 else f"({inner})"
     return _quote(value)
+
+
+def _quote_first(items: list, limit: int) -> str:
+    """:func:`_quote_each` of a list, or for one of more than ``limit`` items
+    of its first ``limit`` followed by ``, ...]``."""
+    if len(items) <= limit:
+        return _quote_each(items)
+    return _quote_each(items[:limit])[:-1] + ", ...]"
 
 
 def exact_rational(value, error: type[Exception] = TreeError) -> Fraction:

@@ -23,6 +23,7 @@ from tricover import (
 )
 from tricover.jsonio import cover_to_json, dumps_canonical
 from tricover.lab import balanced_chooser, random_binary_tree
+from tricover.tree import _quote_each
 
 
 def ref_canonical_cover(tree, chooser):
@@ -31,7 +32,9 @@ def ref_canonical_cover(tree, chooser):
         comps = tree.components_without(v)
         picks = chooser(tree, v, comps)
         if len(picks) != 3 or any(p not in c for p, c in zip(picks, comps)):
-            raise CoverError(f"chooser returned an invalid selection {picks}")
+            raise CoverError(
+                f"chooser returned an invalid selection {_quote_each(picks)}"
+            )
         triples.append(picks)
     return TripletCover(tree.taxa, cord_set(triples))
 

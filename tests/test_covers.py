@@ -349,6 +349,55 @@ def test_reversed_and_self_cords_are_one_cover_error():
             entry(tree, self_cord)
 
 
+LONG = "x" * 5000
+# The start of a 5000-character name as the error texts quote it.
+LONG_QUOTED = "'" + "x" * 40 + "'... (5000 characters)"
+
+
+def long_chooser(taxa, v, masks):
+    return (LONG, LONG, LONG)
+
+
+# case: (call, its exact error text)
+LONG_NAME_ERRORS = {
+    "re-entering triple": (
+        lambda: covergraph.decomposition_from_section(
+            {("a", "b", "c"), ("a", "b", LONG), ("a", "c", LONG)}
+        ),
+        f"triple ('a', 'c', {LONG_QUOTED}) re-enters the block on "
+        f"['a', 'b', 'c', {LONG_QUOTED}]; the family is not a section",
+    ),
+    "triple outside the taxa": (
+        lambda: is_hall_type("abcd", [("a", "b", LONG)]),
+        f"triple ('a', 'b', {LONG_QUOTED}) uses a taxon outside the taxon set",
+    ),
+    "triple with a repeated taxon": (
+        lambda: covers.make_triple(LONG, LONG, "a"),
+        f"a triple needs three distinct taxa: {LONG_QUOTED},{LONG_QUOTED},a",
+    ),
+    "reversed cord": (
+        lambda: TripletCover(frozenset(["a", "b", LONG]), frozenset([(LONG, "a")]))._nbr,
+        f"cord {LONG_QUOTED},a is not a sorted pair; write it as a,{LONG_QUOTED}",
+    ),
+    "invalid chooser selection": (
+        lambda: canonical_cover(random_binary_tree(5, 1), long_chooser),
+        f"chooser returned an invalid selection ({LONG_QUOTED}, {LONG_QUOTED}, "
+        f"{LONG_QUOTED})",
+    ),
+}
+
+
+@pytest.mark.parametrize("case", LONG_NAME_ERRORS)
+def test_long_names_in_error_texts_are_capped(case):
+    # Each of these texts once held every name whole: a 5000-character name
+    # made a line of 5,000 to 15,000 characters.
+    call, text = LONG_NAME_ERRORS[case]
+    with pytest.raises(Exception) as raised:
+        call()
+    assert str(raised.value) == text
+    assert len(text) < 300
+
+
 def test_cover_validation():
     with pytest.raises(CoverError):
         TripletCover.make("ab", [("a", "b")])  # too few taxa

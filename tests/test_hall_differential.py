@@ -25,6 +25,7 @@ from tricover import (
 )
 from tricover.covers import HALL_SUBSET_CAP
 from tricover.lab import random_binary_tree, random_instances
+from tricover.tree import _quote_each
 
 
 def reference_is_hall_type(taxa, triples, cap=HALL_SUBSET_CAP):
@@ -39,7 +40,9 @@ def reference_is_hall_type(taxa, triples, cap=HALL_SUBSET_CAP):
         m = 0
         for x in t:
             if x not in index:
-                raise CoverError(f"triple {t} uses a taxon outside the taxon set")
+                raise CoverError(
+                    f"triple {_quote_each(t)} uses a taxon outside the taxon set"
+                )
             m |= 1 << index[x]
         masks.append(m)
     union_all = 0

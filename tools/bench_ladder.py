@@ -1,7 +1,8 @@
 #!/usr/bin/env python3
 """Layer ladder: time ``random_binary_tree``, ``canonical_cover``,
 ``support_map``, ``is_triplet_cover``, ``minimalize``, ``is_minimal``,
-``cord_closure``, ``classify``, ``is_ample``, ``reconstruct``,
+``cord_closure``, ``classify``, ``decomposition_from_section``,
+``is_ample``, ``reconstruct``,
 ``PartialDistances.from_tree``, ``PhyloTree.isomorphic`` and the CLI
 ``reconstruct`` at several n, and the
 fixture search's instance stream ``random_instances`` at one fixed n, for
@@ -20,9 +21,10 @@ distances from the tree; each side builds them with its own library.
 first ``INSTANCES_TAKEN`` items of ``random_instances(INSTANCES_N, 1)``,
 whatever the sizes, and is keyed by that n.  ``canonical_cover`` builds the chooser cover with a fresh chooser each run;
 ``support_map``, ``is_triplet_cover``, ``minimalize`` and ``is_minimal`` run
-on the chooser cover; ``cord_closure`` (only for n <= 320), ``classify`` (only
-for n <= 160) and the reconstruction rows on the minimal one; ``is_ample``
-takes the minimal cover's first section with the cap at its size, and a size
+on the chooser cover; ``cord_closure`` and ``classify`` (only for n <= 320)
+and the reconstruction rows on the minimal one;
+``decomposition_from_section`` and ``is_ample`` take the minimal cover's
+first section, ``is_ample`` with the cap at its size, and a size
 where one call runs over ``AMPLE_LIMIT_S`` seconds is left out of the row,
 with every larger one (an exponential search cannot finish there, and its
 memo would fill the memory); ``isomorphic`` compares the tree with its
@@ -57,7 +59,7 @@ from pathlib import Path
 
 ROOT = Path(__file__).resolve().parents[1]
 SIZES = (20, 40, 80, 160, 320, 1000)
-CLASSIFY_MAX = 160
+CLASSIFY_MAX = 320
 CLOSURE_MAX = 320
 AMPLE_LIMIT_S = 1
 SEED = 1
@@ -95,6 +97,7 @@ def measure(src: Path, sizes: list[int], repeats: int, workdir: Path) -> dict:
         TripletCover,
         canonical_cover,
         cord_closure,
+        decomposition_from_section,
         is_ample,
         is_minimal,
         is_triplet_cover,
@@ -125,7 +128,8 @@ def measure(src: Path, sizes: list[int], repeats: int, workdir: Path) -> dict:
     out = {"random_binary_tree_s": {}, "random_instances_s": {},
            "canonical_cover_s": {}, "support_map_s": {}, "is_triplet_cover_s": {},
            "minimalize_s": {}, "is_minimal_s": {}, "closure_s": {},
-           "classify_s": {}, "is_ample_s": {}, "reconstruct_s": {}, "from_tree_s": {},
+           "classify_s": {}, "decomposition_s": {}, "is_ample_s": {},
+           "reconstruct_s": {}, "from_tree_s": {},
            "isomorphic_s": {}, "cli_reconstruct_s": {}}
     env = dict(os.environ, PYTHONPATH=str(src))
     out["random_instances_s"][INSTANCES_N], _ = best(
@@ -147,6 +151,7 @@ def measure(src: Path, sizes: list[int], repeats: int, workdir: Path) -> dict:
         if n <= CLASSIFY_MAX:
             out["classify_s"][n] = on_fresh(classify, tree, cover)
         section = next(iter_sections(support_map(tree, cover)))
+        out["decomposition_s"][n], _ = best(decomposition_from_section, section)
         ample = partial(is_ample, section, cap=len(section))
         ample_in_reach = ample_in_reach and finishes(ample)
         if ample_in_reach:
@@ -248,7 +253,8 @@ def main(argv=None) -> int:
         f"seeded_chooser({SEED})) for canonical_cover, support_map, "
         "is_triplet_cover, minimalize and is_minimal, minimalized for "
         f"cord_closure (n <= {CLOSURE_MAX}), "
-        f"classify (n <= {CLASSIFY_MAX}), is_ample on its first section with "
+        f"classify (n <= {CLASSIFY_MAX}), decomposition_from_section on its "
+        "first section, is_ample on that section with "
         f"the cap at the section's size (left out from the first n where one "
         f"call runs over {AMPLE_LIMIT_S} s) and PartialDistances.from_tree; "
         "isomorphic: the tree against its Newick re-parse, with lengths",
