@@ -41,28 +41,55 @@ def triangles(cover: TripletCover) -> frozenset[Triple]:
     )
 
 
-def _connected(nbr: tuple[int, ...], among: int) -> bool:
-    """Whether the vertices whose bits are set in ``among`` induce a
-    connected subgraph."""
-    seen = frontier = among & -among
-    while frontier:
-        reached = 0
-        for i in _bits(frontier):
-            reached |= nbr[i]
-        frontier = reached & among & ~seen
-        seen |= frontier
-    return seen == among
-
-
 def is_two_connected(cover: TripletCover) -> bool:
-    """Connected with no cut vertex, checked by deleting each vertex in turn."""
-    n = len(cover._taxa)
+    """Connected with no cut vertex, decided by one depth-first search from
+    vertex 0 with lowpoints (Hopcroft & Tarjan, 1973).
+
+    ``low[v]`` is the least depth that v's subtree reaches by one edge, so a
+    vertex u below the root is a cut vertex when one of its children has
+    ``low >= depth[u]``.  The root is one when it has a second child, which
+    the search finds as a vertex left unreached on returning from the first
+    (in a disconnected graph too).  A vertex's neighbours reached before it
+    are its ancestors, so its own edges up are read once, when the search
+    reaches it; its children come from its unreached neighbours.
+    """
+    nbr = cover._nbr
+    n = len(nbr)
     if n < 3:
         raise ValueError("2-connectivity test needs at least 3 vertices")
-    everything = (1 << n) - 1
-    return _connected(cover._nbr, everything) and all(
-        _connected(cover._nbr, everything ^ (1 << v)) for v in range(n)
-    )
+    if not nbr[0]:
+        return False
+    depth = [0] * n
+    low = [0] * n
+    depth[0] = low[0] = 1
+    seen = 1
+    path = [0]  # the search path; the vertex at index i has depth i + 1
+    while True:
+        v = path[-1]
+        ahead = nbr[v] & ~seen
+        if ahead:
+            bit = ahead & -ahead
+            w = bit.bit_length() - 1
+            seen |= bit
+            path.append(w)
+            depth[w] = least = len(path)
+            up = nbr[w] & seen
+            while up:
+                bit = up & -up
+                up ^= bit
+                d = depth[bit.bit_length() - 1]
+                if d < least:
+                    least = d
+            low[w] = least
+            continue
+        path.pop()
+        if len(path) == 1:  # v is the root's first child
+            return seen == (1 << n) - 1
+        u = path[-1]
+        if low[v] >= depth[u]:
+            return False
+        if low[v] < low[u]:
+            low[u] = low[v]
 
 
 def is_two_tree(cover: TripletCover) -> tuple[bool, list[str] | None]:

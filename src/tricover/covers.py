@@ -68,12 +68,11 @@ class TripletCover:
 
     @classmethod
     def make(cls, taxa: Iterable[str], pairs: Iterable[Iterable[str]]) -> "TripletCover":
+        """A checked cover: the taxa pass :func:`_check_taxa`, and each pair is
+        two strings from the taxa, in either order; the first faulty pair is
+        named."""
         taxon_set = frozenset(taxa)
-        if len(taxon_set) < 3:
-            raise CoverError(f"need at least 3 taxa, got {len(taxon_set)}")
-        for t in taxon_set:
-            if not is_valid_label(t):
-                raise CoverError(f"bad taxon label {_quote(t)}")
+        _check_taxa(taxon_set)
         cords = set()
         for pair in pairs:
             try:  # a string is not a pair of one-letter taxa
@@ -83,9 +82,7 @@ class TripletCover:
             if not (isinstance(x, str) and isinstance(y, str)):
                 raise CoverError(f"bad cord entry {_quote(pair)}")
             if x not in taxon_set or y not in taxon_set:
-                raise CoverError(
-                    f"cord {_brief(x)},{_brief(y)} uses a taxon outside the taxon set"
-                )
+                _refuse_outside(x, y)
             cords.add(cord(x, y))
         return cls(taxon_set, frozenset(cords))
 
@@ -119,6 +116,23 @@ class TripletCover:
 
     def without(self, c: Cord) -> "TripletCover":
         return TripletCover(self.taxa, self.cords - {c})
+
+
+def _check_taxa(taxon_set: frozenset[str]) -> None:
+    """Refuse a cover's taxon set with fewer than 3 taxa, or with a bad
+    label (see :func:`is_valid_label`); of several bad labels the least in
+    string order is named, so the text does not depend on set order."""
+    if len(taxon_set) < 3:
+        raise CoverError(f"need at least 3 taxa, got {len(taxon_set)}")
+    bad = [t for t in taxon_set if not is_valid_label(t)]
+    if bad:
+        raise CoverError(f"bad taxon label {_quote(min(bad))}")
+
+
+def _refuse_outside(x: str, y: str):
+    """Raise the :class:`CoverError` of the cord x,y, which uses a taxon
+    outside the taxon set."""
+    raise CoverError(f"cord {_brief(x)},{_brief(y)} uses a taxon outside the taxon set")
 
 
 def _check_same_taxa(tree: PhyloTree, cover: TripletCover):
@@ -159,9 +173,7 @@ def _refuse_cord(cords: frozenset[Cord], index: dict[str, int]):
     pair of distinct taxa from ``index``."""
     x, y = min(c for c in cords if not 0 <= index.get(c[0], -1) < index.get(c[1], -1))
     if x not in index or y not in index:
-        raise CoverError(
-            f"cord {_brief(x)},{_brief(y)} uses a taxon outside the taxon set"
-        )
+        _refuse_outside(x, y)
     cord(x, y)  # raises for x == y
     x, y = _brief(x), _brief(y)
     raise CoverError(f"cord {x},{y} is not a sorted pair; write it as {y},{x}")

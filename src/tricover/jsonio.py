@@ -11,7 +11,7 @@ import json
 from fractions import Fraction
 from pathlib import Path
 
-from .covers import TripletCover, cord
+from .covers import TripletCover, _check_taxa, _refuse_outside, cord
 from .covergraph import TwoTreeDecomposition
 from .errors import CoverError
 from .newick import parse_newick, write_newick
@@ -66,18 +66,30 @@ def cover_to_json(cover: TripletCover) -> dict:
 
 
 def cover_from_json(payload) -> TripletCover:
+    """The cover in a cover file, each cord entry checked once.  The first
+    faulty entry (not two names, a self-cord or a repeat) is named first,
+    then the taxa are checked as :meth:`TripletCover.make` checks them, then
+    the first entry that uses a taxon outside them is named."""
     taxa, raw = _taxa_and_entries(payload, "cover", "cords")
-    if len(set(taxa)) != len(taxa):
+    taxon_set = frozenset(taxa)
+    if len(taxon_set) != len(taxa):
         raise CoverError("duplicate taxa in cover file")
-    seen = set()
+    cords: set[tuple[str, str]] = set()
+    outside = None
     for pair in raw:
         if not _is_names(pair, 2):
             raise CoverError(f"bad cord entry {_quote(pair)}")
-        key = cord(pair[0], pair[1])
-        if key in seen:
-            raise CoverError(f"duplicate cord [{_quote(pair[0])}, {_quote(pair[1])}]")
-        seen.add(key)
-    return TripletCover.make(taxa, [tuple(pair) for pair in raw])
+        x, y = pair
+        key = cord(x, y)
+        if key in cords:
+            raise CoverError(f"duplicate cord [{_quote(x)}, {_quote(y)}]")
+        cords.add(key)
+        if outside is None and (x not in taxon_set or y not in taxon_set):
+            outside = x, y
+    _check_taxa(taxon_set)
+    if outside is not None:
+        _refuse_outside(*outside)
+    return TripletCover(taxon_set, frozenset(cords))
 
 
 def load_cover(path) -> TripletCover:

@@ -22,106 +22,118 @@ from itertools import count
 from .errors import NewickError
 from .tree import PhyloTree, _quote
 
-_LABEL_RE = re.compile(r"[^\s(),:;]+")
+# The tokens of a text are its punctuation marks and the words between them
+# and whitespace: labels, and length literals with whatever follows them.
+_TOKEN_RE = re.compile(r"[(),:;]|[^\s(),:;]+")
 _LENGTH_RE = re.compile(r"[0-9]+/[0-9]+|[0-9]+(\.[0-9]+)?")
+_NOT_LABELS = frozenset(("", ")", ",", ":", ";"))
 
 
-class _Parser:
+class _Tokens:
+    """A text split into tokens once, with an empty last token for its end,
+    and the value of each length literal read so far."""
+
     def __init__(self, text: str):
         self.text = text
-        self.pos = 0
+        self.words = _TOKEN_RE.findall(text)
+        self.words.append("")
+        self.lengths: dict[str, Fraction] = {}
 
-    def fail(self, message: str):
-        raise NewickError(message, self.pos)
+    def start(self, k: int) -> int:
+        """Where token k begins: only whitespace lies between tokens."""
+        text, pos = self.text, 0
+        for word in self.words[:k]:
+            pos = text.index(word, pos) + len(word)
+        return text.index(self.words[k], pos) if self.words[k] else len(text)
 
-    def peek(self) -> str:
-        return self.text[self.pos] if self.pos < len(self.text) else ""
+    def fail(self, message: str, k: int):
+        raise NewickError(message, self.start(k))
 
-    def skip_ws(self):
-        while self.pos < len(self.text) and self.text[self.pos].isspace():
-            self.pos += 1
-
-    def expect(self, ch: str):
-        if self.peek() != ch:
-            self.fail(f"expected {ch!r}, found {self.peek()!r}")
-        self.pos += 1
-
-    def parse_length(self) -> Fraction:
-        match = _LENGTH_RE.match(self.text, self.pos)
+    def length(self, k: int) -> Fraction:
+        """The branch length at token k.  A word with more after its literal
+        ("1.5e3") is split in two, and parsing goes on from the rest as from
+        any other token."""
+        words = self.words
+        match = _LENGTH_RE.match(words[k])
         if not match:
-            self.fail("expected a branch length")
-        token = match.group(0)
-        try:
-            value = Fraction(token)
-        except ZeroDivisionError:
-            self.fail(f"zero denominator in length literal {_quote(token)}")
-        except ValueError as exc:  # more digits than int() reads
-            self.fail(f"unreadable branch length: {exc}")
-        if value <= 0:
-            self.fail(f"non-positive branch length {_quote(token)}")
-        self.pos = match.end()
+            self.fail("expected a branch length", k)
+        literal = match.group(0)
+        if literal != words[k]:
+            words[k : k + 1] = [literal, words[k][len(literal) :]]
+        value = self.lengths.get(literal)
+        if value is None:
+            try:
+                value = Fraction(literal)
+            except ZeroDivisionError:
+                self.fail(f"zero denominator in length literal {_quote(literal)}", k)
+            except ValueError as exc:  # more digits than int() reads
+                self.fail(f"unreadable branch length: {exc}", k)
+            if value <= 0:
+                self.fail(f"non-positive branch length {_quote(literal)}", k)
+            self.lengths[literal] = value
         return value
 
-    def parse_leaf(self) -> tuple[str, Fraction]:
-        match = _LABEL_RE.match(self.text, self.pos)
-        if not match:
-            self.fail("expected a leaf label or '('")
-        label = match.group(0)
-        self.pos = match.end()
-        self.skip_ws()
-        if self.peek() != ":":
-            self.fail(f"missing branch length after leaf {_quote(label)}")
-        self.pos += 1
-        self.skip_ws()
-        return label, self.parse_length()
 
-    def parse_tree(self):
-        """Parse the outermost subtree with an explicit stack of open groups.
+def _parse_tree(tokens: _Tokens) -> tuple[list[tuple[int, int, Fraction]], dict[int, str], int]:
+    """Parse the outermost subtree with an explicit stack of open groups.
 
-        Vertices are numbered in preorder, the root group 0, and each edge
-        is listed once its child's subtree is complete.  Returns the edges
-        and the leaf labels.
-        """
-        edges: list[tuple[int, int, Fraction]] = []
-        labels: dict[int, str] = {}
-        groups: list[tuple[int, list[int]]] = []  # open groups, innermost last
-        ids = count()
+    Vertices are numbered in preorder, the root group 0, and each edge is
+    listed once its child's subtree is complete.  Returns the edges, the
+    leaf labels and the index of the token after the subtree.  An error is
+    raised where the first token that cannot continue the tree begins, but
+    a length on the root is refused where the length ends.
+    """
+    words, lengths = tokens.words, tokens.lengths
+    edges: list[tuple[int, int, Fraction]] = []
+    labels: dict[int, str] = {}
+    groups: list[tuple[int, list[int]]] = []  # open groups, innermost last
+    ids = count()
+    k = 0
+    while True:
+        word = words[k]
+        k += 1
+        if word == "(":
+            groups.append((next(ids), []))
+            continue
+        child = next(ids)
+        if word in _NOT_LABELS:
+            tokens.fail("expected a leaf label or '('", k - 1)
+        labels[child] = word
+        if words[k] != ":":
+            tokens.fail(f"missing branch length after leaf {_quote(word)}", k)
+        length = lengths.get(words[k + 1]) or tokens.length(k + 1)
+        k += 2
+        if not groups:
+            return edges, labels, k
+        # Close every group that ends after this subtree.
         while True:
-            self.skip_ws()
-            if self.peek() == "(":
-                self.pos += 1
-                groups.append((next(ids), []))
-                continue
-            child = next(ids)
-            labels[child], length = self.parse_leaf()
+            parent, children = groups[-1]
+            children.append(child)
+            edges.append((parent, child, length))
+            word = words[k]
+            if word == ",":
+                k += 1
+                break
+            if len(children) < 2:
+                tokens.fail("an internal node needs at least two children", k)
+            if word != ")":
+                tokens.fail(f"expected ')', found {word[:1]!r}", k)
+            k += 1
+            length = None
+            if words[k] == ":":
+                length = lengths.get(words[k + 1]) or tokens.length(k + 1)
+                k += 2
+            groups.pop()
             if not groups:
-                return edges, labels
-            # Close every group that ends after this subtree.
-            while True:
-                parent, children = groups[-1]
-                children.append(child)
-                edges.append((parent, child, length))
-                self.skip_ws()
-                if self.peek() == ",":
-                    self.pos += 1
-                    break
-                if len(children) < 2:
-                    self.fail("an internal node needs at least two children")
-                self.expect(")")
-                self.skip_ws()
-                length = None
-                if self.peek() == ":":
-                    self.pos += 1
-                    self.skip_ws()
-                    length = self.parse_length()
-                groups.pop()
-                if not groups:
-                    if length is not None:
-                        self.fail("the root may not carry a branch length")
-                    return edges, labels
-                if length is None:
-                    self.fail("missing branch length on an interior edge")
-                child = parent
+                if length is not None:
+                    raise NewickError(
+                        "the root may not carry a branch length",
+                        tokens.start(k - 1) + len(words[k - 1]),
+                    )
+                return edges, labels, k
+            if length is None:
+                tokens.fail("missing branch length on an interior edge", k)
+            child = parent
 
 
 def parse_newick(text: str) -> PhyloTree:
@@ -131,13 +143,12 @@ def parse_newick(text: str) -> PhyloTree:
     :class:`TreeError` for structural ones (non-binary vertex, duplicate
     taxon, too few taxa).
     """
-    parser = _Parser(text)
-    edges, labels = parser.parse_tree()
-    parser.skip_ws()
-    parser.expect(";")
-    parser.skip_ws()
-    if parser.pos != len(text):
-        parser.fail("trailing characters after ';'")
+    tokens = _Tokens(text)
+    edges, labels, k = _parse_tree(tokens)
+    if tokens.words[k] != ";":
+        tokens.fail(f"expected ';', found {tokens.words[k][:1]!r}", k)
+    if tokens.words[k + 1]:
+        tokens.fail("trailing characters after ';'", k + 1)
     if not edges:
         raise NewickError("a tree must have an internal root group", 0)
     root_edges = [(v, q) for u, v, q in edges if u == 0]

@@ -54,67 +54,69 @@ class ShellingStep:
     quartet: Quartet
 
 
-def _forced_indices(
-    tree: PhyloTree, cover: TripletCover
-) -> Iterator[tuple[int, int, int, int]]:
+def _degenerate(taxa: tuple[str, ...], a: int, b: int, p: int, q: int):
+    """Raise the :class:`TreeError` of a quartet whose three pairings tie."""
+    raise TreeError(f"degenerate quartet {taxa[a]},{taxa[b]},{taxa[p]},{taxa[q]}")
+
+
+def _least_witness(
+    taxa: tuple[str, ...], hops: list[list[int]], nbr: list[int], a: int, b: int
+) -> tuple[int, int] | None:
+    """The least valid witness of the missing cord ab over the neighbour
+    masks ``nbr``, in lexicographic order of the unordered pair, ordered to
+    pair with (a, b): (p, q) when the tree displays ap|bq; None if there is
+    none.
+
+    The displayed quartet comes from the four-point rule on ``hops``, path
+    lengths in edges: on a binary tree the displayed pairing has the
+    strictly least of the three sums for any positive lengths, unit ones
+    included, so these decide the same quartets as the rational distances.
+    On a tree the two larger sums are equal, so the quartet is not ab|pq
+    exactly when the sums of ap|bq and aq|bp differ, and the lesser of them
+    is the displayed one; when they are equal and the sum of ab|pq is not
+    below them, all three tie."""
+    row_a, row_b = hops[a], hops[b]
+    ab = row_a[b]
+    rest = nbr[a] & nbr[b]
+    while rest:
+        low = rest & -rest
+        rest ^= low  # now the common neighbours above p
+        p = low.bit_length() - 1
+        row_p, a_p, b_p = hops[p], row_a[p], row_b[p]
+        qs = rest & nbr[p]
+        while qs:
+            bit = qs & -qs
+            qs ^= bit
+            q = bit.bit_length() - 1
+            ap_bq = a_p + row_b[q]
+            aq_bp = row_a[q] + b_p
+            if ap_bq != aq_bp:
+                return (p, q) if ap_bq < aq_bp else (q, p)
+            if ab + row_p[q] >= ap_bq:
+                _degenerate(taxa, a, b, p, q)
+    return None
+
+
+def _forced_cords(
+    taxa: tuple[str, ...], hops: list[list[int]], nbr: list[int]
+) -> Iterator[tuple[int, int]]:
     """The closure's forced additions in order, for a verified triplet cover,
-    as sorted-taxon indices ``(a, b, p, q)``: the cord ``(a, b)``, a < b,
-    and its witness ``(p, q)``, ordered so that p pairs with a and q with b.
+    as sorted-taxon index pairs (a, b), a < b; ``hops`` is the tree's hop
+    matrix and ``nbr`` the cover's neighbour masks, both in sorted taxon
+    order.  ``nbr`` grows as cords are added: at each yield it holds every
+    cord before (a, b), so :func:`_least_witness` there gives the step's
+    witness.
 
     A worklist closure: the heap ``ready`` holds every missing cord that has
     a valid witness now; a witness stays valid as cords are added, so a cord
-    never leaves the heap but by being added.  The least is added with its
-    least valid witness.  A new cord uv only creates witnesses whose five
-    cords include uv, so only the missing cords through u or v and the pairs
-    inside N(u) & N(v) are tested again, N being the neighbour sets of the
-    cover graph.  A taxon whose every cord is present or queued leaves the
-    ``open_`` mask and is not visited again.
+    never leaves the heap but by being added.  The least is added first.  A
+    new cord uv only creates witnesses whose five cords include uv, so only
+    the missing cords through u or v and the pairs inside N(u) & N(v) are
+    tested again, N being the neighbour sets of the cover graph.  A taxon
+    whose every cord is present or queued leaves the ``open_`` mask and is
+    not visited again.  Both update loops test a quartet inline, by the
+    rule :func:`_least_witness` states.
     """
-    taxa = cover._taxa
-    nbr = list(cover._nbr)  # grows as cords are added; the cover's stays put
-    hops = tree.hop_matrix()  # in sorted taxon order, as are the masks
-
-    def pairing(a: int, b: int, p: int, q: int) -> int:
-        """The displayed quartet by the four-point rule on path lengths in
-        edges: 0 for ab|pq, 1 for ap|bq, 2 for aq|bp.  On a binary tree the
-        displayed pairing has the strictly least sum for any positive
-        lengths, unit ones included, so these decide the same quartets as
-        the rational distances."""
-        row_a, row_b = hops[a], hops[b]
-        ab = row_a[b] + hops[p][q]
-        ap = row_a[p] + row_b[q]
-        aq = row_a[q] + row_b[p]
-        if ap < ab and ap < aq:
-            return 1
-        if aq < ab and aq < ap:
-            return 2
-        if ab < ap and ab < aq:
-            return 0
-        raise TreeError(
-            f"degenerate quartet {taxa[a]},{taxa[b]},{taxa[p]},{taxa[q]}"
-        )
-
-    def witness(a: int, b: int) -> tuple[int, int] | None:
-        """The least valid witness of the missing cord ab in lexicographic
-        order of the unordered pair, ordered to pair with (a, b); None if
-        there is none."""
-        rest = nbr[a] & nbr[b]
-        while rest:
-            low = rest & -rest
-            rest ^= low  # now the common neighbours above p
-            p = low.bit_length() - 1
-            qs = rest & nbr[p]
-            while qs:
-                bit = qs & -qs
-                qs ^= bit
-                q = bit.bit_length() - 1
-                side = pairing(a, b, p, q)
-                if side == 1:
-                    return p, q
-                if side == 2:
-                    return q, p
-        return None
-
     full = (1 << len(taxa)) - 1
     # Bit b of known[a]: b is a, or the cord ab is present or queued.
     known = [m | 1 << a for a, m in enumerate(nbr)]
@@ -132,11 +134,11 @@ def _forced_indices(
         heappush(ready, (a, b) if a < b else (b, a))
 
     for a, b in combinations(range(len(taxa)), 2):
-        if not nbr[a] >> b & 1 and witness(a, b):
+        if not nbr[a] >> b & 1 and _least_witness(taxa, hops, nbr, a, b):
             push(a, b)
     while ready:
         a, b = heappop(ready)
-        yield (a, b, *witness(a, b))
+        yield a, b
         nbr[a] |= 1 << b
         nbr[b] |= 1 << a
         both = nbr[a] & nbr[b]
@@ -144,39 +146,60 @@ def _forced_indices(
             if not open_ >> u & 1:
                 continue
             # Unqueued missing cords uc whose new witnesses are pairs {v, w}.
+            row_u, row_v = hops[u], hops[v]
+            u_v = row_u[v]
             cs = nbr[v] & ~known[u]
             while cs:
                 low = cs & -cs
                 cs ^= low
                 c = low.bit_length() - 1
                 ws = both & nbr[c]
+                if not ws:
+                    continue
+                row_c, v_c = hops[c], row_v[c]
                 while ws:
                     bit = ws & -ws
                     ws ^= bit
-                    if pairing(u, c, v, bit.bit_length() - 1):
+                    w = bit.bit_length() - 1
+                    uv_cw = u_v + row_c[w]
+                    if uv_cw != row_u[w] + v_c:
                         push(u, c)
                         break
+                    if row_u[c] + row_v[w] >= uv_cw:
+                        _degenerate(taxa, u, c, v, w)
         # Unqueued missing cords cd whose new witness is the pair {a, b}.
+        row_a, row_b, a_b = hops[a], hops[b], hops[a][b]
         cs = both & open_
         while cs:
             low = cs & -cs
             cs ^= low  # now the open taxa of both above c
             c = low.bit_length() - 1
             ds = cs & ~known[c]  # known is symmetric, so a closed d is known
+            if not ds:
+                continue
+            row_c, c_a, c_b = hops[c], row_a[c], row_b[c]
             while ds:
                 bit = ds & -ds
                 ds ^= bit
                 d = bit.bit_length() - 1
-                if pairing(c, d, a, b):
+                ca_db = c_a + row_b[d]
+                cb_da = c_b + row_a[d]
+                if ca_db != cb_da:
                     push(c, d)
+                elif row_c[d] + a_b >= ca_db:
+                    _degenerate(taxa, c, d, a, b)
 
 
 def _forced_steps(tree: PhyloTree, cover: TripletCover) -> Iterator[ShellingStep]:
-    """:func:`_forced_indices` as :class:`ShellingStep` records.  Bit i is the
-    i-th sorted taxon, so comparing indices orders the quartet's pairs as
+    """:func:`_forced_cords` as :class:`ShellingStep` records, each with the
+    cord's least valid witness at the time it is added.  Bit i is the i-th
+    sorted taxon, so comparing indices orders the quartet's pairs as
     :func:`make_quartet` orders their names."""
     taxa = cover._taxa
-    for a, b, p, q in _forced_indices(tree, cover):
+    hops = tree.hop_matrix()
+    nbr = list(cover._nbr)  # grows as cords are added; the cover's stays put
+    for a, b in _forced_cords(taxa, hops, nbr):
+        p, q = _least_witness(taxa, hops, nbr, a, b)
         one = (taxa[a], taxa[p]) if a < p else (taxa[p], taxa[a])
         two = (taxa[b], taxa[q]) if b < q else (taxa[q], taxa[b])
         first = min(a, p) < min(b, q)
@@ -197,11 +220,13 @@ def _shelling_cords(
     tree: PhyloTree, cover: TripletCover
 ) -> tuple[bool, list[Cord] | None]:
     """Whether a verified triplet cover is shellable and, when it is, the
-    cords the closure adds in order; builds no step, witness or quartet."""
-    added = [(a, b) for a, b, _, _ in _forced_indices(tree, cover)]
+    cords the closure adds in order.  It builds no step or quartet, and
+    searches a witness only for each initially missing pair, to seed the
+    closure's heap."""
+    taxa = cover._taxa
+    added = list(_forced_cords(taxa, tree.hop_matrix(), list(cover._nbr)))
     if not _reaches_every_pair(cover, len(added)):
         return False, None
-    taxa = cover._taxa
     return True, [(taxa[a], taxa[b]) for a, b in added]
 
 

@@ -1,6 +1,7 @@
 """End-to-end CLI behaviour: pipelines, exit codes, byte determinism."""
 
 import json
+import os
 import subprocess
 import sys
 from itertools import islice
@@ -756,3 +757,24 @@ def test_module_entry_point(fig_files, tmp_path):
     )
     assert proc.returncode == 0
     assert json.loads(proc.stdout)["is_cover"] is True
+
+
+def test_bad_label_text_does_not_depend_on_hash_seed(fig_files, tmp_path):
+    # Of several bad labels the least is named, whatever order the taxon
+    # set iterates in under each hash seed.
+    tree_path, _ = fig_files
+    cover_path = tmp_path / "labels.json"
+    cover_path.write_text(json.dumps(
+        {"taxa": ["a b", "c d", "e f", "g"], "cords": [["g", "a b"]]}
+    ))
+    errors = set()
+    for seed in range(1, 7):
+        proc = subprocess.run(
+            [sys.executable, "-m", "tricover", "analyze", "--tree", str(tree_path),
+             "--cover", str(cover_path)],
+            capture_output=True, text=True, timeout=60,
+            env={**os.environ, "PYTHONHASHSEED": str(seed)},
+        )
+        assert (proc.returncode, proc.stdout) == (1, "")
+        errors.add(proc.stderr)
+    assert errors == {"error: bad taxon label 'a b'\n"}

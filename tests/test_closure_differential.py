@@ -15,6 +15,7 @@ random order it draws.
 
 from __future__ import annotations
 
+import hashlib
 from itertools import combinations, islice
 
 import pytest
@@ -36,6 +37,7 @@ from tricover import (
     seeded_chooser,
     verify_shelling,
 )
+from tricover import jsonio, shelling
 from tricover.lab import random_binary_tree, random_instances
 
 
@@ -168,3 +170,60 @@ def test_kernel_agrees_with_reference_on_ladder_cover():
     tree = random_binary_tree(80, 1)
     cover = minimalize(tree, canonical_cover(tree, seeded_chooser(1)))
     assert len(assert_same_kernel_logs(tree, cover)) > 2000
+
+
+# SHA-256 of the canonical JSON step log of cord_closure on the bench
+# ladder's minimal cover, as recorded when the kernel first yielded index
+# quadruples; every later kernel must reproduce it.
+LADDER_LOG_SHA256 = {
+    80: (2951, "c418075e91e6763baff8d39c50e76f380b7ec3e4595f37c2cbbb33eff3634e54"),
+    160: (12277, "d39c0318b6ab9cb897c6c16f20d97e212e3b7df40bf9f849c1805e4803d4b9c2"),
+}
+
+
+@pytest.mark.parametrize("n", sorted(LADDER_LOG_SHA256))
+def test_ladder_step_logs_match_recorded_hashes(n):
+    tree = random_binary_tree(n, 1)
+    cover = minimalize(tree, canonical_cover(tree, seeded_chooser(1)))
+    _, steps = cord_closure(tree, cover)
+    log = jsonio.dumps_canonical(jsonio.shelling_to_json(steps)).encode()
+    assert (len(steps), hashlib.sha256(log).hexdigest()) == LADDER_LOG_SHA256[n]
+
+
+@pytest.fixture
+def witness_searches(monkeypatch):
+    """Counts the least-witness searches of the closure."""
+    counts = {"searches": 0}
+    real = shelling._least_witness
+
+    def counted(*args):
+        counts["searches"] += 1
+        return real(*args)
+
+    monkeypatch.setattr(shelling, "_least_witness", counted)
+    return counts
+
+
+def test_witness_searched_once_per_missing_pair_and_step(witness_searches):
+    # The cords-only path searches each initially missing pair once, to seed
+    # the heap; the step path searches each added cord once more.  The cord
+    # sets with their least cord removed stall short of every pair.
+    covers = [(tree, cover) for n in (5, 8, 12) for tree, cover, _ in
+              islice(random_instances(n, 40 + n), 10)]
+    tree = random_binary_tree(40, 1)
+    covers.append((tree, minimalize(tree, canonical_cover(tree, seeded_chooser(1)))))
+    covers += [(tree, cover.without(min(cover.cords))) for tree, cover in covers]
+    stalled = 0
+    for tree, cover in covers:
+        n = len(cover.taxa)
+        missing = n * (n - 1) // 2 - len(cover)
+        witness_searches["searches"] = 0
+        shellable, cords = shelling._shelling_cords(tree, cover)
+        assert witness_searches["searches"] == missing
+        witness_searches["searches"] = 0
+        steps = list(shelling._forced_steps(tree, cover))
+        assert witness_searches["searches"] == missing + len(steps)
+        if shellable:
+            assert cords == [step.cord for step in steps]
+        stalled += not shellable
+    assert len(covers) == 62 and stalled > 0

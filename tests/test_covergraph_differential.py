@@ -13,6 +13,7 @@ import random
 from itertools import combinations, islice
 
 import networkx as nx
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -204,3 +205,56 @@ def test_agrees_on_chooser_covers():
             cover = canonical_cover(tree, seeded_chooser(seed))
             for candidate in (cover, minimalize(tree, cover)):
                 assert assert_agree(sorted(candidate.taxa), candidate.cords)
+
+
+@pytest.mark.parametrize("n", [3, 4, 5, 6])
+def test_two_connectivity_agrees_on_every_labelled_graph(n):
+    vertices = default_taxa(n)
+    pairs = list(combinations(vertices, 2))
+    verdicts = 0
+    for bits in range(1 << len(pairs)):
+        edges = frozenset(p for k, p in enumerate(pairs) if bits >> k & 1)
+        graph = TripletCover(frozenset(vertices), edges)
+        verdict = is_two_connected(graph)
+        assert verdict is reference_is_two_connected(vertices, edges)
+        verdicts += verdict
+    assert 0 < verdicts < 1 << len(pairs)
+
+
+def glued(cut):
+    """Two triplet covers' graphs, on taxa that share only ``cut``: the
+    union is connected, and ``cut`` is its one cut vertex."""
+    tree = random_binary_tree(7, 5)
+    cover = minimalize(tree, canonical_cover(tree, seeded_chooser(5)))
+    left = dict(zip(default_taxa(7), ["m0", "m1", "m2", "m3", "m4", "m5", cut]))
+    right = dict(zip(default_taxa(7), [cut, "x1", "x2", "x3", "x4", "x5", "x6"]))
+    edges = {tuple(sorted(names[x] for x in c))
+             for names in (left, right) for c in cover.cords}
+    return sorted({*left.values(), *right.values()}), edges
+
+
+@pytest.mark.parametrize("cut", ["a", "n"])
+def test_two_connectivity_finds_the_cut_vertex_of_glued_covers(cut):
+    # "a" is the least taxon, where the search starts, so only the root rule
+    # finds it; "n" lies inside the search, where the lowpoints find it.
+    vertices, edges = glued(cut)
+    assert (vertices[0] == cut) is (cut == "a")
+    assert is_two_connected(TripletCover(frozenset(vertices), frozenset(edges))) is False
+    assert reference_is_two_connected(vertices, edges) is False
+    for side in (set(vertices[:7]) | {cut}, set(vertices) - set(vertices[:7]) | {cut}):
+        half = frozenset(e for e in edges if set(e) <= side)
+        assert is_two_connected(TripletCover(frozenset(side), half))
+
+
+@pytest.mark.parametrize("n", [160, 320, 1000])
+def test_two_connectivity_agrees_with_networkx_on_ladder_covers(n):
+    tree = random_binary_tree(n, 1)
+    cover = minimalize(tree, canonical_cover(tree, seeded_chooser(1)))
+    assert is_two_connected(cover) is networkx_two_connected(cover.taxa, cover.cords)
+    assert is_two_connected(cover)
+    # Without the least cord of its least taxon, the least taxon may become a
+    # cut vertex or be left hanging; networkx decides either way.
+    thinner = cover.without(min(cover.cords))
+    assert is_two_connected(thinner) is networkx_two_connected(
+        thinner.taxa, thinner.cords
+    )

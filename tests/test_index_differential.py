@@ -12,6 +12,7 @@ error texts.
 """
 
 import random
+import re
 from collections import deque
 from fractions import Fraction
 
@@ -29,7 +30,7 @@ from tricover import (
 )
 from tricover.lab import default_taxa, enumerate_binary_trees, random_binary_tree
 from tricover.newick import format_length
-from tricover.tree import make_quartet
+from tricover.tree import _quote, make_quartet
 
 # -- the reference walks ------------------------------------------------------
 
@@ -180,7 +181,50 @@ def ref_restrict(tree, taxa):
     return PhyloTree(sorted(set(new_edges)), labels)
 
 
-class _RecursiveParser(newick._Parser):
+_LABEL_RE = re.compile(r"[^\s(),:;]+")
+_LENGTH_RE = re.compile(r"[0-9]+/[0-9]+|[0-9]+(\.[0-9]+)?")
+
+
+class _CharParser:
+    """The character-level helpers of the earlier Newick parser."""
+
+    def __init__(self, text):
+        self.text = text
+        self.pos = 0
+
+    def fail(self, message):
+        raise NewickError(message, self.pos)
+
+    def peek(self):
+        return self.text[self.pos] if self.pos < len(self.text) else ""
+
+    def skip_ws(self):
+        while self.pos < len(self.text) and self.text[self.pos].isspace():
+            self.pos += 1
+
+    def expect(self, ch):
+        if self.peek() != ch:
+            self.fail(f"expected {ch!r}, found {self.peek()!r}")
+        self.pos += 1
+
+    def parse_length(self):
+        match = _LENGTH_RE.match(self.text, self.pos)
+        if not match:
+            self.fail("expected a branch length")
+        token = match.group(0)
+        try:
+            value = Fraction(token)
+        except ZeroDivisionError:
+            self.fail(f"zero denominator in length literal {_quote(token)}")
+        except ValueError as exc:  # more digits than int() reads
+            self.fail(f"unreadable branch length: {exc}")
+        if value <= 0:
+            self.fail(f"non-positive branch length {_quote(token)}")
+        self.pos = match.end()
+        return value
+
+
+class _RecursiveParser(_CharParser):
     def parse_subtree(self, at_root):
         self.skip_ws()
         if self.peek() == "(":
@@ -206,7 +250,7 @@ class _RecursiveParser(newick._Parser):
             elif length is None:
                 self.fail("missing branch length on an interior edge")
             return ("node", children, length)
-        match = newick._LABEL_RE.match(self.text, self.pos)
+        match = _LABEL_RE.match(self.text, self.pos)
         if not match:
             self.fail("expected a leaf label or '('")
         label = match.group(0)
@@ -432,3 +476,33 @@ def test_parser_agrees_on_mutated_text(seed, edits):
         text = text[:i] + ch + text[i + (not insert):]
     ours = outcome(lambda t: parse_newick(t).edges(), text)
     assert ours == outcome(_parse_either, text)
+
+
+SWEEP_TREES = {
+    "star": "(a:1,b:1,c:1);",
+    "figure": "((a:1,b:1):1,c:1,(d:1,e:1):1);",
+    "random-8": write_newick(random_binary_tree(8, 3)),
+}
+SWEEP_CHARS = "(),:;a1/. \t٣"
+
+
+def single_edits(text):
+    """Every one-character deletion, and every insertion and substitution
+    of each sweep character, at every position of ``text``."""
+    for i in range(len(text) + 1):
+        if i < len(text):
+            yield text[:i] + text[i + 1:]
+        for ch in SWEEP_CHARS:
+            yield text[:i] + ch + text[i:]
+            if i < len(text):
+                yield text[:i] + ch + text[i + 1:]
+
+
+@pytest.mark.parametrize("name", sorted(SWEEP_TREES))
+def test_parser_agrees_on_every_single_edit(name):
+    kinds = set()
+    for text in single_edits(SWEEP_TREES[name]):
+        ours = outcome(lambda t: parse_newick(t).edges(), text)
+        assert ours == outcome(_parse_either, text), text
+        kinds.add(ours[0] if ours[0] == "ok" else ours[1].split(" ")[0])
+    assert {"ok", "expected", "missing", "trailing"} <= kinds

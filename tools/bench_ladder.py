@@ -2,7 +2,8 @@
 """Layer ladder: time ``random_binary_tree``, ``canonical_cover``,
 ``support_map``, ``is_triplet_cover``, ``minimalize``, ``is_minimal``,
 ``cord_closure``, ``classify``, ``decomposition_from_section``,
-``is_ample``, ``reconstruct``,
+``is_ample``, ``is_two_connected``, ``parse_newick``, ``cover_from_json``,
+``reconstruct``,
 ``PartialDistances.from_tree``, ``PhyloTree.isomorphic`` and the CLI
 ``reconstruct`` at several n, and the
 fixture search's instance stream ``random_instances`` at one fixed n, for
@@ -21,8 +22,10 @@ distances from the tree; each side builds them with its own library.
 first ``INSTANCES_TAKEN`` items of ``random_instances(INSTANCES_N, 1)``,
 whatever the sizes, and is keyed by that n.  ``canonical_cover`` builds the chooser cover with a fresh chooser each run;
 ``support_map``, ``is_triplet_cover``, ``minimalize`` and ``is_minimal`` run
-on the chooser cover; ``cord_closure`` and ``classify`` (only for n <= 320)
-and the reconstruction rows on the minimal one;
+on the chooser cover, and ``cover_from_json`` on its JSON payload;
+``cord_closure`` and ``classify`` (only for n <= 320), ``is_two_connected``
+and the reconstruction rows on the minimal one; ``parse_newick`` reads
+``write_newick(tree)``;
 ``decomposition_from_section`` and ``is_ample`` take the minimal cover's
 first section, ``is_ample`` with the cap at its size, and a size
 where one call runs over ``AMPLE_LIMIT_S`` seconds is left out of the row,
@@ -102,6 +105,7 @@ def measure(src: Path, sizes: list[int], repeats: int, workdir: Path) -> dict:
         is_minimal,
         is_triplet_cover,
         jsonio,
+        is_two_connected,
         iter_sections,
         minimalize,
         parse_newick,
@@ -129,6 +133,7 @@ def measure(src: Path, sizes: list[int], repeats: int, workdir: Path) -> dict:
            "canonical_cover_s": {}, "support_map_s": {}, "is_triplet_cover_s": {},
            "minimalize_s": {}, "is_minimal_s": {}, "closure_s": {},
            "classify_s": {}, "decomposition_s": {}, "is_ample_s": {},
+           "two_connected_s": {}, "parse_newick_s": {}, "cover_load_s": {},
            "reconstruct_s": {}, "from_tree_s": {},
            "isomorphic_s": {}, "cli_reconstruct_s": {}}
     env = dict(os.environ, PYTHONPATH=str(src))
@@ -146,6 +151,12 @@ def measure(src: Path, sizes: list[int], repeats: int, workdir: Path) -> dict:
         out["is_triplet_cover_s"][n] = on_fresh(is_triplet_cover, tree, chooser_cover)
         out["minimalize_s"][n] = on_fresh(minimalize, tree, chooser_cover)
         out["is_minimal_s"][n] = on_fresh(is_minimal, tree, chooser_cover)
+        payload = jsonio.cover_to_json(chooser_cover)
+        out["cover_load_s"][n], _ = best(jsonio.cover_from_json, payload)
+        out["two_connected_s"][n] = on_fresh(
+            lambda _, fresh: is_two_connected(fresh), tree, cover
+        )
+        out["parse_newick_s"][n], _ = best(parse_newick, write_newick(tree))
         if n <= CLOSURE_MAX:
             out["closure_s"][n] = on_fresh(cord_closure, tree, cover)
         if n <= CLASSIFY_MAX:
@@ -251,13 +262,15 @@ def main(argv=None) -> int:
         f"the first {INSTANCES_TAKEN} items of random_instances({INSTANCES_N}, "
         f"{SEED}) (random_instances, keyed by {INSTANCES_N}), canonical_cover(tree, "
         f"seeded_chooser({SEED})) for canonical_cover, support_map, "
-        "is_triplet_cover, minimalize and is_minimal, minimalized for "
+        "is_triplet_cover, minimalize and is_minimal, cover_from_json on its "
+        "JSON payload, minimalized for is_two_connected, "
         f"cord_closure (n <= {CLOSURE_MAX}), "
         f"classify (n <= {CLASSIFY_MAX}), decomposition_from_section on its "
         "first section, is_ample on that section with "
         f"the cap at the section's size (left out from the first n where one "
         f"call runs over {AMPLE_LIMIT_S} s) and PartialDistances.from_tree; "
-        "isomorphic: the tree against its Newick re-parse, with lengths",
+        "isomorphic: the tree against its Newick re-parse, with lengths; "
+        "parse_newick: write_newick(tree)",
         "unit": "s, min over repeats processes of repeats runs each; spread: "
         "max/min of the per-process minima",
         "repeats": args.repeats,
