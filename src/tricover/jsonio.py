@@ -9,24 +9,67 @@ from __future__ import annotations
 
 import json
 from fractions import Fraction
+from json.encoder import encode_basestring_ascii as _json_string
 from pathlib import Path
 
 from .covers import TripletCover, _check_taxa, _refuse_outside, cord
 from .covergraph import TwoTreeDecomposition
 from .errors import CoverError
 from .newick import parse_newick, write_newick
-from .reconstruct import PartialDistances
+from .reconstruct import PartialDistances, _add_distance, _refuse_unknown
 from .report import InstanceRecord, basic_flags
 from .shelling import ShellingStep
 from .tree import PhyloTree, _quote, make_quartet
 
 
 def format_rational(value: Fraction) -> str:
-    return str(Fraction(value))
+    return str(value)
 
 
 def dumps_canonical(payload) -> str:
-    return json.dumps(payload, indent=2, sort_keys=True) + "\n"
+    """The text ``json.dumps(payload, indent=2, sort_keys=True)`` writes, and
+    a newline, joined from the C string encoder rather than by ``json``'s
+    pure-Python encoder, which it falls back to whenever ``indent`` is set.
+    It writes strings, ints, booleans, None, lists, tuples and dicts with
+    string keys; anything else, floats included, raises ``TypeError``."""
+    return _dump(payload, "\n") + "\n"
+
+
+def _dump(value, newline: str) -> str:
+    """``value`` as :func:`dumps_canonical` writes it at the depth where
+    ``newline`` is the newline and indentation of its closing bracket."""
+    if isinstance(value, str):
+        return _json_string(value)
+    if isinstance(value, (list, tuple)):
+        if not value:
+            return "[]"
+        inner = newline + "  "
+        # Names and rationals, the most common items, skip the call.
+        items = [_json_string(v) if type(v) is str else _dump(v, inner) for v in value]
+        return "[" + inner + ("," + inner).join(items) + newline + "]"
+    if isinstance(value, dict):
+        if not value:
+            return "{}"
+        inner = newline + "  "
+        items = [_key(k) + ": " + _dump(v, inner) for k, v in sorted(value.items())]
+        return "{" + inner + ("," + inner).join(items) + newline + "}"
+    if value is None:
+        return "null"
+    if value is True:
+        return "true"
+    if value is False:
+        return "false"
+    if isinstance(value, int):
+        return int.__repr__(value)
+    if isinstance(value, float):
+        raise TypeError(f"floats are not written, got {value!r}")
+    raise TypeError(f"Object of type {type(value).__name__} is not JSON serializable")
+
+
+def _key(key) -> str:
+    if not isinstance(key, str):
+        raise TypeError(f"keys must be str, not {type(key).__name__}")
+    return _json_string(key)
 
 
 def write_json(payload, path) -> None:
@@ -112,12 +155,38 @@ def distances_to_json(dist: PartialDistances) -> dict:
 
 
 def distances_from_json(payload) -> PartialDistances:
+    """The distances in a distance file, each entry checked once.  The first
+    entry that is not two names and a value, or is a self-cord, is named
+    first; then the taxa are checked as :meth:`TripletCover.make` checks
+    them; then the first entry with an unknown taxon, a repeated cord or a
+    value that is not a positive rational is named."""
     taxa, entries = _taxa_and_entries(payload, "distance", "distances")
+    taxon_set = frozenset(taxa)
+    if len(taxon_set) != len(taxa):
+        raise CoverError("duplicate taxa in distance file")
+    values: dict = {}
+    refused = None
     for entry in entries:
-        if not (isinstance(entry, list) and len(entry) == 3 and _is_names(entry[:2])):
+        if not (
+            isinstance(entry, list)
+            and len(entry) == 3
+            and isinstance(entry[0], str)
+            and isinstance(entry[1], str)
+        ):
             raise CoverError(f"bad distance entry {_quote(entry)}")
-        cord(entry[0], entry[1])  # raises for a self-cord
-    return PartialDistances.make(taxa, [((x, y), value) for x, y, value in entries])
+        x, y, raw = entry
+        key = cord(x, y)
+        if refused is None:
+            try:
+                if x not in taxon_set or y not in taxon_set:
+                    _refuse_unknown(x, y)
+                _add_distance(values, key, x, y, raw)
+            except CoverError as exc:
+                refused = exc
+    _check_taxa(taxon_set)
+    if refused is not None:
+        raise refused
+    return PartialDistances(taxon_set, values)
 
 
 def load_distances(path) -> PartialDistances:
@@ -158,6 +227,8 @@ def shelling_to_json(steps) -> dict:
 
 
 def shelling_from_json(payload) -> tuple[ShellingStep, ...]:
+    """The steps of a shelling witness file.  A step that is not a cord, a
+    witness pair and a quartet of two pairs that share no taxon is named."""
     if not isinstance(payload, dict) or not isinstance(payload.get("steps"), list):
         raise CoverError('shelling files need a "steps" list')
     steps = []
@@ -169,6 +240,7 @@ def shelling_from_json(payload) -> tuple[ShellingStep, ...]:
             and isinstance(entry.get("quartet"), list)
             and len(entry["quartet"]) == 2
             and all(_is_names(pair, 2) for pair in entry["quartet"])
+            and not set(entry["quartet"][0]) & set(entry["quartet"][1])
         ):
             raise CoverError(f"bad shelling step {_quote(entry)}")
         quartet = make_quartet(tuple(entry["quartet"][0]), tuple(entry["quartet"][1]))

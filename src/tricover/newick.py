@@ -20,12 +20,13 @@ from fractions import Fraction
 from itertools import count
 
 from .errors import NewickError
-from .tree import PhyloTree, _quote
+from .tree import PhyloTree, _literal_value, _quote
 
 # The tokens of a text are its punctuation marks and the words between them
 # and whitespace: labels, and length literals with whatever follows them.
 _TOKEN_RE = re.compile(r"[(),:;]|[^\s(),:;]+")
-_LENGTH_RE = re.compile(r"[0-9]+/[0-9]+|[0-9]+(\.[0-9]+)?")
+# A length literal: its integer part, then its denominator or its decimals.
+_LENGTH_RE = re.compile(r"([0-9]+)(?:/([0-9]+)|\.([0-9]+))?")
 _NOT_LABELS = frozenset(("", ")", ",", ":", ";"))
 
 
@@ -63,7 +64,7 @@ class _Tokens:
         value = self.lengths.get(literal)
         if value is None:
             try:
-                value = Fraction(literal)
+                value = _literal_value(*match.groups())
             except ZeroDivisionError:
                 self.fail(f"zero denominator in length literal {_quote(literal)}", k)
             except ValueError as exc:  # more digits than int() reads

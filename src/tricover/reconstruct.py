@@ -26,6 +26,27 @@ from .errors import CoverError, NotRealizableError
 from .tree import PhyloTree, _brief, _quote, exact_rational
 
 
+def _refuse_unknown(x: str, y: str):
+    """Raise the :class:`CoverError` of a distance for x,y, which uses a
+    taxon outside the taxon set."""
+    raise CoverError(f"distance for {_brief(x)},{_brief(y)} uses an unknown taxon")
+
+
+def _add_distance(values: dict, key: Cord, x: str, y: str, raw) -> None:
+    """Enter ``raw``, read by :func:`exact_rational`, as the distance on the
+    cord ``key`` of x and y, given in this order; a repeated cord or a
+    value that is not a positive rational raises :class:`CoverError`."""
+    if key in values:
+        raise CoverError(f"duplicate distance for {_brief(x)},{_brief(y)}")
+    value = exact_rational(raw, CoverError)
+    if value.numerator <= 0:
+        raise CoverError(
+            f"distance for {_brief(x)},{_brief(y)} must be positive, "
+            f"got {_brief(str(raw))}"
+        )
+    values[key] = value
+
+
 @dataclass(frozen=True)
 class PartialDistances:
     """Positive exact distances keyed by canonical cords."""
@@ -49,19 +70,8 @@ class PartialDistances:
             if not (isinstance(x, str) and isinstance(y, str)):
                 raise CoverError(f"bad distance entry {_quote(item)}")
             if x not in taxon_set or y not in taxon_set:
-                raise CoverError(
-                    f"distance for {_brief(x)},{_brief(y)} uses an unknown taxon"
-                )
-            key = cord(x, y)
-            if key in values:
-                raise CoverError(f"duplicate distance for {_brief(x)},{_brief(y)}")
-            value = exact_rational(raw, CoverError)
-            if value <= 0:
-                raise CoverError(
-                    f"distance for {_brief(x)},{_brief(y)} must be positive, "
-                    f"got {_brief(str(raw))}"
-                )
-            values[key] = value
+                _refuse_unknown(x, y)
+            _add_distance(values, cord(x, y), x, y, raw)
         return cls(taxon_set, values)
 
     @classmethod

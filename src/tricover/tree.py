@@ -26,21 +26,23 @@ Split = tuple[tuple[str, ...], tuple[str, ...]]
 # A resolved quartet topology: two disjoint leaf pairs, each sorted, lesser first.
 Quartet = tuple[tuple[str, str], tuple[str, str]]
 
-_RESERVED = set("(),:;")
+# What no label holds: whitespace (``\s`` is ``str.isspace``) or Newick
+# punctuation.
+_NOT_IN_LABELS = re.compile(r"[\s(),:;]")
 
 
 def is_valid_label(label: str) -> bool:
     """Labels are nonempty and avoid whitespace and Newick punctuation."""
     return (
-        isinstance(label, str)
-        and bool(label)
-        and not any(ch.isspace() or ch in _RESERVED for ch in label)
+        isinstance(label, str) and bool(label) and not _NOT_IN_LABELS.search(label)
     )
 
 
 # What exact_rational reads from a string: an integer, p/q or a decimal, in
 # ASCII digits with an optional sign; no whitespace, underscores or exponents.
-_RATIONAL = re.compile(r"[+-]?([0-9]+(/[0-9]+)?|[0-9]+\.[0-9]*|\.[0-9]+)")
+# The groups are the sign, the integer part, the denominator and the decimals;
+# the lookahead asks for a digit before or just after the point.
+_RATIONAL = re.compile(r"([+-]?)(?=\.?[0-9])([0-9]*)(?:/([0-9]+)|\.([0-9]*))?")
 
 # Error texts quote at most this many characters of a bad literal.
 _QUOTE_MAX = 40
@@ -94,17 +96,37 @@ def exact_rational(value, error: type[Exception] = TreeError) -> Fraction:
         raise error(f"floats are not accepted, write {value!r} as a string")
     if isinstance(value, bool):
         raise error(f"booleans are not numbers, got {value!r}")
-    if isinstance(value, str):
-        if "e" in value.lower():
-            raise error(f"bad rational {_quote(value)}: exponents are not accepted")
-        if not _RATIONAL.fullmatch(value):
-            raise error(
-                f"bad rational {_quote(value)}: write an integer, p/q or a decimal"
-            )
     try:
-        return Fraction(value)
+        if not isinstance(value, str):
+            return Fraction(value)
+        match = _RATIONAL.fullmatch(value)
+        if match:
+            sign, num, den, dec = match.groups()
+            return _literal_value(num, den, dec, sign == "-")
     except (ValueError, ZeroDivisionError, TypeError) as exc:
         raise error(f"bad rational {_quote(value)}: {exc}") from None
+    if "e" in value.lower():
+        raise error(f"bad rational {_quote(value)}: exponents are not accepted")
+    raise error(f"bad rational {_quote(value)}: write an integer, p/q or a decimal")
+
+
+def _literal_value(
+    num: str, den: str | None, dec: str | None, negative: bool = False
+) -> Fraction:
+    """The value of a rational literal from its ASCII digit groups: the
+    integer part (possibly empty before a point), the denominator after a
+    slash, or the digits after a point.  It is the value ``Fraction(literal)``
+    gives, with the same ``ValueError`` (more digits in one group than
+    ``int()`` reads) and ``ZeroDivisionError`` texts, but built from two ints
+    without ``Fraction``'s general string grammar."""
+    numerator = int(num or "0")
+    denominator = 1
+    if den:
+        denominator = int(den)
+    elif dec:
+        denominator = 10 ** len(dec)
+        numerator = numerator * denominator + int(dec)
+    return Fraction(-numerator if negative else numerator, denominator)
 
 
 def make_quartet(pair_one: tuple[str, str], pair_two: tuple[str, str]) -> Quartet:

@@ -2,6 +2,7 @@
 
 import json
 import os
+import shutil
 import subprocess
 import sys
 from itertools import islice
@@ -778,3 +779,55 @@ def test_bad_label_text_does_not_depend_on_hash_seed(fig_files, tmp_path):
         assert (proc.returncode, proc.stdout) == (1, "")
         errors.add(proc.stderr)
     assert errors == {"error: bad taxon label 'a b'\n"}
+
+
+def test_one_parser_serves_every_call_alike(tmp_path, capsys, monkeypatch):
+    # main() builds its parser once per process.  Two rounds of every kind
+    # of call in this process, usage errors and --help among them, must each
+    # match a fresh process: stdout, stderr, exit code and written files.
+    monkeypatch.setenv("COLUMNS", "80")
+    d = tmp_path / "inst"
+    tree, cover, dist = d / "tree.nwk", d / "cover.json", d / "dist.json"
+    calls = [
+        ["generate", "--n", "9", "--seed", "4", "--cover-policy", "random",
+         "--out-dir", str(d)],
+        ["analyze", "--tree", str(tree), "--cover", str(cover)],
+        ["shell", "--tree", str(tree), "--cover", str(cover)],
+        ["decompose", "--tree", str(tree), "--cover", str(cover),
+         "--json", str(d / "blocks.json")],
+        ["reconstruct", "--cover", str(cover), "--dist", str(dist),
+         "--out", str(d / "out.nwk")],
+        ["analyze", "--tree", str(tree), "--cover", str(cover),
+         "--ample-cap", "-1"],
+        ["--help"],
+    ]
+
+    def files():
+        return {p.name: p.read_bytes() for p in sorted(d.iterdir())}
+
+    def in_process(argv):
+        try:
+            code = main(argv)
+        except SystemExit as stop:
+            code = stop.code
+        out, err = capsys.readouterr()
+        return code, out, err, files()
+
+    def fresh_process(argv):
+        proc = subprocess.run(
+            [sys.executable, "-m", "tricover", *argv],
+            capture_output=True, text=True, timeout=120,
+            env={**os.environ, "COLUMNS": "80"},
+        )
+        return proc.returncode, proc.stdout, proc.stderr, files()
+
+    def round_of(run):
+        shutil.rmtree(d, ignore_errors=True)
+        return [run(argv) for argv in calls]
+
+    first = round_of(in_process)
+    assert [run[0] for run in first] == [0, 0, 0, 0, 0, 2, 0]
+    assert first[5][2].startswith("usage: tricover analyze")
+    assert first[6][1].startswith("usage: tricover")
+    assert round_of(in_process) == first
+    assert round_of(fresh_process) == first

@@ -35,7 +35,12 @@ from tricover import (
 from tricover.jsonio import tree_to_json
 from tricover.lab import enumerate_binary_trees, random_binary_tree
 from tricover.reconstruct import pendant_length
-from tricover.tree import exact_rational, make_quartet, quartet_from_distances
+from tricover.tree import (
+    exact_rational,
+    is_valid_label,
+    make_quartet,
+    quartet_from_distances,
+)
 
 
 def to_networkx(tree):
@@ -419,3 +424,14 @@ def test_degenerate_quartet_raises_under_optimize():
     )
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout == "TreeError: degenerate quartet a,b,x,y\n"
+
+
+def test_label_check_matches_the_per_character_rule_on_every_code_point():
+    # is_valid_label searches one regex; the rule it stands for reads each
+    # character: no str.isspace() character and no Newick punctuation.
+    chars = map(chr, range(sys.maxunicode + 1))
+    differ = [
+        ch for ch in chars
+        if is_valid_label("a" + ch) == (ch.isspace() or ch in "(),:;")
+    ]
+    assert differ == []

@@ -3,7 +3,7 @@
 ``support_map``, ``is_triplet_cover``, ``minimalize``, ``is_minimal``,
 ``cord_closure``, ``classify``, ``decomposition_from_section``,
 ``is_ample``, ``is_two_connected``, ``parse_newick``, ``cover_from_json``,
-``reconstruct``,
+``distances_from_json``, ``dumps_canonical``, ``reconstruct``,
 ``PartialDistances.from_tree``, ``PhyloTree.isomorphic`` and the CLI
 ``reconstruct`` at several n, and the
 fixture search's instance stream ``random_instances`` at one fixed n, for
@@ -22,7 +22,9 @@ distances from the tree; each side builds them with its own library.
 first ``INSTANCES_TAKEN`` items of ``random_instances(INSTANCES_N, 1)``,
 whatever the sizes, and is keyed by that n.  ``canonical_cover`` builds the chooser cover with a fresh chooser each run;
 ``support_map``, ``is_triplet_cover``, ``minimalize`` and ``is_minimal`` run
-on the chooser cover, and ``cover_from_json`` on its JSON payload;
+on the chooser cover, ``cover_from_json`` on its JSON payload,
+``distances_from_json`` on the JSON payload of its distances from the tree,
+and ``dumps_canonical`` writes both payloads;
 ``cord_closure`` and ``classify`` (only for n <= 320), ``is_two_connected``
 and the reconstruction rows on the minimal one; ``parse_newick`` reads
 ``write_newick(tree)``;
@@ -38,7 +40,10 @@ the sides taking turns, and each process times every number ``--repeats``
 times; the file keeps the minimum, in seconds, and under ``spread`` the
 ratio of the greatest to the least per-process minimum, so that each file
 states its own noise.  The CLI time is the wall time of one ``python -m tricover
-reconstruct`` process on the input's JSON files.  ``--parent REF`` extracts
+reconstruct`` process on the input's JSON files: each run is a fresh process,
+which builds its one argument parser either way, so the row shows the
+distance loader's gain but not the gain of keeping one parser across
+``main`` calls in a process.  ``--parent REF`` extracts
 that commit with ``git archive`` into a temporary directory and measures it
 the same way.  Stdlib only.
 """
@@ -134,7 +139,7 @@ def measure(src: Path, sizes: list[int], repeats: int, workdir: Path) -> dict:
            "minimalize_s": {}, "is_minimal_s": {}, "closure_s": {},
            "classify_s": {}, "decomposition_s": {}, "is_ample_s": {},
            "two_connected_s": {}, "parse_newick_s": {}, "cover_load_s": {},
-           "reconstruct_s": {}, "from_tree_s": {},
+           "dist_load_s": {}, "json_dump_s": {}, "reconstruct_s": {}, "from_tree_s": {},
            "isomorphic_s": {}, "cli_reconstruct_s": {}}
     env = dict(os.environ, PYTHONPATH=str(src))
     out["random_instances_s"][INSTANCES_N], _ = best(
@@ -153,6 +158,13 @@ def measure(src: Path, sizes: list[int], repeats: int, workdir: Path) -> dict:
         out["is_minimal_s"][n] = on_fresh(is_minimal, tree, chooser_cover)
         payload = jsonio.cover_to_json(chooser_cover)
         out["cover_load_s"][n], _ = best(jsonio.cover_from_json, payload)
+        dist_payload = jsonio.distances_to_json(
+            PartialDistances.from_tree(tree, chooser_cover)
+        )
+        out["dist_load_s"][n], _ = best(jsonio.distances_from_json, dist_payload)
+        out["json_dump_s"][n], _ = best(
+            lambda: [jsonio.dumps_canonical(p) for p in (payload, dist_payload)]
+        )
         out["two_connected_s"][n] = on_fresh(
             lambda _, fresh: is_two_connected(fresh), tree, cover
         )
@@ -263,14 +275,18 @@ def main(argv=None) -> int:
         f"{SEED}) (random_instances, keyed by {INSTANCES_N}), canonical_cover(tree, "
         f"seeded_chooser({SEED})) for canonical_cover, support_map, "
         "is_triplet_cover, minimalize and is_minimal, cover_from_json on its "
-        "JSON payload, minimalized for is_two_connected, "
+        "JSON payload, distances_from_json on its distances' payload, "
+        "dumps_canonical of both payloads (json_dump), "
+        "minimalized for is_two_connected, "
         f"cord_closure (n <= {CLOSURE_MAX}), "
         f"classify (n <= {CLASSIFY_MAX}), decomposition_from_section on its "
         "first section, is_ample on that section with "
         f"the cap at the section's size (left out from the first n where one "
         f"call runs over {AMPLE_LIMIT_S} s) and PartialDistances.from_tree; "
         "isomorphic: the tree against its Newick re-parse, with lengths; "
-        "parse_newick: write_newick(tree)",
+        "parse_newick: write_newick(tree); cli_reconstruct: one fresh "
+        "`python -m tricover reconstruct` process per run on the minimal "
+        "cover's files, so it cannot show the gain of one parser per process",
         "unit": "s, min over repeats processes of repeats runs each; spread: "
         "max/min of the per-process minima",
         "repeats": args.repeats,
