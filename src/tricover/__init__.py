@@ -10,7 +10,6 @@ of the tree from distances on a cover.
 from .covergraph import (
     TwoTreeBlock,
     TwoTreeDecomposition,
-    all_two_tree_decompositions,
     build_cover_graph,
     decomposition_from_section,
     is_strict,
@@ -68,7 +67,7 @@ from .shelling import (
     shellable_via_patchwork,
     verify_shelling,
 )
-from .tree import PhyloTree, make_quartet, quartet_from_distances
+from .tree import PhyloTree, make_quartet
 
 __all__ = [name for name in dir() if not name.startswith("_")]
 __version__ = "0.1.0"

@@ -2,10 +2,10 @@
 
 The cover graph has the taxa as vertices and the cords as edges, so a
 :class:`TripletCover` is its own graph: the functions here read the cover's
-neighbour masks, built once on first read.  The graph's triangles coincide
-with the supported triples of the cover, which makes it a purely
-combinatorial mirror of the tree-side analysis; everything here is computed
-from the graph alone.
+neighbour masks, built once, at birth or on first read.  The graph's
+triangles coincide with the supported triples of the cover, which makes it a
+purely combinatorial mirror of the tree-side analysis; everything here is
+computed from the graph alone.
 """
 
 from __future__ import annotations
@@ -14,10 +14,9 @@ from dataclasses import dataclass
 from heapq import heappop, heappush
 
 from .covers import Cord, Triple, TripletCover, _bits, _triple_masks, cord_set
-from .errors import CapacityError, SectionError
+from .errors import SectionError
 from .tree import _quote_each, _quote_first
 
-DECOMPOSITION_TRIANGLE_CAP = 12
 # A "re-enters the block" text names at most this many block taxa.
 BLOCK_TAXA_SHOWN = 10
 
@@ -266,78 +265,3 @@ def verify_counting(decomposition: TwoTreeDecomposition) -> bool:
     """Exact check of |F| = 2|W| - 4 + m for the decomposition's own graph."""
     total_edges = sum(len(block.edges) for block in decomposition.blocks)
     return total_edges == 2 * len(decomposition.vertex_union) - 4 + decomposition.m
-
-
-def all_two_tree_decompositions(
-    cover: TripletCover, cap: int = DECOMPOSITION_TRIANGLE_CAP
-) -> list[frozenset[frozenset[Triple]]]:
-    """Exhaustively enumerate 2-tree decompositions, each reported as the set
-    of its blocks' triangle sets.  Desk-scale oracle, capped by triangle count.
-
-    Every block of a decomposition is a 2-tree, hence the union of its own
-    triangles, which are pairwise connected through shared pairs; so valid
-    blocks are exactly the consistent triangle subsets, and decompositions
-    are exact covers of the edge set by disjoint valid blocks.
-    """
-    tris = sorted(triangles(cover))
-    if len(tris) > cap:
-        raise CapacityError(
-            f"decomposition search capped at {cap} triangles, got {len(tris)}"
-        )
-    if not all(cover._nbr):  # an isolated vertex lies in no block
-        return []
-    if not cover.cords <= cord_set(tris):
-        return []
-
-    k = len(tris)
-    valid_blocks: list[tuple[int, frozenset[Triple], frozenset[Cord]]] = []
-    for mask in range(1, 1 << k):
-        subset = [tris[i] for i in range(k) if mask >> i & 1]
-        if not _pair_connected(subset):
-            continue
-        block_edges = cord_set(subset)
-        block_vertices = set().union(*(set(t) for t in subset))
-        if len(block_edges) != 2 * len(block_vertices) - 3:
-            continue
-        block = TripletCover(frozenset(block_vertices), block_edges)
-        if not is_two_tree(block)[0] or triangles(block) != frozenset(subset):
-            continue
-        valid_blocks.append((mask, frozenset(subset), block_edges))
-
-    by_edge: dict[Cord, list[int]] = {e: [] for e in cover.cords}
-    for i, (_, _, block_edges) in enumerate(valid_blocks):
-        for e in block_edges:
-            by_edge[e].append(i)
-
-    results: list[frozenset[frozenset[Triple]]] = []
-
-    def search(covered: frozenset[Cord], used_mask: int, chosen: list[int]):
-        if covered == cover.cords:
-            results.append(
-                frozenset(valid_blocks[i][1] for i in chosen)
-            )
-            return
-        target = min(cover.cords - covered)
-        for i in by_edge[target]:
-            mask, _, block_edges = valid_blocks[i]
-            if mask & used_mask or block_edges & covered:
-                continue
-            search(covered | block_edges, used_mask | mask, chosen + [i])
-
-    search(frozenset(), 0, [])
-    return results
-
-
-def _pair_connected(triples: list[Triple]) -> bool:
-    """Whether the triples form one component under the share-two relation."""
-    if not triples:
-        return False
-    seen = {0}
-    stack = [0]
-    while stack:
-        i = stack.pop()
-        for j in range(len(triples)):
-            if j not in seen and len(set(triples[i]) & set(triples[j])) == 2:
-                seen.add(j)
-                stack.append(j)
-    return len(seen) == len(triples)

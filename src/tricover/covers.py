@@ -60,8 +60,11 @@ class TripletCover:
 
     The cover is its own cover graph: the taxa are the vertices and the cords
     the edges.  ``_taxa`` (sorted) and ``_nbr`` (bit j of ``_nbr[i]`` joins
-    ``_taxa[i]`` and ``_taxa[j]``) are built once, on first read; equality
-    and hashing read only ``taxa`` and ``cords``."""
+    ``_taxa[i]`` and ``_taxa[j]``) are built once: a builder that already
+    holds the cords' bit indices (:func:`canonical_cover`,
+    :func:`minimalize`, the lab's union covers) sets them at birth through
+    :meth:`_with_masks`, and any other cover builds them on the first read
+    of either.  Equality and hashing read only ``taxa`` and ``cords``."""
 
     taxa: frozenset[str]
     cords: frozenset[Cord]
@@ -85,6 +88,22 @@ class TripletCover:
                 _refuse_outside(x, y)
             cords.add(cord(x, y))
         return cls(taxon_set, frozenset(cords))
+
+    @classmethod
+    def _with_masks(
+        cls,
+        taxa: frozenset[str],
+        cords: frozenset[Cord],
+        names: tuple[str, ...],
+        nbr: tuple[int, ...],
+    ) -> "TripletCover":
+        """The cover of ``cords`` with ``_taxa`` set to ``names`` and ``_nbr``
+        to ``nbr``, unchecked: ``names`` must be ``tuple(sorted(taxa))`` and
+        ``nbr`` the :func:`_neighbour_masks` of ``cords`` over it."""
+        cover = cls(taxa, cords)
+        object.__setattr__(cover, "_taxa", names)
+        object.__setattr__(cover, "_nbr", nbr)
+        return cover
 
     def __getattr__(self, name: str):
         """Build ``_taxa`` and ``_nbr`` together on the first read of either;
@@ -267,34 +286,49 @@ def minimalize(tree: PhyloTree, cover: TripletCover) -> TripletCover:
     triplet cover.  One ordered pass suffices: covering is monotone, so a
     cord that survives its own trial can never become removable later.
 
-    A triple is live while none of its cords has been dropped.  From the one
-    support map come a live count per vertex and, per cord, the (vertex,
-    triple) entries holding it.  A cord's trial takes its live entries off
-    their vertices' counts.  If every count stays above 0 the cord drops and
-    those triples die; otherwise the counts are put back.  Each cord is
-    tried once and each entry belongs to one cord, so the pass is linear in
-    the support map.
+    A triple is live while none of its cords has been dropped.  Each
+    supporting triple gets one bit, a vertex's triples consecutive bits, so
+    the live triples are one mask.  From the one support map come, per cord,
+    the mask of the triples holding it and the masks of the vertices those
+    triples support.  A cord drops when every one of those vertices keeps a
+    live triple without it; its triples then die.  A vertex the cord does
+    not touch keeps its live triple anyway, and a cord in no supported
+    triple always drops.  The cords are tried in sorted index order, which
+    is sorted name order since bit i is the i-th sorted taxon, and the
+    result's neighbour masks are the cover's with the dropped cords cleared.
     """
     support = cover_support(tree, cover, "minimalize")
-    live = {v: len(triples) for v, triples in support.items()}
-    holders: dict[Cord, list[tuple[int, Triple]]] = {}
-    for v, triples in support.items():
-        for t in triples:
-            for pair in combinations(t, 2):
-                holders.setdefault(pair, []).append((v, t))
-    dead: set[Triple] = set()
-    kept = set(cover.cords)
-    for c in sorted(cover.cords):
-        entries = [(v, t) for v, t in holders.get(c, ()) if t not in dead]
-        for v, _ in entries:
-            live[v] -= 1
-        if all(live[v] for v, _ in entries):
-            dead.update(t for _, t in entries)
-            kept.remove(c)
-        else:
-            for v, _ in entries:
-                live[v] += 1
-    return TripletCover(cover.taxa, frozenset(kept))
+    holders: dict[Cord, int] = {}
+    spans: dict[Cord, list[int]] = {}
+    bit = 1
+    for triples in support.values():
+        first = bit
+        touched = []
+        for a, b, c in triples:
+            for pair in ((a, b), (a, c), (b, c)):
+                held = holders.get(pair, 0)
+                if held < first:  # the pair's first triple at this vertex
+                    touched.append(pair)
+                holders[pair] = held | bit
+            bit <<= 1
+        for pair in touched:
+            spans.setdefault(pair, []).append(bit - first)
+    taxa, nbr = cover._taxa, list(cover._nbr)
+    live = bit - 1
+    kept = []
+    for i, x in enumerate(taxa):
+        for j in _bits(nbr[i] >> i + 1 << i + 1):
+            c = (x, taxa[j])
+            rest = live & ~holders.get(c, 0)
+            for span in spans.get(c, ()):
+                if not rest & span:
+                    kept.append(c)
+                    break
+            else:
+                live = rest
+                nbr[i] ^= 1 << j
+                nbr[j] ^= 1 << i
+    return TripletCover._with_masks(cover.taxa, frozenset(kept), taxa, tuple(nbr))
 
 
 def is_sparse(tree: PhyloTree, cover: TripletCover) -> bool:
@@ -459,20 +493,34 @@ def canonical_cover(
 
     The chooser sees the vertices in :meth:`PhyloTree.component_triple`
     order, which is the order of the lowest bits of their component masks,
-    as bit i is the i-th sorted taxon."""
+    as bit i is the i-th sorted taxon.  Each pick is checked as its bit
+    index, and the three cords go into the neighbour masks as they are
+    added, so the cover is born with its cover graph."""
     taxa = tree._index.taxa
-    bit = {x: 1 << i for i, x in enumerate(taxa)}
+    index = {x: i for i, x in enumerate(taxa)}
     components = tree._index.components
+    nbr = [0] * len(taxa)
     cords = set()
     for v in sorted(components, key=lambda v: [m & -m for m in components[v]]):
         masks = components[v]
         picks = chooser(taxa, v, masks)
-        if len(picks) != 3 or any(not bit.get(p, 0) & m for p, m in zip(picks, masks)):
+        ids = []
+        if len(picks) == 3:
+            for p, m in zip(picks, masks):
+                i = index.get(p)
+                if i is None or not m >> i & 1:
+                    break
+                ids.append(i)
+        if len(ids) != 3:
             raise CoverError(
                 f"chooser returned an invalid selection {_quote_each(picks)}"
             )
-        a, b, c = picks
-        cords.add((a, b) if a < b else (b, a))
-        cords.add((a, c) if a < c else (c, a))
-        cords.add((b, c) if b < c else (c, b))
-    return TripletCover(tree.taxa, frozenset(cords))
+        a, b, c = ids
+        x, y, z = taxa[a], taxa[b], taxa[c]
+        cords.add((x, y) if a < b else (y, x))
+        cords.add((x, z) if a < c else (z, x))
+        cords.add((y, z) if b < c else (z, y))
+        nbr[a] |= 1 << b | 1 << c
+        nbr[b] |= 1 << a | 1 << c
+        nbr[c] |= 1 << a | 1 << b
+    return TripletCover._with_masks(tree.taxa, frozenset(cords), taxa, tuple(nbr))

@@ -18,7 +18,6 @@ from typing import Callable, Iterator
 from .covers import (
     Chooser,
     TripletCover,
-    _bits,
     canonical_cover,
     cord_set,
     minimalize,
@@ -264,17 +263,25 @@ def uniqueness_oracle(
 def balanced_chooser(seed: int) -> Chooser:
     """Chooser that favours the least-used leaf in each component, pushing
     every taxon's multiplicity up; useful when hunting high-mu covers."""
-    rng = random.Random(seed)
-    usage: dict[int, int] = {}  # by taxon index: one chooser serves one tree
+    draw = random.Random(seed).random
+    usage: dict[int, int] = {}  # by taxon bit: one chooser serves one tree
 
     def choose(taxa, v, masks):
-        picks = [
-            min(_bits(m), key=lambda i: (usage.get(i, 0), rng.random()))
-            for m in masks
-        ]
-        for i in picks:
-            usage[i] = usage.get(i, 0) + 1
-        return tuple(taxa[i] for i in picks)
+        # Each component's least (usage, draw) key, the first of equal keys
+        # as with min; every candidate takes one draw, in ascending bit order.
+        picks = []
+        for m in masks:
+            key = None
+            while m:
+                low = m & -m
+                m ^= low
+                candidate = (usage.get(low, 0), draw())
+                if key is None or candidate < key:
+                    best, key = low, candidate
+            picks.append(best)
+        for low in picks:
+            usage[low] = usage.get(low, 0) + 1
+        return tuple(taxa[low.bit_length() - 1] for low in picks)
 
     return choose
 
@@ -323,7 +330,14 @@ def random_instances(
         else:
             first = canonical_cover(tree, seeded_chooser(cover_seed))
             second = canonical_cover(tree, balanced_chooser(cover_seed + 1))
-            union = first.add_cords(second.cords)
+            # Both covers are checked and carry their masks, so the union
+            # ORs them instead of re-validating every cord.
+            union = TripletCover._with_masks(
+                first.taxa,
+                first.cords | second.cords,
+                first._taxa,
+                tuple(a | b for a, b in zip(first._nbr, second._nbr)),
+            )
             cover = minimalize(tree, union)
         yield tree, cover, {
             "generator": "random",

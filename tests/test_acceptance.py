@@ -15,12 +15,12 @@ from itertools import islice
 
 import pytest
 from closure_reference import random_order_closure
+from decomposition_reference import all_two_tree_decompositions
 
 from tricover import (
     PartialDistances,
     ShellingStep,
     all_cords,
-    all_two_tree_decompositions,
     canonical_cover,
     cord_closure,
     cord_set,

@@ -21,6 +21,7 @@ from itertools import combinations, islice
 import pytest
 from closure_reference import random_order_closure, reference_forced_steps
 from hypothesis import given, settings
+from quartet_reference import quartet_from_distances
 from hypothesis import strategies as st
 
 from tricover import (
@@ -33,7 +34,6 @@ from tricover import (
     is_triplet_cover,
     make_quartet,
     minimalize,
-    quartet_from_distances,
     seeded_chooser,
     verify_shelling,
 )

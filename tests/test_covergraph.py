@@ -8,15 +8,15 @@ from itertools import combinations
 
 import networkx as nx
 import pytest
+from decomposition_reference import all_two_tree_decompositions
 
-import tricover.covergraph as cg
 from tricover import (
+    CapacityError,
     SectionError,
     TripletCover,
     TwoTreeBlock,
     TwoTreeDecomposition,
     all_cords,
-    all_two_tree_decompositions,
     build_cover_graph,
     canonical_cover,
     cord_set,
@@ -294,7 +294,7 @@ def test_exhaustive_decompositions_reference(fig_cover):
 
 def test_exhaustive_decompositions_cap():
     k4 = graph_of(combinations("abcd", 2), vertices="abcd")
-    with pytest.raises(cg.CapacityError):
+    with pytest.raises(CapacityError):
         all_two_tree_decompositions(k4, cap=2)
     # K4 itself: every vertex has degree 3, no 2-tree decomposition exists
     # (any block is a 2-tree; exhaustive search confirms none partition it).

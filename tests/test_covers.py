@@ -8,6 +8,7 @@ checked by explicit subset enumeration before freezing.
 from itertools import combinations, islice
 
 import pytest
+from decomposition_reference import all_two_tree_decompositions
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -17,7 +18,6 @@ from tricover import (
     NotTripletCoverError,
     TripletCover,
     all_cords,
-    all_two_tree_decompositions,
     canonical_cover,
     cord_closure,
     cord_set,
@@ -482,6 +482,24 @@ def test_each_call_builds_the_cover_graph_once(mask_builds, entry):
         assert mask_builds == [cover.cords]
         checked += 1
     assert checked >= 2
+
+
+def test_generated_covers_need_no_mask_build(mask_builds):
+    # A chooser cover, its minimalized form and a union-mode instance are
+    # born with their neighbour masks, so neither the generator nor any
+    # fixture predicate builds them.
+    tree = random_binary_tree(10, 0)
+    chooser = canonical_cover(tree, seeded_chooser(0))
+    union = next(
+        (tree, cover)
+        for tree, cover, info in lab.random_instances(10, 0)
+        if info["mode"] == "union-minimalized"
+    )
+    built = [(tree, chooser), (tree, minimalize(tree, chooser)), union]
+    for predicate in lab.FIXTURE_PREDICATES.values():
+        for tree, cover in built:
+            predicate(tree, cover)
+    assert mask_builds == []
 
 
 def test_closures_leave_the_cover_graph_as_it_was():

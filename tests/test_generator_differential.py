@@ -7,6 +7,9 @@ name, ``canonical_cover`` ordered the vertices by ``component_triple`` and
 collected the cords through ``cord_set``, and ``support_map`` sorted each
 triple's names with ``make_triple``.  The new code must give the same trees,
 covers and support maps, byte for byte, from the same random draws.
+
+The generated covers are born with their sorted taxa and neighbour masks;
+each must hold exactly what a cover built from its names would build.
 """
 
 import random
@@ -26,7 +29,7 @@ from tricover import (
     seeded_chooser,
     support_map,
 )
-from tricover.covers import _bits, _check_same_taxa
+from tricover.covers import _bits, _check_same_taxa, _neighbour_masks
 from tricover.jsonio import cover_to_json, dumps_canonical
 from tricover.lab import (
     balanced_chooser,
@@ -140,6 +143,14 @@ def cover_text(cover):
     return dumps_canonical(cover_to_json(cover))
 
 
+def assert_born(cover):
+    """The cover already holds its ``_taxa`` and ``_nbr``, equal to the ones
+    its names give."""
+    taxa = tuple(sorted(cover.taxa))
+    assert vars(cover)["_taxa"] == taxa
+    assert vars(cover)["_nbr"] == tuple(_neighbour_masks(taxa, cover.cords))
+
+
 def assert_same_tree(got, want):
     assert got.edges() == want.edges()
     assert write_newick(got) == write_newick(want)
@@ -156,6 +167,8 @@ def assert_same_covers(tree, seed, kinds=tuple(CHOOSERS)):
         got = canonical_cover(tree, make(seed))
         want = ref_canonical_cover(tree, make_ref(seed))
         assert cover_text(got) == cover_text(want), (kind, tree.n_taxa, seed)
+        assert_born(got)
+        assert_born(minimalize(tree, got))
         assert_same_support(tree, got)
 
 
@@ -186,6 +199,7 @@ def test_random_instances_match(n):
             assert info == ref_info
             assert_same_tree(tree, ref_tree)
             assert cover_text(cover) == cover_text(ref_cover), info
+            assert_born(cover)
             assert_same_support(tree, cover)
 
 
@@ -216,4 +230,19 @@ def test_renamed_trees_match(n):
         assert_same_covers(tree, seed)
         first = canonical_cover(tree, seeded_chooser(seed))
         second = canonical_cover(tree, balanced_chooser(seed + 1))
-        assert_same_support(tree, minimalize(tree, first.add_cords(second.cords)))
+        union = minimalize(tree, first.add_cords(second.cords))
+        assert_born(union)
+        assert_same_support(tree, union)
+
+
+@pytest.mark.parametrize("n", range(3, 25))
+def test_pool_covers_are_born_with_their_masks(n):
+    # Every chooser cover of the pool's trees, each minimalized, and each
+    # pool cover minimalized again, hold the masks their names give.
+    for seed in range(5):
+        for tree, cover, info in islice(random_instances(n, seed), 30):
+            assert_born(minimalize(tree, cover))
+            for make, _ in CHOOSERS.values():
+                chosen = canonical_cover(tree, make(info["index"]))
+                assert_born(chosen)
+                assert_born(minimalize(tree, chosen))

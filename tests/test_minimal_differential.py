@@ -21,10 +21,12 @@ from tricover import (
     TripletCover,
     all_cords,
     canonical_cover,
+    cord_set,
     is_minimal,
     is_triplet_cover,
     minimalize,
     seeded_chooser,
+    supported_triples,
 )
 from tricover import cli, covers, lab, report, shelling
 from tricover.covers import cover_support
@@ -105,6 +107,53 @@ def test_live_counts_agree_with_trial_pass(n):
             result = minimalize(tree, candidate)
             assert result.cords == reference_trial_minimalize(tree, candidate).cords
             assert is_minimal(tree, result)
+
+
+def union_cover(tree, seed):
+    """The union of a seeded and a balanced chooser cover, as the fixture
+    search's union mode builds it before minimalizing."""
+    first = canonical_cover(tree, seeded_chooser(seed))
+    second = canonical_cover(tree, lab.balanced_chooser(seed + 1))
+    return TripletCover(tree.taxa, first.cords | second.cords)
+
+
+@pytest.mark.parametrize("n", [64, 96])
+def test_union_covers_agree_with_trial_pass(n):
+    # The round trip's sizes, on the fixture search's union covers.
+    for seed in range(3):
+        tree = random_binary_tree(n, 10 * n + seed)
+        cover = union_cover(tree, seed)
+        result = minimalize(tree, cover)
+        assert result.cords == reference_trial_minimalize(tree, cover).cords
+        assert is_minimal(tree, result)
+
+
+def loose_cords(tree, cover):
+    """The cords that lie in no supported triple."""
+    return cover.cords - cord_set(supported_triples(tree, cover))
+
+
+@pytest.mark.parametrize("n", [8, 12, 24, 64])
+def test_cords_in_no_supported_triple_are_dropped(n):
+    # Chooser covers grown by missing pairs that stay in no supported
+    # triple (about 60 pairs tried per cover); at n = 5 no pair does.
+    dropped = 0
+    for seed in range(4):
+        tree = random_binary_tree(n, seed)
+        grown = canonical_cover(tree, seeded_chooser(seed))
+        missing = sorted(all_cords(tree.taxa) - grown.cords)
+        for pair in missing[seed :: max(1, len(missing) // 60)]:
+            trial = grown.add_cords([pair])
+            if pair in loose_cords(tree, trial):
+                grown = trial
+        loose = loose_cords(tree, grown)
+        dropped += len(loose)
+        result = minimalize(tree, grown)
+        assert not result.cords & loose
+        assert result.cords == reference_trial_minimalize(tree, grown).cords
+        if n <= 12:
+            assert result.cords == reference_minimalize(tree, grown).cords
+    assert dropped >= 4
 
 
 @settings(max_examples=60, deadline=None)

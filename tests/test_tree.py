@@ -20,6 +20,7 @@ from hypothesis import strategies as st
 
 import tricover
 from conftest import cherries
+from quartet_reference import quartet_from_distances
 from tricover import (
     CoverError,
     PartialDistances,
@@ -39,7 +40,6 @@ from tricover.tree import (
     exact_rational,
     is_valid_label,
     make_quartet,
-    quartet_from_distances,
 )
 
 
@@ -405,11 +405,12 @@ def test_queries_leave_the_tree_unchanged():
 
 
 def test_degenerate_quartet_raises_under_optimize():
-    # Invariants are typed errors, not asserts, so ``python -O`` keeps them.
+    # Invariants are typed errors, not asserts, so ``python -O`` keeps them;
+    # the closure tests' metric reference lives beside this file.
     code = (
         "from itertools import combinations\n"
         "from tricover import TreeError\n"
-        "from tricover.tree import quartet_from_distances\n"
+        "from quartet_reference import quartet_from_distances\n"
         "dist = {pair: 1 for pair in combinations('abxy', 2)}\n"
         "try:\n"
         "    print(quartet_from_distances(dist, 'a', 'b', 'x', 'y'))\n"
@@ -418,7 +419,10 @@ def test_degenerate_quartet_raises_under_optimize():
     )
     src = str(Path(tricover.__file__).resolve().parents[1])
     env = dict(os.environ)
-    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    here = str(Path(__file__).resolve().parent)
+    env["PYTHONPATH"] = os.pathsep.join(
+        filter(None, [src, here, env.get("PYTHONPATH")])
+    )
     proc = subprocess.run(
         [sys.executable, "-O", "-c", code], capture_output=True, text=True, env=env
     )
