@@ -1,7 +1,7 @@
 """Command-line front end.
 
 Exit codes: 0 success; 1 I/O or file-format error; 2 a usage error (argparse
-refuses a negative count, cap or budget, a taxon count below 3, and
+refuses a negative count, cap, budget or seed, a taxon count below 3, and
 ``--n-min`` above ``--n-max``),
 non-cover input (``analyze``, ``decompose``, ``shell``; the message names an
 unsupported vertex) or failed witness verification (``verify-shelling``); 3
@@ -19,6 +19,7 @@ from pathlib import Path
 from . import covers, jsonio, lab, report, shelling
 from .covergraph import decomposition_from_section, is_strict, verify_counting
 from .covers import (
+    _cover_masks,
     canonical_cover,
     cover_support,
     iter_sections,
@@ -107,7 +108,7 @@ def _cmd_decompose(args) -> int:
 def _cmd_shell(args) -> int:
     tree = _load_tree(args.tree)
     cover = jsonio.load_cover(args.cover)
-    cover_support(tree, cover, "shell")
+    _cover_masks(tree, cover, "shell")
     _, steps = _closure(tree, cover)
     payload = jsonio.shelling_to_json(steps)
     payload["shellable"] = _reaches_every_pair(cover, len(steps))
@@ -181,7 +182,9 @@ def _integer(text: str) -> int:
 
 
 def _count(text: str) -> int:
-    """An option value that counts something: a non-negative integer."""
+    """An option value that counts something, or a seed: a non-negative
+    integer.  ``random.Random`` seeds with a seed's absolute value, so a
+    negative seed would repeat the instances of its positive twin."""
     value = _integer(text)
     if value < 0:
         raise argparse.ArgumentTypeError(f"must not be negative, got {value}")
@@ -254,7 +257,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("generate", help="emit a seeded tree + cover + distances")
     p.add_argument("--n", type=_taxon_count, required=True)
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--seed", type=_count, default=0)
     p.add_argument(
         "--cover-policy", choices=["least", "random"], default="least"
     )
@@ -266,7 +269,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--n-min", type=_taxon_count, default=5)
     p.add_argument("--n-max", type=int, default=8)
     p.add_argument("--budget", type=_count, default=2000)
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--seed", type=_count, default=0)
     p.add_argument("--out-dir", required=True)
     p.set_defaults(func=_cmd_fixtures)
 

@@ -22,6 +22,8 @@ Triple = tuple[str, str, str]
 
 # vertex id -> set of supporting triples
 SupportMap = dict[int, frozenset[Triple]]
+# vertex id -> supporting triples as taxon masks (bit i: the i-th sorted taxon)
+SupportMasks = dict[int, list[int]]
 
 HALL_SUBSET_CAP = 22
 
@@ -198,66 +200,127 @@ def _refuse_cord(cords: frozenset[Cord], index: dict[str, int]):
     raise CoverError(f"cord {x},{y} is not a sorted pair; write it as {y},{x}")
 
 
-def support_map(tree: PhyloTree, cover: TripletCover) -> SupportMap:
-    """The support of every interior vertex: all triples, one leaf per
-    component of the tree minus the vertex, whose three pairs are cords.
+def _support_masks(tree: PhyloTree, cover: TripletCover) -> SupportMasks:
+    """The support search, on bit indices: for every interior vertex, in
+    sorted vertex order, its supporting triples as taxon masks with three
+    bits set (bit i stands for the i-th sorted taxon).
 
-    At each vertex the search walks the leaves a of its smallest component,
-    then b over a's cords into the second and c over the cords shared by a
-    and b into the third.  The three bit indices are sorted as integers,
-    which sorts the triple's taxa since bit i is the i-th sorted taxon, so
-    the order of the components does not change the map; they lie in
-    disjoint components, so they are distinct.  The walk costs the sum
-    over the vertices of min(|A|, |B|, |C|), plus the cords and triples
-    found, where walking one fixed component costs about n^2.  That sum is
-    at most n log2(n): the smallest component is no larger than the smaller
-    of the two below, and a leaf lies in the smaller one below a vertex at
-    most log2(n) times, as the leaves below at least double each time.
+    At each vertex three bit-count comparisons order the components by
+    size.  The search walks the leaves a of the smallest, then b over a's
+    cords into the middle one, which meets fewer of them than the largest,
+    and c over the cords shared by a and b into the largest; the three
+    leaves lie in disjoint components, so they are distinct.  The walk
+    costs the sum over the vertices of min(|A|, |B|, |C|), plus the cords
+    and triples found, where walking one fixed component costs about n^2.
+    That sum is at most n log2(n): the smallest component is no larger than
+    the smaller of the two below, and a leaf lies in the smaller one below
+    a vertex at most log2(n) times, as the leaves below at least double
+    each time.
     """
     _check_same_taxa(tree, cover)
-    taxa, nbr = cover._taxa, cover._nbr
-    result: SupportMap = {}
-    for v in tree.interior_vertices():
-        comp_a, comp_b, comp_c = sorted(tree._component_masks(v), key=int.bit_count)
+    nbr = cover._nbr
+    components = tree._index.components
+    result: SupportMasks = {}
+    total = 0
+    for v in sorted(components):
+        small, mid, large = components[v]
+        if mid.bit_count() < small.bit_count():
+            small, mid = mid, small
+        if large.bit_count() < small.bit_count():
+            small, large = large, small
+        if large.bit_count() < mid.bit_count():
+            mid, large = large, mid
         found = []
-        for a in _bits(comp_a):
-            for b in _bits(nbr[a] & comp_b):
-                for c in _bits(nbr[a] & nbr[b] & comp_c):
-                    i, j, k = sorted((a, b, c))
-                    found.append((taxa[i], taxa[j], taxa[k]))
-        result[v] = frozenset(found)
+        while small:
+            low_a = small & -small
+            small ^= low_a
+            near_a = nbr[low_a.bit_length() - 1]
+            pairs = near_a & mid
+            while pairs:
+                low_b = pairs & -pairs
+                pairs ^= low_b
+                ab = low_a | low_b
+                thirds = near_a & nbr[low_b.bit_length() - 1] & large
+                while thirds:
+                    low_c = thirds & -thirds
+                    thirds ^= low_c
+                    found.append(ab | low_c)
+        result[v] = found
+        total += len(found)
     # Supports of distinct vertices are disjoint (each triple's median is
     # the supported vertex); guard the bookkeeping.
-    total = sum(len(s) for s in result.values())
-    if total != len(frozenset().union(*result.values())):
+    if total != len({t for found in result.values() for t in found}):
         raise CoverError("supports of distinct vertices must be disjoint")
     return result
 
 
+def _triple_bits(t: int) -> tuple[int, int, int]:
+    """The bit indices of the triple mask ``t``, ascending."""
+    low = t & -t
+    t ^= low
+    mid = t & -t
+    return low.bit_length() - 1, mid.bit_length() - 1, (t ^ mid).bit_length() - 1
+
+
+def _triple_name(taxa: tuple[str, ...], t: int) -> Triple:
+    """The sorted taxa of the triple mask ``t``: its bits in ascending order,
+    as bit i is the i-th sorted taxon."""
+    a, b, c = _triple_bits(t)
+    return taxa[a], taxa[b], taxa[c]
+
+
+def _named(taxa: tuple[str, ...], support: SupportMasks) -> SupportMap:
+    """The names view of a mask support: the same vertices in the same
+    order, each with its triples as sorted taxon tuples."""
+    return {
+        v: frozenset([_triple_name(taxa, t) for t in found])
+        for v, found in support.items()
+    }
+
+
+def support_map(tree: PhyloTree, cover: TripletCover) -> SupportMap:
+    """The support of every interior vertex, keyed in sorted vertex order:
+    all triples, one leaf per component of the tree minus the vertex, whose
+    three pairs are cords.  It names the triples that
+    :func:`_support_masks` finds."""
+    support = _support_masks(tree, cover)
+    return _named(cover._taxa, support)
+
+
 def is_triplet_cover(tree: PhyloTree, cover: TripletCover) -> bool:
     """True iff every interior vertex has at least one supporting triple."""
-    return unsupported_vertex(tree, support_map(tree, cover)) is None
+    return all(_support_masks(tree, cover).values())
 
 
-def unsupported_vertex(tree: PhyloTree, support: SupportMap) -> Triple | None:
+def unsupported_vertex(
+    tree: PhyloTree, support: SupportMap | SupportMasks
+) -> Triple | None:
     """The least :meth:`PhyloTree.component_triple` of an unsupported
-    vertex, or None when every vertex is supported."""
+    vertex, or None when every vertex is supported; ``support`` may be
+    named or masked, as only its empty entries are read."""
     return min(
         (tree.component_triple(v) for v, triples in support.items() if not triples),
         default=None,
     )
 
 
-def cover_support(tree: PhyloTree, cover: TripletCover, op: str) -> SupportMap:
-    """The support map, for a triplet cover only: otherwise raises
+def _cover_masks(tree: PhyloTree, cover: TripletCover, op: str) -> SupportMasks:
+    """The mask support, for a triplet cover only: otherwise raises
     :class:`NotTripletCoverError` naming the least unsupported vertex."""
-    support = support_map(tree, cover)
+    support = _support_masks(tree, cover)
     name = unsupported_vertex(tree, support)
     if name is not None:
         raise NotTripletCoverError(
             f"{op} requires a triplet cover; interior vertex {name} is unsupported"
         )
     return support
+
+
+def cover_support(tree: PhyloTree, cover: TripletCover, op: str) -> SupportMap:
+    """The support map, for a triplet cover only: otherwise raises
+    :class:`NotTripletCoverError` naming the least unsupported vertex."""
+    support = _cover_masks(tree, cover, op)
+    return _named(cover._taxa, support)
 
 
 def supported_triples(tree: PhyloTree, cover: TripletCover) -> frozenset[Triple]:
@@ -275,10 +338,35 @@ def required_cords(support: SupportMap) -> frozenset[Cord]:
     return frozenset(out)
 
 
+def _required_pairs(support: SupportMasks) -> set[int]:
+    """:func:`required_cords` as pair masks, from the mask support: a
+    vertex's required cords are the pairs inside the common bits of its
+    triples, three for one triple and at most one for more."""
+    out: set[int] = set()
+    for found in support.values():
+        common = -1  # an empty support leaves -1, which counts one bit
+        for t in found:
+            common &= t
+        if common.bit_count() == 2:
+            out.add(common)
+        elif common.bit_count() == 3:
+            low = common & -common
+            mid = common ^ low
+            mid &= -mid
+            out.update((common ^ low, common ^ mid, low | mid))
+    return out
+
+
+def _is_minimal(support: SupportMasks, cover: TripletCover) -> bool:
+    """Whether every cord is required.  Required cords are cords, so it is
+    enough that there are as many of them."""
+    return len(_required_pairs(support)) == len(cover.cords)
+
+
 def is_minimal(tree: PhyloTree, cover: TripletCover) -> bool:
     """True iff removing any single cord destroys the cover property, i.e.
     every cord is required."""
-    return required_cords(cover_support(tree, cover, "is_minimal")) == cover.cords
+    return _is_minimal(_cover_masks(tree, cover, "is_minimal"), cover)
 
 
 def minimalize(tree: PhyloTree, cover: TripletCover) -> TripletCover:
@@ -288,24 +376,28 @@ def minimalize(tree: PhyloTree, cover: TripletCover) -> TripletCover:
 
     A triple is live while none of its cords has been dropped.  Each
     supporting triple gets one bit, a vertex's triples consecutive bits, so
-    the live triples are one mask.  From the one support map come, per cord,
-    the mask of the triples holding it and the masks of the vertices those
-    triples support.  A cord drops when every one of those vertices keeps a
-    live triple without it; its triples then die.  A vertex the cord does
-    not touch keeps its live triple anyway, and a cord in no supported
-    triple always drops.  The cords are tried in sorted index order, which
-    is sorted name order since bit i is the i-th sorted taxon, and the
+    the live triples are one mask.  From the one mask support come, per
+    cord, the mask of the triples holding it and the masks of the vertices
+    those triples support, keyed by i * n + j for the cord's bit indices
+    i < j (a pair mask would be an n-bit integer to build and hash).  A
+    cord drops when every one of those vertices keeps a live triple without
+    it; its triples then die.  A vertex the cord does not touch keeps its
+    live triple anyway, and a cord in no supported triple always drops.  The
+    cords are tried in sorted index order, which is sorted name order since
+    bit i is the i-th sorted taxon, only the kept ones are named, and the
     result's neighbour masks are the cover's with the dropped cords cleared.
     """
-    support = cover_support(tree, cover, "minimalize")
-    holders: dict[Cord, int] = {}
-    spans: dict[Cord, list[int]] = {}
+    support = _cover_masks(tree, cover, "minimalize")
+    n = len(cover.taxa)
+    holders: dict[int, int] = {}
+    spans: dict[int, list[int]] = {}
     bit = 1
     for triples in support.values():
         first = bit
         touched = []
-        for a, b, c in triples:
-            for pair in ((a, b), (a, c), (b, c)):
+        for t in triples:
+            a, b, c = _triple_bits(t)
+            for pair in (a * n + b, a * n + c, b * n + c):
                 held = holders.get(pair, 0)
                 if held < first:  # the pair's first triple at this vertex
                     touched.append(pair)
@@ -318,11 +410,11 @@ def minimalize(tree: PhyloTree, cover: TripletCover) -> TripletCover:
     kept = []
     for i, x in enumerate(taxa):
         for j in _bits(nbr[i] >> i + 1 << i + 1):
-            c = (x, taxa[j])
-            rest = live & ~holders.get(c, 0)
-            for span in spans.get(c, ()):
+            pair = i * n + j
+            rest = live & ~holders.get(pair, 0)
+            for span in spans.get(pair, ()):
                 if not rest & span:
-                    kept.append(c)
+                    kept.append((x, taxa[j]))
                     break
             else:
                 live = rest
@@ -333,7 +425,7 @@ def minimalize(tree: PhyloTree, cover: TripletCover) -> TripletCover:
 
 def is_sparse(tree: PhyloTree, cover: TripletCover) -> bool:
     """True iff the supported-triple set has exactly |X|-2 members."""
-    support = cover_support(tree, cover, "is_sparse")
+    support = _cover_masks(tree, cover, "is_sparse")
     return sum(len(triples) for triples in support.values()) == len(cover.taxa) - 2
 
 
@@ -416,8 +508,9 @@ def is_hall_type(
     return True
 
 
-def section_count(support: SupportMap) -> int:
-    """Number of sections: the product of the support sizes."""
+def section_count(support: SupportMap | SupportMasks) -> int:
+    """Number of sections: the product of the support sizes; ``support``
+    may be named or masked."""
     total = 1
     for triples in support.values():
         total *= len(triples)
@@ -470,19 +563,63 @@ def _nth_bit(mask: int, k: int) -> int:
     return lo
 
 
+def _below(getrandbits: Callable[[int], int], n: int) -> int:
+    """A uniform draw below ``n`` (at least 1) by ``randrange``'s own rule:
+    ``n.bit_length()`` bits from ``getrandbits``, drawn again while the
+    value is ``n`` or more.  ``randrange(n)`` reads the same words of the
+    generator in the same order today, but the ``random`` docs do not
+    promise how it draws across Python versions; this rule is fixed, so
+    seeded instances stay byte-identical, and it skips ``randrange``'s
+    argument checks."""
+    k = n.bit_length()
+    r = getrandbits(k)
+    while r >= n:
+        r = getrandbits(k)
+    return r
+
+
 def seeded_chooser(seed: int) -> Chooser:
     """One uniformly random leaf per component, reproducible from the seed:
-    the k-th of the component's taxa in sorted order, k drawn uniformly.
+    the k-th of the component's taxa in sorted order, k drawn uniformly
+    below the component's size straight from ``getrandbits`` by
+    ``randrange``'s rule (:func:`_below`).  That reads the generator as
+    ``randrange`` did, so the covers are the same, and keeps them so
+    whatever a Python version does inside ``randrange``.
 
     The returned chooser is stateful; :func:`canonical_cover` invokes it in
     the canonical interior-vertex order, which keeps results deterministic.
     """
-    rng = random.Random(seed)
+    getrandbits = random.Random(seed).getrandbits
 
     def choose(taxa, v, masks):
-        return tuple(taxa[_nth_bit(m, rng.randrange(m.bit_count()))] for m in masks)
+        return tuple(
+            taxa[_nth_bit(m, _below(getrandbits, m.bit_count()))] for m in masks
+        )
 
     return choose
+
+
+def _add_triple(
+    taxa: tuple[str, ...], cords: set[Cord], nbr: list[int], a: int, b: int, c: int
+) -> None:
+    """Add the three cords of the triple of distinct bit indices a, b, c:
+    to ``cords`` as sorted name pairs and to the neighbour masks ``nbr``."""
+    x, y, z = taxa[a], taxa[b], taxa[c]
+    cords.add((x, y) if a < b else (y, x))
+    cords.add((x, z) if a < c else (z, x))
+    cords.add((y, z) if b < c else (z, y))
+    nbr[a] |= 1 << b | 1 << c
+    nbr[b] |= 1 << a | 1 << c
+    nbr[c] |= 1 << a | 1 << b
+
+
+def _canonical_order(components: dict[int, tuple[int, int, int]]) -> list[int]:
+    """The interior vertices in :meth:`PhyloTree.component_triple` order,
+    from the tree index's component masks: by the lowest bits of the second
+    and third components, as bit i is the i-th sorted taxon.  The first
+    component always holds taxa[0], so its lowest bit adds nothing."""
+    keyed = sorted((b & -b, c & -c, v) for v, (_, b, c) in components.items())
+    return [v for _, _, v in keyed]
 
 
 def canonical_cover(
@@ -501,7 +638,7 @@ def canonical_cover(
     components = tree._index.components
     nbr = [0] * len(taxa)
     cords = set()
-    for v in sorted(components, key=lambda v: [m & -m for m in components[v]]):
+    for v in _canonical_order(components):
         masks = components[v]
         picks = chooser(taxa, v, masks)
         ids = []
@@ -515,12 +652,5 @@ def canonical_cover(
             raise CoverError(
                 f"chooser returned an invalid selection {_quote_each(picks)}"
             )
-        a, b, c = ids
-        x, y, z = taxa[a], taxa[b], taxa[c]
-        cords.add((x, y) if a < b else (y, x))
-        cords.add((x, z) if a < c else (z, x))
-        cords.add((y, z) if b < c else (z, y))
-        nbr[a] |= 1 << b | 1 << c
-        nbr[b] |= 1 << a | 1 << c
-        nbr[c] |= 1 << a | 1 << b
+        _add_triple(taxa, cords, nbr, *ids)
     return TripletCover._with_masks(tree.taxa, frozenset(cords), taxa, tuple(nbr))

@@ -18,13 +18,17 @@ from typing import Callable, Iterator
 from .covers import (
     Chooser,
     TripletCover,
+    _add_triple,
+    _below,
+    _bits,
+    _canonical_order,
+    _is_minimal,
+    _support_masks,
+    _triple_name,
     canonical_cover,
-    cord_set,
     minimalize,
-    required_cords,
     section_count,
     seeded_chooser,
-    support_map,
 )
 from .errors import CapacityError
 from .reconstruct import PartialDistances
@@ -45,10 +49,11 @@ def default_taxa(n: int) -> list[str]:
     return [_LETTERS[i] if i < 26 else f"t{i + 1}" for i in range(n)]
 
 
-# The 40 (numerator, denominator) draws that random_rational accepts, each
-# with its length built once; a Fraction is immutable, so trees share them.
+# The 40 draws (numerator - 1, denominator - 1) that random_rational
+# accepts, each with its length built once; a Fraction is immutable, so
+# trees share them.
 _LENGTHS = {
-    (num, den): Fraction(num, den)
+    (num - 1, den - 1): Fraction(num, den)
     for num in range(1, 17)
     for den in range(1, 5)
     if den <= 4 * num and num <= 4 * den
@@ -58,9 +63,16 @@ _LENGTHS = {
 def random_rational(rng: random.Random) -> Fraction:
     """A random exact length in [1/4, 4] with small numerator/denominator:
     a numerator in 1..16 and a denominator in 1..4 are drawn until their
-    ratio lies in that range."""
+    ratio lies in that range.
+
+    Each is drawn from ``getrandbits`` by ``randrange``'s own rule (see
+    :func:`~tricover.covers._below`): the same words in the same order as
+    ``randrange(1, 17)`` and ``randrange(1, 5)``, so the lengths are those
+    they gave, without their per-call argument checks and without depending
+    on how a Python version implements them."""
+    getrandbits = rng.getrandbits
     while True:
-        length = _LENGTHS.get((rng.randrange(1, 17), rng.randrange(1, 5)))
+        length = _LENGTHS.get((_below(getrandbits, 16), _below(getrandbits, 4)))
         if length is not None:
             return length
 
@@ -71,14 +83,16 @@ def random_binary_tree(n: int, seed: int) -> PhyloTree:
 
     The edges stay in one sorted list, from which the drawn index is popped;
     the new interior vertex has the largest id so far, so its three edges
-    are (u, mid), (v, mid) and (k, mid), each inserted in order."""
+    are (u, mid), (v, mid) and (k, mid), each inserted in order.  The index
+    is drawn by ``randrange``'s rule (:func:`~tricover.covers._below`)."""
     taxa = default_taxa(n)
     rng = random.Random(seed)
+    getrandbits = rng.getrandbits
     # Leaves take ids 0..n-1, interior vertices n, n+1, ...
     edges = [(0, n), (1, n), (2, n)]
     for k in range(3, n):
         mid = n + k - 2
-        u, v = edges.pop(rng.randrange(len(edges)))
+        u, v = edges.pop(_below(getrandbits, len(edges)))
         insort(edges, (u, mid))
         insort(edges, (v, mid))
         insort(edges, (k, mid))
@@ -287,21 +301,25 @@ def balanced_chooser(seed: int) -> Chooser:
 
 
 def exhaustive_instances(n: int) -> Iterator[tuple[PhyloTree, TripletCover, dict]]:
-    """Every (topology, per-vertex leaf assignment) cover for small n."""
+    """Every (topology, per-vertex leaf assignment) cover for small n: the
+    vertices in :meth:`PhyloTree.component_triple` order, each component's
+    leaves in sorted order.  The choices are bit indices read from the tree
+    index's component masks (bit i is the i-th sorted taxon), and each cover
+    is born with its neighbour masks."""
     for t_index, tree in enumerate(enumerate_binary_trees(default_taxa(n))):
-        interior = sorted(tree.interior_vertices(), key=tree.component_triple)
-        comps = {v: tree.components_without(v) for v in interior}
+        taxa = tree._index.taxa
+        components = tree._index.components
         choice_lists = [
-            [
-                (a, b, c)
-                for a in sorted(comps[v][0])
-                for b in sorted(comps[v][1])
-                for c in sorted(comps[v][2])
-            ]
-            for v in interior
+            product(*map(_bits, components[v])) for v in _canonical_order(components)
         ]
         for a_index, assignment in enumerate(product(*choice_lists)):
-            cover = TripletCover(tree.taxa, cord_set(assignment))
+            cords: set[tuple[str, str]] = set()
+            nbr = [0] * n
+            for ids in assignment:
+                _add_triple(taxa, cords, nbr, *ids)
+            cover = TripletCover._with_masks(
+                tree.taxa, frozenset(cords), taxa, tuple(nbr)
+            )
             yield tree, cover, {
                 "generator": "exhaustive",
                 "n": n,
@@ -373,23 +391,25 @@ def search_fixture(
     return None
 
 
-# The fixture predicates read a support map's section count: 0 for a
-# non-cover, 1 for a sparse cover and more for any other cover.
+# The fixture predicates read the mask support (:func:`_support_masks`):
+# its section count is 0 for a non-cover, 1 for a sparse cover and more for
+# any other cover, and a cover is minimal when it has as many required
+# cords as cords.
 def predicate_minimal_not_sparse(tree: PhyloTree, cover: TripletCover) -> bool:
-    support = support_map(tree, cover)
-    return section_count(support) > 1 and required_cords(support) == cover.cords
+    support = _support_masks(tree, cover)
+    return section_count(support) > 1 and _is_minimal(support, cover)
 
 
 def predicate_sparse_minimal_mu4(tree: PhyloTree, cover: TripletCover) -> bool:
     if cover.min_multiplicity() != 4:
         return False
-    support = support_map(tree, cover)
-    return section_count(support) == 1 and required_cords(support) == cover.cords
+    support = _support_masks(tree, cover)
+    return section_count(support) == 1 and _is_minimal(support, cover)
 
 
 def predicate_sparse_not_shellable(tree: PhyloTree, cover: TripletCover) -> bool:
     return (
-        section_count(support_map(tree, cover)) == 1
+        section_count(_support_masks(tree, cover)) == 1
         and not _shelling_cords(tree, cover)[0]
     )
 
@@ -397,7 +417,7 @@ def predicate_sparse_not_shellable(tree: PhyloTree, cover: TripletCover) -> bool
 def predicate_minimum(tree: PhyloTree, cover: TripletCover) -> bool:
     return (
         len(cover) == 2 * len(cover.taxa) - 3
-        and section_count(support_map(tree, cover)) > 0
+        and section_count(_support_masks(tree, cover)) > 0
     )
 
 
@@ -406,10 +426,12 @@ def predicate_sparse_shellable_not_ample(
 ) -> bool:
     """Shellable although no section has an ample patchwork: the sufficiency
     test is not necessary."""
-    support = support_map(tree, cover)
+    support = _support_masks(tree, cover)
     if section_count(support) != 1:
         return False
-    section = frozenset().union(*support.values())
+    # The one section, named for the ample search.
+    taxa = cover._taxa
+    section = frozenset(_triple_name(taxa, found[0]) for found in support.values())
     if _ample_merge(section, len(section)) is not None:
         return False
     return _shelling_cords(tree, cover)[0]

@@ -21,14 +21,15 @@ from .covergraph import (
 )
 from .covers import (
     HALL_SUBSET_CAP,
-    SupportMap,
+    SupportMasks,
     Triple,
     TripletCover,
+    _is_minimal,
+    _named,
+    _support_masks,
     is_hall_type,
     iter_sections,
-    required_cords,
     section_count,
-    support_map,
     unsupported_vertex,
 )
 from .errors import CapacityError
@@ -53,16 +54,17 @@ class InstanceRecord:
 
 def _cover_flags(
     tree: PhyloTree, cover: TripletCover
-) -> tuple[SupportMap, Triple | None, dict]:
-    """The support map, the least unsupported vertex and the flags that
-    :func:`classify` and :func:`basic_flags` share, all read from that map;
-    the support-derived flags are present only for a triplet cover."""
+) -> tuple[SupportMasks, Triple | None, dict]:
+    """The mask support, the least unsupported vertex and the flags that
+    :func:`classify` and :func:`basic_flags` share, all read from that
+    support; the support-derived flags are present only for a triplet
+    cover."""
     mu = cover.min_multiplicity()
-    support = support_map(tree, cover)
+    support = _support_masks(tree, cover)
     bad = unsupported_vertex(tree, support)
     flags = {"is_cover": bad is None, "cord_count": len(cover), "mu": mu}
     if bad is None:
-        flags["is_minimal"] = required_cords(support) == cover.cords
+        flags["is_minimal"] = _is_minimal(support, cover)
         flags["is_minimum"] = len(cover) == 2 * len(cover.taxa) - 3
         flags["is_sparse"] = section_count(support) == 1
     return support, bad, flags
@@ -70,7 +72,7 @@ def _cover_flags(
 
 def basic_flags(tree: PhyloTree, cover: TripletCover) -> dict:
     """Cheap classification flags for fixture records, read from one
-    support map."""
+    support search."""
     _, bad, flags = _cover_flags(tree, cover)
     if bad is None:
         flags["is_shellable"] = _shelling_cords(tree, cover)[0]
@@ -85,9 +87,10 @@ def classify(
     hall_cap: int = HALL_SUBSET_CAP,
 ) -> dict:
     """Full classification report as a JSON-ready dictionary.  Every
-    support-derived verdict is read from one support map."""
+    support-derived verdict is read from one support search, whose triples
+    are named for the report's sections."""
     notes: list[str] = []
-    support, bad, flags = _cover_flags(tree, cover)
+    masks, bad, flags = _cover_flags(tree, cover)
     report: dict = {
         "taxa": sorted(cover.taxa),
         "cords": [list(c) for c in sorted(cover.cords)],
@@ -113,6 +116,7 @@ def classify(
         report["notes"] = notes
         return report
 
+    support = _named(cover._taxa, masks)
     triple_family = frozenset().union(*support.values())
     report["triple_set"] = [list(t) for t in sorted(triple_family)]
 

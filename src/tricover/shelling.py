@@ -21,6 +21,7 @@ from .covers import (
     Triple,
     TripletCover,
     _bits,
+    _cover_masks,
     _triple_masks,
     all_cords,
     cord,
@@ -247,7 +248,7 @@ def cord_closure(
     Each step adds the least missing cord that has a valid witness, with its
     least valid witness pair.
     """
-    cover_support(tree, cover, "cord closure")
+    _cover_masks(tree, cover, "cord closure")
     return _closure(tree, cover)
 
 
@@ -266,7 +267,7 @@ def is_shellable(
 ) -> tuple[bool, tuple[ShellingStep, ...] | None]:
     """Whether the closure reaches every pair (3-taxon covers qualify
     outright); returns the witness step sequence when it does."""
-    cover_support(tree, cover, "is_shellable")
+    _cover_masks(tree, cover, "is_shellable")
     return _shellable(tree, cover)
 
 
@@ -278,7 +279,7 @@ def verify_shelling(tree: PhyloTree, cover: TripletCover, steps) -> None:
     witness[0] with cord[0] and witness[1] with cord[1].  The steps must end
     with every pair available.  Raises :class:`WitnessError` otherwise.
     """
-    cover_support(tree, cover, "verification")
+    _cover_masks(tree, cover, "verification")
     available = set(cover.cords)
     universe = all_cords(cover.taxa)
     for i, step in enumerate(steps):

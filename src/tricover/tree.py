@@ -407,13 +407,6 @@ class PhyloTree:
             raise TreeError(f"vertex {v} is a leaf, not interior")
         return self._index.components[v]
 
-    def components_without(self, v: int) -> tuple[frozenset[str], ...]:
-        """Taxon sets of the components of the tree minus interior vertex v.
-
-        Ordered by least contained taxon; always three components.
-        """
-        return tuple(frozenset(self._taxa_of(m)) for m in self._component_masks(v))
-
     def component_triple(self, v: int) -> tuple[str, str, str]:
         """Canonical name for interior vertex v: least taxon per component."""
         taxa = self._index.taxa

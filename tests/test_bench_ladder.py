@@ -24,8 +24,9 @@ def test_ladder_runs_at_n20(tmp_path):
         "parse_newick_s", "cover_load_s", "dist_load_s", "json_dump_s",
         "reconstruct_s", "from_tree_s",
         "isomorphic_s", "cli_reconstruct_s")]
-    # The instance stream is timed at one fixed n, whatever the sizes.
-    rows.append(("random_instances_s", "12"))
+    # The instance stream and the fixture search are timed at one fixed n,
+    # whatever the sizes.
+    rows += [("random_instances_s", "12"), ("fixture_search_s", "12")]
     for key, n in rows:
         assert report["change"][key][n] > 0
         assert report["change"]["spread"][key][n] >= 1

@@ -2,7 +2,8 @@
 
 The references are the earlier chooser protocol, kept here: at every
 interior vertex ``canonical_cover`` built the three components' taxon sets
-with ``PhyloTree.components_without`` and a chooser picked from those sets,
+with ``components_without`` (kept in ``components_reference``) and a
+chooser picked from those sets,
 ``sorted(comp)[k]`` for the seeded chooser, ``min(comp)`` for the least
 label and the least-used taxon for the balanced one.  The mask choosers must
 give the same covers, byte for byte, and a bad chooser the same error.
@@ -25,11 +26,13 @@ from tricover.jsonio import cover_to_json, dumps_canonical
 from tricover.lab import balanced_chooser, random_binary_tree
 from tricover.tree import _quote_each
 
+from components_reference import components_without
+
 
 def ref_canonical_cover(tree, chooser):
     triples = []
     for v in sorted(tree.interior_vertices(), key=tree.component_triple):
-        comps = tree.components_without(v)
+        comps = components_without(tree, v)
         picks = chooser(tree, v, comps)
         if len(picks) != 3 or any(p not in c for p, c in zip(picks, comps)):
             raise CoverError(

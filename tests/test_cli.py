@@ -662,6 +662,12 @@ USAGE_ERRORS = {
                      "argument --n: need at least 3 taxa, got 2"),
     "generate --n negative": (["generate", "--n", "-4", "--seed", "1"],
                               "argument --n: need at least 3 taxa, got -4"),
+    # random.Random seeds with the absolute value: -3 would repeat seed 3.
+    "generate --seed negative": (
+        ["generate", "--n", "8", "--seed", "-3", "--cover-policy", "random"],
+        "argument --seed: must not be negative, got -3"),
+    "fixtures --seed negative": (["fixtures", "--target", "minimum", "--seed", "-3"],
+                                 "argument --seed: must not be negative, got -3"),
 }
 
 

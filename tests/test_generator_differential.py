@@ -5,8 +5,11 @@ re-sorted its whole edge set for every taxon, ``random_rational`` built a
 new ``Fraction`` per draw, ``balanced_chooser`` kept its usage by taxon
 name, ``canonical_cover`` ordered the vertices by ``component_triple`` and
 collected the cords through ``cord_set``, and ``support_map`` sorted each
-triple's names with ``make_triple``.  The new code must give the same trees,
-covers and support maps, byte for byte, from the same random draws.
+triple's names with ``make_triple``.  The references draw with
+``randrange``, as the generator did before it read ``getrandbits`` by
+``randrange``'s rule.  The new code must give the same trees, covers and
+support maps, byte for byte, from the same random draws, and leave each
+generator in the same state.
 
 The generated covers are born with their sorted taxa and neighbour masks;
 each must hold exactly what a cover built from its names would build.
@@ -66,6 +69,16 @@ def ref_random_binary_tree(n, seed):
     return PhyloTree(weighted, {i: taxa[i] for i in range(n)})
 
 
+def ref_seeded_chooser(seed):
+    rng = random.Random(seed)
+
+    def choose(taxa, v, masks):
+        comps = [[taxa[i] for i in _bits(m)] for m in masks]
+        return tuple(comp[rng.randrange(len(comp))] for comp in comps)
+
+    return choose
+
+
 def ref_balanced_chooser(seed):
     rng = random.Random(seed)
     usage = {}
@@ -115,11 +128,11 @@ def ref_random_instances(n, seed):
         tree = ref_random_binary_tree(n, tree_seed)
         mode = index % 3
         if mode == 0:
-            cover = ref_canonical_cover(tree, seeded_chooser(cover_seed))
+            cover = ref_canonical_cover(tree, ref_seeded_chooser(cover_seed))
         elif mode == 1:
             cover = ref_canonical_cover(tree, ref_balanced_chooser(cover_seed))
         else:
-            first = ref_canonical_cover(tree, seeded_chooser(cover_seed))
+            first = ref_canonical_cover(tree, ref_seeded_chooser(cover_seed))
             second = ref_canonical_cover(tree, ref_balanced_chooser(cover_seed + 1))
             cover = minimalize(tree, first.add_cords(second.cords))
         yield tree, cover, {
@@ -134,7 +147,7 @@ def ref_random_instances(n, seed):
 
 CHOOSERS = {
     "least": (lambda seed: least_label_chooser, lambda seed: least_label_chooser),
-    "seeded": (seeded_chooser, seeded_chooser),
+    "seeded": (seeded_chooser, ref_seeded_chooser),
     "balanced": (balanced_chooser, ref_balanced_chooser),
 }
 
@@ -189,6 +202,34 @@ def test_lengths_match_with_the_same_draws():
         assert got == want
         assert all(type(q) is Fraction for q in got)
         assert rng.getstate() == ref_rng.getstate()
+
+
+@pytest.fixture
+def made(monkeypatch):
+    """Every ``random.Random`` made while the test runs, in order, so that a
+    test can read the state of the generator a call made for itself."""
+    made = []
+
+    class Recorded(random.Random):
+        def __init__(self, *args):
+            super().__init__(*args)
+            made.append(self)
+
+    monkeypatch.setattr(random, "Random", Recorded)
+    return made
+
+
+@pytest.mark.parametrize("n", [*range(3, 25), 64, 320])
+def test_topology_and_chooser_draws_match_randrange(n, made):
+    for seed in range(5):
+        tree = random_binary_tree(n, seed)
+        ref_tree = ref_random_binary_tree(n, seed)
+        assert_same_tree(tree, ref_tree)
+        assert made[-2].getstate() == made[-1].getstate()
+        got = canonical_cover(tree, seeded_chooser(seed))
+        want = ref_canonical_cover(tree, ref_seeded_chooser(seed))
+        assert cover_text(got) == cover_text(want)
+        assert made[-2].getstate() == made[-1].getstate()
 
 
 @pytest.mark.parametrize("n", range(3, 25))

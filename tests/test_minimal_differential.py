@@ -17,7 +17,6 @@ from hypothesis import strategies as st
 
 from tricover import (
     NotTripletCoverError,
-    PhyloTree,
     TripletCover,
     all_cords,
     canonical_cover,
@@ -191,34 +190,42 @@ def non_minimal():
 
 @pytest.fixture
 def call_counts(non_minimal, monkeypatch):
-    """Counts support-map builds, the per-vertex component scans made while
-    building them and cover tests, in every module that binds those names."""
-    counts = {"support_map": 0, "full_scans": 0, "is_triplet_cover": 0}
-    real_map = covers.support_map
-    real_masks = PhyloTree._component_masks
+    """Counts support searches (``_support_masks`` runs), the per-vertex
+    component reads made during them and cover tests, in every module that
+    binds those names.  The reads are counted on the fixture tree's index."""
+    counts = {"support_search": 0, "component_reads": 0, "is_triplet_cover": 0}
+    real_search = covers._support_masks
     real_cover = covers.is_triplet_cover
-    building = []
+    searching = []
 
-    def support_map(tree, cover):
-        counts["support_map"] += 1
-        building.append(tree)
+    class CountedReads(dict):
+        def __getitem__(self, v):
+            if searching:
+                counts["component_reads"] += 1
+            return super().__getitem__(v)
+
+    def support_search(tree, cover):
+        counts["support_search"] += 1
+        searching.append(tree)
         try:
-            return real_map(tree, cover)
+            return real_search(tree, cover)
         finally:
-            building.pop()
-
-    def scan(tree, v):
-        if building:
-            counts["full_scans"] += 1
-        return real_masks(tree, v)
+            searching.pop()
 
     def cover_test(tree, cover):
         counts["is_triplet_cover"] += 1
         return real_cover(tree, cover)
 
-    monkeypatch.setattr(PhyloTree, "_component_masks", scan)
+    tree, _ = non_minimal
+    index = tree._index
+    monkeypatch.setattr(
+        tree, "_index", index._replace(components=CountedReads(index.components))
+    )
     for module in (covers, report, shelling, cli, lab):
-        for name, fake in (("support_map", support_map), ("is_triplet_cover", cover_test)):
+        for name, fake in (
+            ("_support_masks", support_search),
+            ("is_triplet_cover", cover_test),
+        ):
             if hasattr(module, name):
                 monkeypatch.setattr(module, name, fake)
     return counts
@@ -228,8 +235,8 @@ def test_classify_builds_one_support_map(non_minimal, call_counts):
     tree, cover = non_minimal
     result = report.classify(tree, cover)
     assert result["is_minimal"] is False
-    assert call_counts["support_map"] == 1
-    assert call_counts["full_scans"] == len(tree.interior_vertices())
+    assert call_counts["support_search"] == 1
+    assert call_counts["component_reads"] == len(tree.interior_vertices())
     assert call_counts["is_triplet_cover"] == 0
 
 
@@ -237,6 +244,6 @@ def test_classify_builds_one_support_map(non_minimal, call_counts):
 def test_minimality_builds_one_support_map(non_minimal, call_counts, entry):
     tree, cover = non_minimal
     entry(tree, cover)
-    assert call_counts["support_map"] == 1
-    assert call_counts["full_scans"] == len(tree.interior_vertices())
+    assert call_counts["support_search"] == 1
+    assert call_counts["component_reads"] == len(tree.interior_vertices())
     assert call_counts["is_triplet_cover"] == 0

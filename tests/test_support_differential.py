@@ -29,9 +29,11 @@ from tricover import (
 )
 from tricover.lab import random_binary_tree, random_instances
 
+from components_reference import components_without
+
 
 def reference_supporting_triples(tree, cords, v, first_only=False):
-    comp_a, comp_b, comp_c = tree.components_without(v)
+    comp_a, comp_b, comp_c = components_without(tree, v)
     found = []
     for a in sorted(comp_a):
         for b in sorted(comp_b):

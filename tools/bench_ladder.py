@@ -6,9 +6,9 @@
 ``distances_from_json``, ``dumps_canonical``, ``reconstruct``,
 ``PartialDistances.from_tree``, ``PhyloTree.isomorphic`` and the CLI
 ``reconstruct`` at several n, and the
-fixture search's instance stream ``random_instances`` at one fixed n, for
-the working tree and optionally for a parent commit, and write the numbers
-to a JSON file.
+fixture search's instance stream ``random_instances`` and ``search_fixture``
+for each of the five fixture targets at one fixed n, for the working tree
+and optionally for a parent commit, and write the numbers to a JSON file.
 
 Usage, from the repository root::
 
@@ -20,7 +20,10 @@ seeded_chooser(1))``, that cover minimalized, and the minimal cover's
 distances from the tree; each side builds them with its own library.
 ``random_binary_tree`` builds that tree; ``random_instances`` takes the
 first ``INSTANCES_TAKEN`` items of ``random_instances(INSTANCES_N, 1)``,
-whatever the sizes, and is keyed by that n.  ``canonical_cover`` builds the chooser cover with a fresh chooser each run;
+whatever the sizes, and is keyed by that n, as is ``fixture_search``: one
+``search_fixture`` per target of ``FIXTURE_PREDICATES`` at that n, seed 1
+and a budget of ``FIXTURE_BUDGET`` instances.  ``canonical_cover`` builds
+the chooser cover with a fresh chooser each run;
 ``support_map``, ``is_triplet_cover``, ``minimalize`` and ``is_minimal`` run
 on the chooser cover, ``cover_from_json`` on its JSON payload,
 ``distances_from_json`` on the JSON payload of its distances from the tree,
@@ -73,6 +76,7 @@ AMPLE_LIMIT_S = 1
 SEED = 1
 INSTANCES_N = 12
 INSTANCES_TAKEN = 50
+FIXTURE_BUDGET = 60
 
 
 class _OverLimit(Exception):
@@ -119,7 +123,12 @@ def measure(src: Path, sizes: list[int], repeats: int, workdir: Path) -> dict:
         support_map,
         write_newick,
     )
-    from tricover.lab import random_binary_tree, random_instances
+    from tricover.lab import (
+        FIXTURE_PREDICATES,
+        random_binary_tree,
+        random_instances,
+        search_fixture,
+    )
     from tricover.report import classify
 
     def best(fn, *args):
@@ -134,7 +143,7 @@ def measure(src: Path, sizes: list[int], repeats: int, workdir: Path) -> dict:
         """Time ``fn(tree, c)`` with ``c`` a fresh copy of ``cover``."""
         return best(lambda: fn(tree, TripletCover(cover.taxa, cover.cords)))[0]
 
-    out = {"random_binary_tree_s": {}, "random_instances_s": {},
+    out = {"random_binary_tree_s": {}, "random_instances_s": {}, "fixture_search_s": {},
            "canonical_cover_s": {}, "support_map_s": {}, "is_triplet_cover_s": {},
            "minimalize_s": {}, "is_minimal_s": {}, "closure_s": {},
            "classify_s": {}, "decomposition_s": {}, "is_ample_s": {},
@@ -144,6 +153,12 @@ def measure(src: Path, sizes: list[int], repeats: int, workdir: Path) -> dict:
     env = dict(os.environ, PYTHONPATH=str(src))
     out["random_instances_s"][INSTANCES_N], _ = best(
         lambda: list(islice(random_instances(INSTANCES_N, SEED), INSTANCES_TAKEN))
+    )
+    out["fixture_search_s"][INSTANCES_N], _ = best(
+        lambda: [
+            search_fixture(predicate, [INSTANCES_N], FIXTURE_BUDGET, SEED)
+            for predicate in FIXTURE_PREDICATES.values()
+        ]
     )
     ample_in_reach = True
     for n in sorted(sizes):
@@ -272,7 +287,9 @@ def main(argv=None) -> int:
     report = {
         "inputs": f"random_binary_tree(n, {SEED}) (timed as random_binary_tree), "
         f"the first {INSTANCES_TAKEN} items of random_instances({INSTANCES_N}, "
-        f"{SEED}) (random_instances, keyed by {INSTANCES_N}), canonical_cover(tree, "
+        f"{SEED}) (random_instances, keyed by {INSTANCES_N}), search_fixture "
+        f"for each fixture target at n = {INSTANCES_N}, seed {SEED} and budget "
+        f"{FIXTURE_BUDGET} (fixture_search, keyed by {INSTANCES_N}), canonical_cover(tree, "
         f"seeded_chooser({SEED})) for canonical_cover, support_map, "
         "is_triplet_cover, minimalize and is_minimal, cover_from_json on its "
         "JSON payload, distances_from_json on its distances' payload, "
