@@ -12,8 +12,17 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from heapq import heappop, heappush
+from typing import Callable, Iterator
 
-from .covers import Cord, Triple, TripletCover, _bits, _triple_masks, cord_set
+from .covers import (
+    Cord,
+    Triple,
+    TripletCover,
+    _bits,
+    _triple_masks,
+    _triple_name,
+    cord_set,
+)
 from .errors import SectionError
 from .tree import _quote_each, _quote_first
 
@@ -29,15 +38,28 @@ def build_cover_graph(cover: TripletCover) -> TripletCover:
     return cover
 
 
+def _triangle_masks(nbr: tuple[int, ...]) -> list[int]:
+    """All 3-cliques i < j < k of the graph with neighbour masks ``nbr``, as
+    taxon masks, found through common neighbourhoods."""
+    out = []
+    for i, near in enumerate(nbr):
+        js = near >> i + 1 << i + 1
+        while js:
+            bit_j = js & -js
+            js ^= bit_j
+            ij = 1 << i | bit_j
+            ks = near & nbr[bit_j.bit_length() - 1] & ~((bit_j << 1) - 1)
+            while ks:
+                bit_k = ks & -ks
+                ks ^= bit_k
+                out.append(ij | bit_k)
+    return out
+
+
 def triangles(cover: TripletCover) -> frozenset[Triple]:
-    """All 3-cliques i < j < k, found through common neighbourhoods."""
-    taxa, nbr = cover._taxa, cover._nbr
-    return frozenset(
-        (taxa[i], taxa[j], taxa[k])
-        for i in range(len(taxa))
-        for j in _bits(nbr[i] & ~((2 << i) - 1))
-        for k in _bits(nbr[i] & nbr[j] & ~((2 << j) - 1))
-    )
+    """All 3-cliques, named from :func:`_triangle_masks`."""
+    taxa = cover._taxa
+    return frozenset(_triple_name(taxa, t) for t in _triangle_masks(cover._nbr))
 
 
 def is_two_connected(cover: TripletCover) -> bool:
@@ -176,23 +198,22 @@ class TwoTreeDecomposition:
         return frozenset(out)
 
 
-def decomposition_from_section(section) -> TwoTreeDecomposition:
-    """Greedy triple accretion: grow a block by repeatedly taking the least
-    unused triple sharing two taxa with a triple already in the block, then
-    start the next block.  Valid sections always produce 2-tree blocks; any
-    violation means the input was not a section and raises
-    :class:`SectionError`.
+def _decompose(
+    masks: list[int], taxa, name: Callable[[int], Triple]
+) -> Iterator[tuple[int, set[int], list[int]]]:
+    """The accretion of :func:`decomposition_from_section` on distinct triple
+    masks in name order, yielding each block as it is complete: its taxon
+    mask, its pair masks and the positions of its triples in accretion
+    order.  ``taxa[x]`` names bit x and ``name(i)`` the i-th triple, for the
+    re-entry :class:`SectionError`.  On a section of a triplet cover the
+    pair masks are the block's edges and each block is a 2-tree;
+    :func:`decomposition_from_section` checks the latter on the names.
 
-    The triples are taxon masks.  A triple shares two taxa with a block
-    triple exactly when one of its pairs is a block pair, so a block keeps
-    its pairs' masks as its frontier; each new pair puts the unused triples
-    through it on a heap of sorted positions, whose least is the next pick.
+    A triple shares two taxa with a block triple exactly when one of its
+    pairs is a block pair, so a block keeps its pairs' masks as its
+    frontier; each new pair puts the unused triples through it on a heap of
+    sorted positions, whose least is the next pick.
     """
-    triples = sorted(set(section))
-    if not triples:
-        raise SectionError("empty triple family")
-    taxa = sorted(set().union(*triples))
-    masks = _triple_masks(taxa, triples)
     pairs = []
     through: dict[int, list[int]] = {}  # pair mask -> positions of its triples
     for i, m in enumerate(masks):
@@ -200,13 +221,12 @@ def decomposition_from_section(section) -> TwoTreeDecomposition:
         pairs.append((m ^ low, low | high, m ^ high))
         for pair in pairs[i]:
             through.setdefault(pair, []).append(i)
-    queued = [False] * len(triples)
-    blocks: list[TwoTreeBlock] = []
-    for first in range(len(triples)):
+    queued = [False] * len(masks)
+    for first in range(len(masks)):
         if queued[first]:
             continue
         queued[first] = True
-        seq: list[Triple] = []
+        seq: list[int] = []
         vertices = 0
         frontier: set[int] = set()
         ready = [first]
@@ -218,10 +238,10 @@ def decomposition_from_section(section) -> TwoTreeDecomposition:
                 if len(names) > BLOCK_TAXA_SHOWN:
                     shown += f" ({len(names)} taxa)"
                 raise SectionError(
-                    f"triple {_quote_each(triples[i])} re-enters the block on "
+                    f"triple {_quote_each(name(i))} re-enters the block on "
                     f"{shown}; the family is not a section"
                 )
-            seq.append(triples[i])
+            seq.append(i)
             vertices |= masks[i]
             for pair in pairs[i]:
                 if pair not in frontier:
@@ -230,38 +250,74 @@ def decomposition_from_section(section) -> TwoTreeDecomposition:
                         if not queued[j]:
                             queued[j] = True
                             heappush(ready, j)
+        yield vertices, frontier, seq
+
+
+def decomposition_from_section(section) -> TwoTreeDecomposition:
+    """Greedy triple accretion: grow a block by repeatedly taking the least
+    unused triple sharing two taxa with a triple already in the block, then
+    start the next block.  Valid sections always produce 2-tree blocks; any
+    violation means the input was not a section and raises
+    :class:`SectionError`.  The accretion is :func:`_decompose` on the
+    triples' masks; each block is named from its positions as it comes.
+    """
+    triples = sorted(set(section))
+    if not triples:
+        raise SectionError("empty triple family")
+    taxa = sorted(set().union(*triples))
+    masks = _triple_masks(taxa, triples)
+    blocks = []
+    for _, _, order in _decompose(masks, taxa, triples.__getitem__):
+        seq = tuple(triples[i] for i in order)
         block_taxa, edges = frozenset().union(*seq), cord_set(seq)
         if len(edges) != 2 * len(block_taxa) - 3:
             raise SectionError("block is not a 2-tree; the family is not a section")
-        blocks.append(TwoTreeBlock(block_taxa, edges, tuple(seq)))
+        blocks.append(TwoTreeBlock(block_taxa, edges, seq))
     try:
         return TwoTreeDecomposition(tuple(blocks))
     except ValueError as exc:
         raise SectionError(str(exc)) from None
 
 
+def _is_strict(triangles: list[int], blocks: list[set[int]]) -> bool:
+    """:func:`is_strict` on the graph's triangle masks and each block's pair
+    masks, the blocks edge-disjoint and their pairs edges of the graph:
+    every triangle has its three pairs in one block."""
+    owner = {pair: b for b, pairs in enumerate(blocks) for pair in pairs}
+    for t in triangles:
+        low, high = t & -t, 1 << (t.bit_length() - 1)
+        home = owner.get(t ^ high)
+        if home is None or not owner.get(low | high) == home == owner.get(t ^ low):
+            return False
+    return True
+
+
 def is_strict(cover: TripletCover, decomposition: TwoTreeDecomposition) -> bool:
     """True iff every triangle of the graph lies inside one block's edge set.
 
     Block edge sets are disjoint, so each cord has at most one block, and a
-    triangle lies inside one block when its three cords have the same one."""
+    triangle lies inside one block when its three cords have the same one:
+    :func:`_is_strict` on the blocks' cords as pair masks."""
     for block in decomposition.blocks:
         if not block.edges <= cover.cords:
             raise ValueError("decomposition block is not a subgraph")
-    owner = {c: b for b, block in enumerate(decomposition.blocks) for c in block.edges}
-    taxa, nbr = cover._taxa, cover._nbr
-    for i, x in enumerate(taxa):
-        for j in _bits(nbr[i] & ~((2 << i) - 1)):
-            y = taxa[j]
-            home = owner.get((x, y))
-            for k in _bits(nbr[i] & nbr[j] & ~((2 << j) - 1)):
-                z = taxa[k]
-                if home is None or not owner.get((x, z)) == home == owner.get((y, z)):
-                    return False
-    return True
+    index = {x: i for i, x in enumerate(cover._taxa)}
+    blocks = [
+        {1 << index[x] | 1 << index[y] for x, y in block.edges}
+        for block in decomposition.blocks
+    ]
+    return _is_strict(_triangle_masks(cover._nbr), blocks)
+
+
+def _counting_holds(edges: int, vertices: int, m: int) -> bool:
+    """|F| = 2|W| - 4 + m for ``edges`` block edges in all, ``vertices``
+    taxa in the blocks' union and ``m`` blocks."""
+    return edges == 2 * vertices - 4 + m
 
 
 def verify_counting(decomposition: TwoTreeDecomposition) -> bool:
     """Exact check of |F| = 2|W| - 4 + m for the decomposition's own graph."""
     total_edges = sum(len(block.edges) for block in decomposition.blocks)
-    return total_edges == 2 * len(decomposition.vertex_union) - 4 + decomposition.m
+    return _counting_holds(
+        total_edges, len(decomposition.vertex_union), decomposition.m
+    )

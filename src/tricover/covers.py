@@ -473,30 +473,25 @@ def _triple_masks(taxa: list[str], triples: list[Triple]) -> list[int]:
     return masks
 
 
-def is_hall_type(
-    taxa: Iterable[str], triples: Iterable[Triple], cap: int = HALL_SUBSET_CAP
-) -> bool:
-    """Hall-type test: the triples must cover the taxon set and every
-    nonempty subfamily C' must satisfy |union C'| >= |C'| + 2.
-
-    By Hall's theorem that holds iff, for every triple t, the family with t
-    taken three times has distinct representatives: one matching of the
-    family, then two augmenting paths per triple.  Families larger than
-    ``cap`` raise :class:`CapacityError`.
-    """
-    taxon_list = sorted(set(taxa))
-    triple_list = sorted(set(triples))
-    k = len(triple_list)
+def _hall_cap(k: int, cap: int) -> None:
+    """Refuse a Hall-type family of ``k`` triples over ``cap``."""
     if k > cap:
         raise CapacityError(f"Hall-type check capped at {cap} triples, got {k}")
-    masks = _triple_masks(taxon_list, triple_list)
-    full = (1 << len(taxon_list)) - 1
+
+
+def _is_hall_type(masks: list[int], full: int) -> bool:
+    """:func:`is_hall_type` on distinct triple masks over the taxa of ``full``:
+    the union must be ``full``, and by Hall's theorem every nonempty
+    subfamily C' has |union C'| >= |C'| + 2 iff, for every triple t, the
+    family with t taken three times has distinct representatives: one
+    matching of the family, then two augmenting paths per triple.  The
+    verdict does not depend on the order of ``masks``."""
     union_all = 0
     for m in masks:
         union_all |= m
     if union_all != full:
         return False
-
+    k = len(masks)
     match: dict[int, int] = {}
     if not all(_augment(match, masks, i) for i in range(k)):
         return False
@@ -506,6 +501,22 @@ def is_hall_type(
         if not (_augment(trial, tripled, k) and _augment(trial, tripled, k + 1)):
             return False
     return True
+
+
+def is_hall_type(
+    taxa: Iterable[str], triples: Iterable[Triple], cap: int = HALL_SUBSET_CAP
+) -> bool:
+    """Hall-type test: the triples must cover the taxon set and every
+    nonempty subfamily C' must satisfy |union C'| >= |C'| + 2, decided by
+    the matching kernel :func:`_is_hall_type` on the triples' masks.
+    Families larger than ``cap`` raise :class:`CapacityError`, ahead of a
+    triple with a taxon outside ``taxa``.
+    """
+    taxon_list = sorted(set(taxa))
+    triple_list = sorted(set(triples))
+    _hall_cap(len(triple_list), cap)
+    masks = _triple_masks(taxon_list, triple_list)
+    return _is_hall_type(masks, (1 << len(taxon_list)) - 1)
 
 
 def section_count(support: SupportMap | SupportMasks) -> int:
@@ -522,6 +533,19 @@ def _sorted_support_items(support: SupportMap) -> list[tuple[int, list[Triple]]]
     # Supports are disjoint and nonempty, so the least triple is a unique key.
     items.sort(key=lambda item: item[1][0])
     return items
+
+
+def _ordered_masks(support: SupportMasks) -> list[list[int]]:
+    """A triplet cover's mask support in :func:`iter_sections` order: each
+    vertex's triples sorted by :func:`_triple_bits`, which is name order as
+    bit i is the i-th sorted taxon, and the vertices by their least triple,
+    as :func:`_sorted_support_items` orders the named support."""
+    ordered = [
+        found if len(found) == 1 else sorted(found, key=_triple_bits)
+        for found in support.values()
+    ]
+    ordered.sort(key=lambda found: _triple_bits(found[0]))
+    return ordered
 
 
 def iter_sections(support: SupportMap) -> Iterator[frozenset[Triple]]:

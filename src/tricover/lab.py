@@ -24,7 +24,6 @@ from .covers import (
     _canonical_order,
     _is_minimal,
     _support_masks,
-    _triple_name,
     canonical_cover,
     minimalize,
     section_count,
@@ -429,9 +428,7 @@ def predicate_sparse_shellable_not_ample(
     support = _support_masks(tree, cover)
     if section_count(support) != 1:
         return False
-    # The one section, named for the ample search.
-    taxa = cover._taxa
-    section = frozenset(_triple_name(taxa, found[0]) for found in support.values())
+    section = [found[0] for found in support.values()]
     if _ample_merge(section, len(section)) is not None:
         return False
     return _shelling_cords(tree, cover)[0]

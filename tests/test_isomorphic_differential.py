@@ -13,6 +13,8 @@ from itertools import product
 
 import pytest
 
+from splits_reference import split_lengths, splits
+
 from tricover import PhyloTree, TreeError, parse_newick, write_newick
 from tricover.lab import enumerate_binary_trees, random_binary_tree
 
@@ -21,8 +23,8 @@ def reference_isomorphic(t1, t2, compare_lengths=False):
     if t1.taxa != t2.taxa:
         raise TreeError(f"taxon sets differ: {sorted(t1.taxa)} vs {sorted(t2.taxa)}")
     if compare_lengths:
-        return t1.split_lengths() == t2.split_lengths()
-    return t1.splits() == t2.splits()
+        return split_lengths(t1) == split_lengths(t2)
+    return splits(t1) == splits(t2)
 
 
 def verdicts(t1, t2):

@@ -21,6 +21,7 @@ from hypothesis import strategies as st
 import tricover
 from conftest import cherries
 from quartet_reference import quartet_from_distances
+from splits_reference import splits
 from tricover import (
     CoverError,
     PartialDistances,
@@ -61,9 +62,9 @@ def nx_isomorphic(t1, t2):
 
 
 def test_splits_reference(fig_tree):
-    splits = fig_tree.splits()
-    assert len(splits) == 7
-    nontrivial = {s for s in splits if min(len(s[0]), len(s[1])) > 1}
+    found = splits(fig_tree)
+    assert len(found) == 7
+    nontrivial = {s for s in found if min(len(s[0]), len(s[1])) > 1}
     assert nontrivial == {
         (("a", "b"), ("c", "d", "e")),
         (("a", "b", "c"), ("d", "e")),
@@ -72,8 +73,8 @@ def test_splits_reference(fig_tree):
 
 def test_three_leaf_star_splits():
     star = parse_newick("(a:1,b:2,c:3);")
-    assert len(star.splits()) == 3
-    assert all(min(len(s[0]), len(s[1])) == 1 for s in star.splits())
+    assert len(splits(star)) == 3
+    assert all(min(len(s[0]), len(s[1])) == 1 for s in splits(star))
 
 
 def _compatible(s1, s2):
@@ -85,8 +86,7 @@ def _compatible(s1, s2):
 @pytest.mark.parametrize("seed", range(8))
 def test_splits_pairwise_compatible(seed):
     tree = random_binary_tree(5 + seed % 5, seed)
-    splits = sorted(tree.splits())
-    for s1, s2 in combinations(splits, 2):
+    for s1, s2 in combinations(sorted(splits(tree)), 2):
         assert _compatible(s1, s2)
 
 

@@ -2,8 +2,8 @@
 """Layer ladder: time ``random_binary_tree``, ``canonical_cover``,
 ``support_map``, ``is_triplet_cover``, ``minimalize``, ``is_minimal``,
 ``cord_closure``, ``classify``, ``decomposition_from_section``,
-``is_ample``, ``is_two_connected``, ``parse_newick``, ``cover_from_json``,
-``distances_from_json``, ``dumps_canonical``, ``reconstruct``,
+``is_ample``, ``is_hall_type``, ``is_two_connected``, ``parse_newick``,
+``cover_from_json``, ``distances_from_json``, ``dumps_canonical``, ``reconstruct``,
 ``PartialDistances.from_tree``, ``PhyloTree.isomorphic`` and the CLI
 ``reconstruct`` at several n, and the
 fixture search's instance stream ``random_instances`` and ``search_fixture``
@@ -35,7 +35,9 @@ and the reconstruction rows on the minimal one; ``parse_newick`` reads
 first section, ``is_ample`` with the cap at its size, and a size
 where one call runs over ``AMPLE_LIMIT_S`` seconds is left out of the row,
 with every larger one (an exponential search cannot finish there, and its
-memo would fill the memory); ``isomorphic`` compares the tree with its
+memo would fill the memory); ``is_hall_type`` takes the minimal cover's
+supported triples with the cap at the family's size, so that every n gets
+a number; ``isomorphic`` compares the tree with its
 Newick re-parse, lengths included.  Every run of
 the cover layers gets a fresh, equal cover, so any per-cover index is built
 inside the timed call.  Each side runs in ``--repeats`` fresh processes,
@@ -111,6 +113,7 @@ def measure(src: Path, sizes: list[int], repeats: int, workdir: Path) -> dict:
         cord_closure,
         decomposition_from_section,
         is_ample,
+        is_hall_type,
         is_minimal,
         is_triplet_cover,
         jsonio,
@@ -121,6 +124,7 @@ def measure(src: Path, sizes: list[int], repeats: int, workdir: Path) -> dict:
         reconstruct,
         seeded_chooser,
         support_map,
+        supported_triples,
         write_newick,
     )
     from tricover.lab import (
@@ -146,7 +150,7 @@ def measure(src: Path, sizes: list[int], repeats: int, workdir: Path) -> dict:
     out = {"random_binary_tree_s": {}, "random_instances_s": {}, "fixture_search_s": {},
            "canonical_cover_s": {}, "support_map_s": {}, "is_triplet_cover_s": {},
            "minimalize_s": {}, "is_minimal_s": {}, "closure_s": {},
-           "classify_s": {}, "decomposition_s": {}, "is_ample_s": {},
+           "classify_s": {}, "decomposition_s": {}, "is_ample_s": {}, "hall_type_s": {},
            "two_connected_s": {}, "parse_newick_s": {}, "cover_load_s": {},
            "dist_load_s": {}, "json_dump_s": {}, "reconstruct_s": {}, "from_tree_s": {},
            "isomorphic_s": {}, "cli_reconstruct_s": {}}
@@ -194,6 +198,8 @@ def measure(src: Path, sizes: list[int], repeats: int, workdir: Path) -> dict:
         ample_in_reach = ample_in_reach and finishes(ample)
         if ample_in_reach:
             out["is_ample_s"][n] = best(ample)[0]
+        family = supported_triples(tree, cover)
+        out["hall_type_s"][n], _ = best(is_hall_type, tree.taxa, family, len(family))
         out["from_tree_s"][n], dist = best(PartialDistances.from_tree, tree, cover)
         out["reconstruct_s"][n], result = best(reconstruct, cover, dist)
         if write_newick(result.tree) != write_newick(tree):
@@ -299,7 +305,8 @@ def main(argv=None) -> int:
         f"classify (n <= {CLASSIFY_MAX}), decomposition_from_section on its "
         "first section, is_ample on that section with "
         f"the cap at the section's size (left out from the first n where one "
-        f"call runs over {AMPLE_LIMIT_S} s) and PartialDistances.from_tree; "
+        f"call runs over {AMPLE_LIMIT_S} s), is_hall_type on its supported triples "
+        "with the cap at their number (hall_type) and PartialDistances.from_tree; "
         "isomorphic: the tree against its Newick re-parse, with lengths; "
         "parse_newick: write_newick(tree); cli_reconstruct: one fresh "
         "`python -m tricover reconstruct` process per run on the minimal "
