@@ -19,6 +19,7 @@ from .covers import (
     Triple,
     TripletCover,
     _bits,
+    _section_triples,
     _triple_masks,
     _triple_name,
     cord_set,
@@ -257,11 +258,12 @@ def decomposition_from_section(section) -> TwoTreeDecomposition:
     """Greedy triple accretion: grow a block by repeatedly taking the least
     unused triple sharing two taxa with a triple already in the block, then
     start the next block.  Valid sections always produce 2-tree blocks; any
-    violation means the input was not a section and raises
-    :class:`SectionError`.  The accretion is :func:`_decompose` on the
-    triples' masks; each block is named from its positions as it comes.
+    violation, or a member that is not three distinct taxon names, means
+    the input was not a section and raises :class:`SectionError`.  The
+    accretion is :func:`_decompose` on the triples' masks; each block is
+    named from its positions as it comes.
     """
-    triples = sorted(set(section))
+    triples = _section_triples(section)
     if not triples:
         raise SectionError("empty triple family")
     taxa = sorted(set().union(*triples))

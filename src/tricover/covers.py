@@ -14,7 +14,7 @@ from dataclasses import dataclass
 from itertools import combinations, product
 from typing import Callable, Iterable, Iterator
 
-from .errors import CapacityError, CoverError, NotTripletCoverError
+from .errors import CapacityError, CoverError, NotTripletCoverError, SectionError
 from .tree import PhyloTree, _brief, _quote, _quote_each, is_valid_label
 
 Cord = tuple[str, str]
@@ -454,6 +454,32 @@ def _augment(match: dict[int, int], sets: list[int], i: int) -> bool:
             held[match[bit]] = bit
             queue.append(match[bit])
     return False
+
+
+def _is_triple(member) -> bool:
+    """Whether ``member`` is a tuple of three distinct taxon names."""
+    if not isinstance(member, tuple) or len(member) != 3:
+        return False
+    a, b, c = member
+    return (
+        isinstance(a, str) and isinstance(b, str) and isinstance(c, str)
+        and a != b != c != a
+    )
+
+
+def _section_triples(section) -> list[Triple]:
+    """The distinct members of a triple family, sorted.  A member that is not
+    a tuple of three distinct taxon names raises :class:`SectionError`,
+    naming the least such member by its repr, so that the text does not
+    depend on a set's iteration order."""
+    members = list(section)
+    bad = [t for t in members if not _is_triple(t)]
+    if bad:
+        raise SectionError(
+            f"family member {_quote_each(min(bad, key=repr))} is not a triple "
+            "of three distinct taxon names"
+        )
+    return sorted(set(members))
 
 
 def _triple_masks(taxa: list[str], triples: list[Triple]) -> list[int]:

@@ -169,22 +169,29 @@ def format_length(value: Fraction) -> str:
 
 def write_newick(tree: PhyloTree) -> str:
     """Canonical Newick: rooted at the interior vertex adjacent to the least
-    taxon, children ordered by their least descendant taxon."""
-    index = tree._index
+    taxon, children ordered by their least descendant taxon.
+
+    The text is built from the tree's index, which hangs from the least
+    taxon's leaf: each vertex after the vertices below it.  A vertex's
+    first finished child waits with its leaf mask's lowest bit, which
+    orders it against the second."""
+    index, adj, labels = tree._index, tree._adj, tree._leaf_label
+    parent, mask = index.parent, index.mask
     least, root = index.order[:2]
-    text: dict[int, str] = {}
-
-    def group(ws) -> str:
-        ordered = sorted(ws, key=lambda w: index.mask[w] & -index.mask[w])
-        return ",".join(text.pop(w) for w in ordered)
-
-    # The index is rooted at the least taxon's leaf, whose neighbour is the
-    # Newick root; each vertex is rendered after the vertices below it.
-    for v in (*reversed(index.order[2:]), least):
-        up = root if v == least else index.parent[v]
-        length = format_length(tree.edge_length(up, v))
-        if tree.is_leaf(v):
-            text[v] = f"{tree.label(v)}:{length}"
+    inner: dict[int, str] = {}  # an interior vertex -> its children's text
+    waiting: dict[int, tuple[int, str]] = {}  # -> its first child's low bit, text
+    for v in reversed(index.order[2:]):
+        up = parent[v]
+        label = labels.get(v)
+        body = label if label is not None else f"({inner.pop(v)})"
+        text = f"{body}:{format_length(adj[v][up])}"
+        m = mask[v]
+        low = m & -m
+        other = waiting.pop(up, None)
+        if other is None:
+            waiting[up] = low, text
+        elif other[0] < low:
+            inner[up] = f"{other[1]},{text}"
         else:
-            text[v] = f"({group(w for w in tree.neighbors(v) if w != up)}):{length}"
-    return f"({group(tree.neighbors(root))});"
+            inner[up] = f"{text},{other[1]}"
+    return f"({labels[least]}:{format_length(adj[least][root])},{inner[root]});"

@@ -23,6 +23,7 @@ from .covers import (
     _bits,
     _cover_masks,
     _ordered_masks,
+    _section_triples,
     _triple_masks,
     _triple_name,
     all_cords,
@@ -344,6 +345,8 @@ def is_ample(
     halves all the way down to singletons.
 
     Returns the hierarchy (all 2m-1 member sets, in preorder) when found.
+    A member that is not three distinct taxon names raises
+    :class:`SectionError`, as a family that is not section-shaped does.
     The search merges bottom-up: it starts from the m singletons and, while
     two members share exactly 2 taxa, replaces them by their union.  The family is ample iff one member
     remains, and the merge history is then the hierarchy.  Let
@@ -366,7 +369,7 @@ def is_ample(
     members that share 3 or more taxa, or k >= 2 members no two of which
     share exactly 2, prove that the family is not ample.
     """
-    triples = sorted(set(section))
+    triples = _section_triples(section)
     taxa = sorted(set().union(*triples))
     halves = _ample_merge(_triple_masks(taxa, triples), cap)
     if halves is None:

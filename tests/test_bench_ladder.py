@@ -23,7 +23,7 @@ def test_ladder_runs_at_n20(tmp_path):
         "classify_s", "decomposition_s", "is_ample_s", "hall_type_s",
         "two_connected_s",
         "parse_newick_s", "cover_load_s", "dist_load_s", "json_dump_s",
-        "reconstruct_s", "from_tree_s",
+        "reconstruct_s", "write_newick_s", "from_tree_s",
         "isomorphic_s", "cli_reconstruct_s")]
     # The instance stream and the fixture search are timed at one fixed n,
     # whatever the sizes.

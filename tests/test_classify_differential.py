@@ -245,9 +245,22 @@ NON_SECTIONS = {
 
 @pytest.mark.parametrize("case", NON_SECTIONS)
 def test_agrees_on_non_sections(case):
-    got = outcome(decomposition_from_section, frozenset(NON_SECTIONS[case]))
+    family = frozenset(NON_SECTIONS[case])
+    got = outcome(decomposition_from_section, family)
     assert got[0] is SectionError
-    assert got == outcome(reference_decomposition, frozenset(NON_SECTIONS[case]))
+    # A member that is not three distinct taxa is named before any
+    # accretion; the reference, which accretes whatever it is given, meets
+    # such members later and with another text.
+    bad = [t for t in family if len(t) != 3 or len(set(t)) != 3]
+    if bad:
+        assert got == (
+            SectionError,
+            f"family member {min(bad, key=repr)} is not a triple of three "
+            "distinct taxon names",
+        )
+        assert outcome(reference_decomposition, family)[0] is SectionError
+    else:
+        assert got == outcome(reference_decomposition, family)
 
 
 def test_re_entry_text_names_at_most_ten_block_taxa():

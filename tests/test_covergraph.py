@@ -177,6 +177,28 @@ def test_decomposition_rejects_non_section():
         decomposition_from_section(frozenset())
 
 
+NOT_TRIPLES = [
+    ({("a", "b")}, "('a', 'b')"),
+    ({("a", "b", "c"), ("c", "d")}, "('c', 'd')"),
+    (["abc"], "'abc'"),
+    ([("a", "b", "c"), ("a", "b", "c", "d")], "('a', 'b', 'c', 'd')"),
+    ([("a", "b", "c"), ("b", "a", "b")], "('b', 'a', 'b')"),
+    ([("a", "b", "c"), ("a", 1, "c")], "('a', 1, 'c')"),
+    ([("a", "b", "c"), (["a"], "b", "c")], "(['a'], 'b', 'c')"),
+]
+
+
+@pytest.mark.parametrize("family, shown", NOT_TRIPLES)
+def test_decomposition_rejects_members_that_are_not_triples(family, shown):
+    # A lone pair would pass the name-level 2-tree check (one edge on two
+    # taxa is 2|V| - 3) and make a two-taxon "block".
+    with pytest.raises(SectionError) as err:
+        decomposition_from_section(family)
+    assert str(err.value) == (
+        f"family member {shown} is not a triple of three distinct taxon names"
+    )
+
+
 def test_decomposition_block_count_identity(fig_tree, fig_cover):
     # |T| = 2|X| - 4 + m on the reference instance: 7 = 10 - 4 + 1.
     d = decomposition_from_section(FIG_SECTION)

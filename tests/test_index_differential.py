@@ -22,10 +22,15 @@ from hypothesis import strategies as st
 
 from tricover import (
     NewickError,
+    PartialDistances,
     PhyloTree,
     TreeError,
+    canonical_cover,
+    minimalize,
     newick,
     parse_newick,
+    reconstruct,
+    seeded_chooser,
     write_newick,
 )
 from tricover.lab import default_taxa, enumerate_binary_trees, random_binary_tree
@@ -429,6 +434,30 @@ def test_parser_ids_and_edge_order_agree(monkeypatch):
     for tree in trees:
         for text in _variants(tree):
             assert parse_parts(text, monkeypatch) == ref_parse_parts(text)
+
+
+def test_writer_agrees_on_parsed_and_rebuilt_trees():
+    # Vertex ids the generator did not assign: the parser's preorder ids,
+    # shifted when a degree-2 root is dropped, and the reconstruction's
+    # replay ids, where a cherry's vertex and leaf are numbered last.
+    trees = [
+        random_binary_tree(n, seed) for n in (3, 4, 7, 12, 40, 96) for seed in range(4)
+    ]
+    trees += list(enumerate_binary_trees(default_taxa(6)))
+    trees.append(caterpillar([f"t{i:03d}" for i in range(60)]))
+    for tree in trees:
+        for text in _variants(tree):
+            parsed = parse_newick(text)
+            assert write_newick(parsed) == ref_write_newick(parsed)
+    for n in (64, 96):
+        for seed in range(3):
+            tree = random_binary_tree(n, seed)
+            cover = canonical_cover(tree, seeded_chooser(seed))
+            for chosen in (cover, minimalize(tree, cover)):
+                dist = PartialDistances.from_tree(tree, chosen)
+                rebuilt = reconstruct(chosen, dist).tree
+                text = write_newick(rebuilt)
+                assert text == ref_write_newick(rebuilt) == write_newick(tree)
 
 
 MALFORMED = [

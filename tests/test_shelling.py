@@ -254,6 +254,27 @@ def test_is_ample_rejects_non_section_shape():
         is_ample(frozenset())
 
 
+@pytest.mark.parametrize(
+    "family, shown",
+    [
+        ({("a", "b")}, "('a', 'b')"),
+        ({("a", "b", "c"), ("c", "d")}, "('c', 'd')"),
+        (["abc"], "'abc'"),
+        ([("a", "b", "c"), ("a", "b", "c", "d")], "('a', 'b', 'c', 'd')"),
+        ([("a", "b", "c"), ("b", "a", "b")], "('b', 'a', 'b')"),
+        ([("a", "b", "c"), ("a", 1, "c")], "('a', 1, 'c')"),
+        ([("a", "b", "c"), (["a"], "b", "c")], "(['a'], 'b', 'c')"),
+    ],
+)
+def test_is_ample_rejects_members_that_are_not_triples(family, shown):
+    # The string "abc" must not read as the triple a, b, c.
+    with pytest.raises(SectionError) as err:
+        is_ample(family)
+    assert str(err.value) == (
+        f"family member {shown} is not a triple of three distinct taxon names"
+    )
+
+
 def test_is_ample_capacity():
     triples = frozenset(
         tuple(sorted((f"x{i}", f"x{i+1}", f"x{i+2}"))) for i in range(17)

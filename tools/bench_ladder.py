@@ -4,7 +4,7 @@
 ``cord_closure``, ``classify``, ``decomposition_from_section``,
 ``is_ample``, ``is_hall_type``, ``is_two_connected``, ``parse_newick``,
 ``cover_from_json``, ``distances_from_json``, ``dumps_canonical``, ``reconstruct``,
-``PartialDistances.from_tree``, ``PhyloTree.isomorphic`` and the CLI
+``write_newick``, ``PartialDistances.from_tree``, ``PhyloTree.isomorphic`` and the CLI
 ``reconstruct`` at several n, and the
 fixture search's instance stream ``random_instances`` and ``search_fixture``
 for each of the five fixture targets at one fixed n, for the working tree
@@ -29,8 +29,8 @@ on the chooser cover, ``cover_from_json`` on its JSON payload,
 ``distances_from_json`` on the JSON payload of its distances from the tree,
 and ``dumps_canonical`` writes both payloads;
 ``cord_closure`` and ``classify`` (only for n <= 320), ``is_two_connected``
-and the reconstruction rows on the minimal one; ``parse_newick`` reads
-``write_newick(tree)``;
+and the reconstruction rows on the minimal one; ``write_newick`` writes
+the tree and ``parse_newick`` reads that text;
 ``decomposition_from_section`` and ``is_ample`` take the minimal cover's
 first section, ``is_ample`` with the cap at its size, and a size
 where one call runs over ``AMPLE_LIMIT_S`` seconds is left out of the row,
@@ -152,8 +152,9 @@ def measure(src: Path, sizes: list[int], repeats: int, workdir: Path) -> dict:
            "minimalize_s": {}, "is_minimal_s": {}, "closure_s": {},
            "classify_s": {}, "decomposition_s": {}, "is_ample_s": {}, "hall_type_s": {},
            "two_connected_s": {}, "parse_newick_s": {}, "cover_load_s": {},
-           "dist_load_s": {}, "json_dump_s": {}, "reconstruct_s": {}, "from_tree_s": {},
-           "isomorphic_s": {}, "cli_reconstruct_s": {}}
+           "dist_load_s": {}, "json_dump_s": {}, "reconstruct_s": {},
+           "write_newick_s": {}, "from_tree_s": {}, "isomorphic_s": {},
+           "cli_reconstruct_s": {}}
     env = dict(os.environ, PYTHONPATH=str(src))
     out["random_instances_s"][INSTANCES_N], _ = best(
         lambda: list(islice(random_instances(INSTANCES_N, SEED), INSTANCES_TAKEN))
@@ -187,7 +188,8 @@ def measure(src: Path, sizes: list[int], repeats: int, workdir: Path) -> dict:
         out["two_connected_s"][n] = on_fresh(
             lambda _, fresh: is_two_connected(fresh), tree, cover
         )
-        out["parse_newick_s"][n], _ = best(parse_newick, write_newick(tree))
+        out["write_newick_s"][n], text = best(write_newick, tree)
+        out["parse_newick_s"][n], _ = best(parse_newick, text)
         if n <= CLOSURE_MAX:
             out["closure_s"][n] = on_fresh(cord_closure, tree, cover)
         if n <= CLASSIFY_MAX:
@@ -308,7 +310,8 @@ def main(argv=None) -> int:
         f"call runs over {AMPLE_LIMIT_S} s), is_hall_type on its supported triples "
         "with the cap at their number (hall_type) and PartialDistances.from_tree; "
         "isomorphic: the tree against its Newick re-parse, with lengths; "
-        "parse_newick: write_newick(tree); cli_reconstruct: one fresh "
+        "write_newick: the tree; parse_newick: write_newick(tree); "
+        "cli_reconstruct: one fresh "
         "`python -m tricover reconstruct` process per run on the minimal "
         "cover's files, so it cannot show the gain of one parser per process",
         "unit": "s, min over repeats processes of repeats runs each; spread: "
