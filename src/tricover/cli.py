@@ -20,10 +20,10 @@ from . import covers, jsonio, lab, report, shelling
 from .covergraph import decomposition_from_section, is_strict, verify_counting
 from .covers import (
     _cover_masks,
+    _is_minimal,
+    _ordered_masks,
+    _triple_name,
     canonical_cover,
-    cover_support,
-    iter_sections,
-    required_cords,
     seeded_chooser,
 )
 from .errors import (
@@ -91,16 +91,19 @@ def _cmd_reconstruct(args) -> int:
 def _cmd_decompose(args) -> int:
     tree = _load_tree(args.tree)
     cover = jsonio.load_cover(args.cover)
-    support = cover_support(tree, cover, "decompose")
-    section = next(iter_sections(support))
+    support = _cover_masks(tree, cover, "decompose")
+    # The first section, as classify takes it: each vertex's least triple.
+    section = sorted(
+        _triple_name(cover._taxa, found[0]) for found in _ordered_masks(support)
+    )
     decomposition = decomposition_from_section(section)
     payload = jsonio.decomposition_to_json(
         decomposition,
         strict=is_strict(cover, decomposition),
         counting=verify_counting(decomposition),
     )
-    payload["section"] = [list(t) for t in sorted(section)]
-    payload["applies_to_minimal_cover"] = required_cords(support) == cover.cords
+    payload["section"] = [list(t) for t in section]
+    payload["applies_to_minimal_cover"] = _is_minimal(support, cover)
     _emit(payload, args.json)
     return 0
 

@@ -316,13 +316,6 @@ def _cover_masks(tree: PhyloTree, cover: TripletCover, op: str) -> SupportMasks:
     return support
 
 
-def cover_support(tree: PhyloTree, cover: TripletCover, op: str) -> SupportMap:
-    """The support map, for a triplet cover only: otherwise raises
-    :class:`NotTripletCoverError` naming the least unsupported vertex."""
-    support = _cover_masks(tree, cover, op)
-    return _named(cover._taxa, support)
-
-
 def supported_triples(tree: PhyloTree, cover: TripletCover) -> frozenset[Triple]:
     """Disjoint union of all supports (every triangle of the cover graph)."""
     return frozenset().union(*support_map(tree, cover).values())
@@ -554,18 +547,10 @@ def section_count(support: SupportMap | SupportMasks) -> int:
     return total
 
 
-def _sorted_support_items(support: SupportMap) -> list[tuple[int, list[Triple]]]:
-    items = [(v, sorted(triples)) for v, triples in support.items()]
-    # Supports are disjoint and nonempty, so the least triple is a unique key.
-    items.sort(key=lambda item: item[1][0])
-    return items
-
-
 def _ordered_masks(support: SupportMasks) -> list[list[int]]:
     """A triplet cover's mask support in :func:`iter_sections` order: each
     vertex's triples sorted by :func:`_triple_bits`, which is name order as
-    bit i is the i-th sorted taxon, and the vertices by their least triple,
-    as :func:`_sorted_support_items` orders the named support."""
+    bit i is the i-th sorted taxon, and the vertices by their least triple."""
     ordered = [
         found if len(found) == 1 else sorted(found, key=_triple_bits)
         for found in support.values()
@@ -581,8 +566,10 @@ def iter_sections(support: SupportMap) -> Iterator[frozenset[Triple]]:
             raise NotTripletCoverError(
                 f"vertex {v} has empty support; sections need a triplet cover"
             )
-    items = _sorted_support_items(support)
-    for choice in product(*(triples for _, triples in items)):
+    # Supports are disjoint and nonempty, so the vertices sort by their
+    # least triple alone.
+    ordered = sorted(sorted(triples) for triples in support.values())
+    for choice in product(*ordered):
         yield frozenset(choice)
 
 

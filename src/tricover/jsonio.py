@@ -8,7 +8,6 @@ identical data produces byte-identical files.
 from __future__ import annotations
 
 import json
-from fractions import Fraction
 from json.encoder import encode_basestring_ascii as _json_string
 from pathlib import Path
 
@@ -20,10 +19,6 @@ from .reconstruct import PartialDistances, _add_distance, _refuse_unknown
 from .report import InstanceRecord, basic_flags
 from .shelling import ShellingStep
 from .tree import PhyloTree, _quote, make_quartet
-
-
-def format_rational(value: Fraction) -> str:
-    return str(value)
 
 
 def dumps_canonical(payload) -> str:
@@ -149,7 +144,7 @@ def distances_to_json(dist: PartialDistances) -> dict:
     return {
         "taxa": sorted(dist.taxa),
         "distances": [
-            [x, y, format_rational(q)] for (x, y), q in sorted(dist.values.items())
+            [x, y, str(q)] for (x, y), q in sorted(dist.values.items())
         ],
     }
 

@@ -16,6 +16,7 @@ from itertools import islice
 import pytest
 from closure_reference import random_order_closure
 from decomposition_reference import all_two_tree_decompositions
+from uniqueness_reference import uniqueness_oracle
 
 from tricover import (
     PartialDistances,
@@ -58,7 +59,6 @@ from tricover.lab import (
     random_binary_tree,
     random_instances,
     search_fixture,
-    uniqueness_oracle,
 )
 
 POOL_SIZE_PER_N = 50

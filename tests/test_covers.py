@@ -37,7 +37,7 @@ from tricover import (
     triangles,
 )
 from tricover import covergraph, covers, lab, report, shelling
-from tricover.covers import cover_support, required_cords, unsupported_vertex
+from tricover.covers import _cover_masks, required_cords, unsupported_vertex
 from tricover.lab import random_binary_tree
 
 
@@ -97,7 +97,7 @@ def test_is_triplet_cover(fig_tree, fig_cover):
     )
     assert unsupported_vertex(fig_tree, support_map(fig_tree, fig_cover)) is None
     with pytest.raises(NotTripletCoverError, match=r"\('a', 'c', 'd'\)"):
-        cover_support(fig_tree, broken, "test")
+        _cover_masks(fig_tree, broken, "test")
 
 
 def test_three_leaf_cover():

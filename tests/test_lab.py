@@ -1,10 +1,11 @@
-"""Generators, enumerators and the uniqueness oracle."""
+"""Generators, enumerators and the uniqueness oracle (a test helper)."""
 
 from fractions import Fraction
 from itertools import islice
 
 import pytest
 from splits_reference import splits
+from uniqueness_reference import uniqueness_oracle
 
 from tricover import (
     CapacityError,
@@ -29,7 +30,6 @@ from tricover.lab import (
     random_instances,
     random_rational,
     search_fixture,
-    uniqueness_oracle,
 )
 
 

