@@ -61,12 +61,16 @@ class TripletCover:
     """A set of cords over a fixed taxon set (not necessarily a cover).
 
     The cover is its own cover graph: the taxa are the vertices and the cords
-    the edges.  ``_taxa`` (sorted) and ``_nbr`` (bit j of ``_nbr[i]`` joins
-    ``_taxa[i]`` and ``_taxa[j]``) are built once: a builder that already
-    holds the cords' bit indices (:func:`canonical_cover`,
-    :func:`minimalize`, the lab's union covers) sets them at birth through
-    :meth:`_with_masks`, and any other cover builds them on the first read
-    of either.  Equality and hashing read only ``taxa`` and ``cords``."""
+    the edges.  A cover holds its cords as names, as masks, or both, and
+    builds either from the other on the first read.  The masks are ``_taxa``
+    (sorted) and ``_nbr`` (bit j of ``_nbr[i]`` joins ``_taxa[i]`` and
+    ``_taxa[j]``).  A cover made from names (the constructor, :meth:`make`)
+    builds its masks on the first read of either.  A builder that holds the
+    cords' bit indices (:func:`canonical_cover`, :func:`minimalize`, the
+    lab's generators) makes the cover from its masks through
+    :meth:`_with_masks`, and ``cords`` is named on its first read; until
+    then ``len`` counts the mask bits.  Equality and hashing read ``taxa``
+    and ``cords``, so they name an unnamed cover."""
 
     taxa: frozenset[str]
     cords: frozenset[Cord]
@@ -93,23 +97,26 @@ class TripletCover:
 
     @classmethod
     def _with_masks(
-        cls,
-        taxa: frozenset[str],
-        cords: frozenset[Cord],
-        names: tuple[str, ...],
-        nbr: tuple[int, ...],
+        cls, taxa: frozenset[str], names: tuple[str, ...], nbr: tuple[int, ...]
     ) -> "TripletCover":
-        """The cover of ``cords`` with ``_taxa`` set to ``names`` and ``_nbr``
-        to ``nbr``, unchecked: ``names`` must be ``tuple(sorted(taxa))`` and
-        ``nbr`` the :func:`_neighbour_masks` of ``cords`` over it."""
-        cover = cls(taxa, cords)
+        """The cover over ``taxa`` whose cover graph is ``nbr``, unchecked and
+        unnamed: ``names`` must be ``tuple(sorted(taxa))`` and ``nbr``
+        symmetric neighbour masks over it with no bit i in ``nbr[i]``.  Its
+        ``cords`` are named from ``nbr`` on the first read."""
+        cover = cls.__new__(cls)
+        object.__setattr__(cover, "taxa", taxa)
         object.__setattr__(cover, "_taxa", names)
         object.__setattr__(cover, "_nbr", nbr)
         return cover
 
     def __getattr__(self, name: str):
-        """Build ``_taxa`` and ``_nbr`` together on the first read of either;
-        later reads find them as plain attributes and never get here."""
+        """Build ``cords`` from the masks, or ``_taxa`` and ``_nbr`` together
+        from the names, on the first read; later reads find them as plain
+        attributes and never get here."""
+        if name == "cords":
+            cords = _cord_names(self._taxa, self._nbr)
+            object.__setattr__(self, "cords", cords)
+            return cords
         if name not in ("_taxa", "_nbr"):
             raise AttributeError(
                 f"{type(self).__name__!r} object has no attribute {name!r}"
@@ -120,7 +127,10 @@ class TripletCover:
         return vars(self)[name]
 
     def __len__(self) -> int:
-        return len(self.cords)
+        cords = self.__dict__.get("cords")
+        if cords is None:  # each cord sets one bit in each of its two rows
+            return sum(map(int.bit_count, self._nbr)) >> 1
+        return len(cords)
 
     def multiplicity(self, x: str) -> int:
         """Number of cords containing x: its degree in the cover graph."""
@@ -187,6 +197,24 @@ def _neighbour_masks(taxa: tuple[str, ...], cords: frozenset[Cord]) -> list[int]
         nbr[i] |= 1 << j
         nbr[j] |= 1 << i
     return nbr
+
+
+def _cord_names(taxa: tuple[str, ...], nbr: tuple[int, ...]) -> frozenset[Cord]:
+    """The cords of the neighbour masks ``nbr`` over the sorted ``taxa``, as
+    sorted name pairs: each bit j > i of ``nbr[i]`` is the cord
+    taxa[i]-taxa[j].  A row is shifted down past bit i, then past each bit
+    it names, so its integer shrinks as it is read."""
+    cords = []
+    append = cords.append
+    for i, x in enumerate(taxa):
+        m = nbr[i] >> i + 1
+        j = i
+        while m:
+            step = (m & -m).bit_length()
+            j += step
+            append((x, taxa[j]))
+            m >>= step
+    return frozenset(cords)
 
 
 def _refuse_cord(cords: frozenset[Cord], index: dict[str, int]):
@@ -353,7 +381,7 @@ def _required_pairs(support: SupportMasks) -> set[int]:
 def _is_minimal(support: SupportMasks, cover: TripletCover) -> bool:
     """Whether every cord is required.  Required cords are cords, so it is
     enough that there are as many of them."""
-    return len(_required_pairs(support)) == len(cover.cords)
+    return len(_required_pairs(support)) == len(cover)
 
 
 def is_minimal(tree: PhyloTree, cover: TripletCover) -> bool:
@@ -377,8 +405,9 @@ def minimalize(tree: PhyloTree, cover: TripletCover) -> TripletCover:
     it; its triples then die.  A vertex the cord does not touch keeps its
     live triple anyway, and a cord in no supported triple always drops.  The
     cords are tried in sorted index order, which is sorted name order since
-    bit i is the i-th sorted taxon, only the kept ones are named, and the
-    result's neighbour masks are the cover's with the dropped cords cleared.
+    bit i is the i-th sorted taxon.  The result is born from its masks, the
+    cover's with the dropped cords cleared, and names its cords only when
+    they are read.
     """
     support = _cover_masks(tree, cover, "minimalize")
     n = len(cover.taxa)
@@ -400,20 +429,18 @@ def minimalize(tree: PhyloTree, cover: TripletCover) -> TripletCover:
             spans.setdefault(pair, []).append(bit - first)
     taxa, nbr = cover._taxa, list(cover._nbr)
     live = bit - 1
-    kept = []
-    for i, x in enumerate(taxa):
+    for i in range(n):
         for j in _bits(nbr[i] >> i + 1 << i + 1):
             pair = i * n + j
             rest = live & ~holders.get(pair, 0)
             for span in spans.get(pair, ()):
                 if not rest & span:
-                    kept.append((x, taxa[j]))
-                    break
+                    break  # the cord is kept
             else:
                 live = rest
                 nbr[i] ^= 1 << j
                 nbr[j] ^= 1 << i
-    return TripletCover._with_masks(cover.taxa, frozenset(kept), taxa, tuple(nbr))
+    return TripletCover._with_masks(cover.taxa, taxa, tuple(nbr))
 
 
 def is_sparse(tree: PhyloTree, cover: TripletCover) -> bool:
@@ -636,15 +663,9 @@ def seeded_chooser(seed: int) -> Chooser:
     return choose
 
 
-def _add_triple(
-    taxa: tuple[str, ...], cords: set[Cord], nbr: list[int], a: int, b: int, c: int
-) -> None:
-    """Add the three cords of the triple of distinct bit indices a, b, c:
-    to ``cords`` as sorted name pairs and to the neighbour masks ``nbr``."""
-    x, y, z = taxa[a], taxa[b], taxa[c]
-    cords.add((x, y) if a < b else (y, x))
-    cords.add((x, z) if a < c else (z, x))
-    cords.add((y, z) if b < c else (z, y))
+def _add_triple(nbr: list[int], a: int, b: int, c: int) -> None:
+    """Add the three cords of the triple of distinct bit indices a, b, c to
+    the neighbour masks ``nbr``; nothing is named."""
     nbr[a] |= 1 << b | 1 << c
     nbr[b] |= 1 << a | 1 << c
     nbr[c] |= 1 << a | 1 << b
@@ -668,13 +689,12 @@ def canonical_cover(
     The chooser sees the vertices in :meth:`PhyloTree.component_triple`
     order, which is the order of the lowest bits of their component masks,
     as bit i is the i-th sorted taxon.  Each pick is checked as its bit
-    index, and the three cords go into the neighbour masks as they are
-    added, so the cover is born with its cover graph."""
+    index, and the three cords go into the neighbour masks, so the cover is
+    born as its cover graph and names its cords only when they are read."""
     taxa = tree._index.taxa
     index = {x: i for i, x in enumerate(taxa)}
     components = tree._index.components
     nbr = [0] * len(taxa)
-    cords = set()
     for v in _canonical_order(components):
         masks = components[v]
         picks = chooser(taxa, v, masks)
@@ -689,5 +709,5 @@ def canonical_cover(
             raise CoverError(
                 f"chooser returned an invalid selection {_quote_each(picks)}"
             )
-        _add_triple(taxa, cords, nbr, *ids)
-    return TripletCover._with_masks(tree.taxa, frozenset(cords), taxa, tuple(nbr))
+        _add_triple(nbr, *ids)
+    return TripletCover._with_masks(tree.taxa, taxa, tuple(nbr))

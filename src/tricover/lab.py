@@ -11,7 +11,7 @@ from __future__ import annotations
 import random
 from bisect import insort
 from fractions import Fraction
-from itertools import product
+from itertools import product, repeat
 from typing import Callable, Iterator
 
 from .covers import (
@@ -45,15 +45,36 @@ def default_taxa(n: int) -> list[str]:
     return [_LETTERS[i] if i < 26 else f"t{i + 1}" for i in range(n)]
 
 
-# The 40 draws (numerator - 1, denominator - 1) that random_rational
-# accepts, each with its length built once; a Fraction is immutable, so
-# trees share them.
-_LENGTHS = {
-    (num - 1, den - 1): Fraction(num, den)
+# The draws of random_rational, at (numerator - 1) * 4 + (denominator - 1):
+# the length when the ratio lies in [1/4, 4], else None.  The 40 lengths are
+# built once; a Fraction is immutable, so trees share them.
+_LENGTHS = [
+    Fraction(num, den) if den <= 4 * num and num <= 4 * den else None
     for num in range(1, 17)
     for den in range(1, 5)
-    if den <= 4 * num and num <= 4 * den
-}
+]
+
+
+def _draw_lengths(getrandbits: Callable[[int], int], count: int) -> list[Fraction]:
+    """``count`` lengths by :func:`random_rational`'s rule, in one loop.
+
+    Each numerator and denominator is drawn by ``randrange``'s rule (see
+    :func:`~tricover.covers._below`), inlined: 5 bits until they are below
+    16, then 3 bits until they are below 4.  These are the words
+    ``randrange(1, 17)`` and ``randrange(1, 5)`` read, in the same order."""
+    lengths = []
+    for _ in range(count):
+        length = None
+        while length is None:
+            num = getrandbits(5)
+            while num > 15:
+                num = getrandbits(5)
+            den = getrandbits(3)
+            while den > 3:
+                den = getrandbits(3)
+            length = _LENGTHS[num << 2 | den]
+        lengths.append(length)
+    return lengths
 
 
 def random_rational(rng: random.Random) -> Fraction:
@@ -61,16 +82,22 @@ def random_rational(rng: random.Random) -> Fraction:
     a numerator in 1..16 and a denominator in 1..4 are drawn until their
     ratio lies in that range.
 
-    Each is drawn from ``getrandbits`` by ``randrange``'s own rule (see
-    :func:`~tricover.covers._below`): the same words in the same order as
-    ``randrange(1, 17)`` and ``randrange(1, 5)``, so the lengths are those
-    they gave, without their per-call argument checks and without depending
-    on how a Python version implements them."""
-    getrandbits = rng.getrandbits
-    while True:
-        length = _LENGTHS.get((_below(getrandbits, 16), _below(getrandbits, 4)))
-        if length is not None:
-            return length
+    The draws are :func:`_draw_lengths`' for one length: the same words in
+    the same order as ``randrange(1, 17)`` and ``randrange(1, 5)``, so the
+    lengths are those they gave, without their per-call argument checks
+    and without depending on how a Python version implements them."""
+    return _draw_lengths(rng.getrandbits, 1)[0]
+
+
+def _born_tree(edges, lengths, leaf_labels: dict[int, str]) -> PhyloTree:
+    """The tree of the sorted edge pairs ``edges`` with ``lengths``, built as
+    the constructor would build it but without its checks
+    (:meth:`PhyloTree._born`): the generators make valid trees."""
+    adj: dict[int, dict[int, Fraction]] = {}
+    for (u, v), q in zip(edges, lengths):
+        adj.setdefault(u, {})[v] = q
+        adj.setdefault(v, {})[u] = q
+    return PhyloTree._born(adj, leaf_labels)
 
 
 def random_binary_tree(n: int, seed: int) -> PhyloTree:
@@ -80,10 +107,10 @@ def random_binary_tree(n: int, seed: int) -> PhyloTree:
     The edges stay in one sorted list, from which the drawn index is popped;
     the new interior vertex has the largest id so far, so its three edges
     are (u, mid), (v, mid) and (k, mid), each inserted in order.  The index
-    is drawn by ``randrange``'s rule (:func:`~tricover.covers._below`)."""
+    is drawn by ``randrange``'s rule (:func:`~tricover.covers._below`), and
+    then the lengths in edge order (:func:`_draw_lengths`)."""
     taxa = default_taxa(n)
-    rng = random.Random(seed)
-    getrandbits = rng.getrandbits
+    getrandbits = random.Random(seed).getrandbits
     # Leaves take ids 0..n-1, interior vertices n, n+1, ...
     edges = [(0, n), (1, n), (2, n)]
     for k in range(3, n):
@@ -92,8 +119,8 @@ def random_binary_tree(n: int, seed: int) -> PhyloTree:
         insort(edges, (u, mid))
         insort(edges, (v, mid))
         insort(edges, (k, mid))
-    weighted = [(u, v, random_rational(rng)) for u, v in edges]
-    return PhyloTree(weighted, {i: taxa[i] for i in range(n)})
+    lengths = _draw_lengths(getrandbits, len(edges))
+    return _born_tree(edges, lengths, dict(enumerate(taxa)))
 
 
 def enumerate_binary_trees(taxa) -> Iterator[PhyloTree]:
@@ -119,9 +146,9 @@ def enumerate_binary_trees(taxa) -> Iterator[PhyloTree]:
                     (k - 1, mid),
                 }
 
-    labels = {i: names[i] for i in range(n)}
+    unit = repeat(Fraction(1))
     for edge_set in grow(n):
-        yield PhyloTree([(u, v, 1) for u, v in sorted(edge_set)], labels)
+        yield _born_tree(sorted(edge_set), unit, dict(enumerate(names)))
 
 
 def balanced_chooser(seed: int) -> Chooser:
@@ -163,13 +190,10 @@ def exhaustive_instances(n: int) -> Iterator[tuple[PhyloTree, TripletCover, dict
             product(*map(_bits, components[v])) for v in _canonical_order(components)
         ]
         for a_index, assignment in enumerate(product(*choice_lists)):
-            cords: set[tuple[str, str]] = set()
             nbr = [0] * n
             for ids in assignment:
-                _add_triple(taxa, cords, nbr, *ids)
-            cover = TripletCover._with_masks(
-                tree.taxa, frozenset(cords), taxa, tuple(nbr)
-            )
+                _add_triple(nbr, *ids)
+            cover = TripletCover._with_masks(tree.taxa, taxa, tuple(nbr))
             yield tree, cover, {
                 "generator": "exhaustive",
                 "n": n,
@@ -198,11 +222,10 @@ def random_instances(
         else:
             first = canonical_cover(tree, seeded_chooser(cover_seed))
             second = canonical_cover(tree, balanced_chooser(cover_seed + 1))
-            # Both covers are checked and carry their masks, so the union
-            # ORs them instead of re-validating every cord.
+            # Both covers are checked and born as masks, so the union ORs
+            # them instead of naming and re-validating every cord.
             union = TripletCover._with_masks(
                 first.taxa,
-                first.cords | second.cords,
                 first._taxa,
                 tuple(a | b for a, b in zip(first._nbr, second._nbr)),
             )

@@ -8,7 +8,7 @@ x; a cord x,y is a cherry exactly when d(x,y) equals the two pendant
 lengths' sum.  Both are read from heaps, of fixed triple values per taxon and
 of candidate cords, not by rescanning rows, and after a peel only the taxa
 whose heap top may have moved are read again.  Names are built only for the
-cherry log, the leaf labels and error texts.
+leaf labels and error texts, and for the cherry log when it is read.
 Peeling cherries down to three taxa and replaying the log backwards
 rebuilds the tree.  Everything is exact: the table holds each distance
 times one integer scale, and every halving divides an even integer.  A
@@ -18,8 +18,9 @@ inconsistent inputs are rejected rather than silently fitted.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
+from functools import cached_property
 from heapq import heappop, heappush
 from math import lcm
 from typing import Mapping
@@ -95,10 +96,22 @@ class PartialDistances:
 @dataclass(frozen=True)
 class ReconstructionResult:
     """The rebuilt tree plus the cherry log: (kept-or-removed pair, pendant
-    lengths), outermost cherry first."""
+    lengths), outermost cherry first.  The log is kept as the table's
+    entries, bit indices and lengths times ``_scale``, over the sorted
+    ``_taxa``, and named on the first read of ``cherry_log``."""
 
     tree: PhyloTree
-    cherry_log: tuple[tuple[Cord, Fraction, Fraction], ...]
+    _taxa: tuple[str, ...] = field(repr=False)
+    _log: tuple[tuple[int, int, int, int], ...] = field(repr=False)
+    _scale: int = field(repr=False)
+
+    @cached_property
+    def cherry_log(self) -> tuple[tuple[Cord, Fraction, Fraction], ...]:
+        taxa, scale = self._taxa, self._scale
+        return tuple(
+            ((taxa[x], taxa[y]), Fraction(lx, scale), Fraction(ly, scale))
+            for x, y, lx, ly in self._log
+        )
 
 
 class _Table:
@@ -336,11 +349,7 @@ def reconstruct(cover: TripletCover, dist: PartialDistances) -> ReconstructionRe
 
     tree = _replay(table, (a, b, c))
     _verify(tree, dist)
-    log = tuple(
-        ((taxa[x], taxa[y]), table.value(lx), table.value(ly))
-        for x, y, lx, ly in table.log
-    )
-    return ReconstructionResult(tree, log)
+    return ReconstructionResult(tree, taxa, tuple(table.log), table.scale)
 
 
 def _replay(table: _Table, base: tuple[int, int, int]) -> PhyloTree:

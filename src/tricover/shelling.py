@@ -214,7 +214,7 @@ def _reaches_every_pair(cover: TripletCover, added: int) -> bool:
     distinct sorted pairs (its neighbour masks refuse any other), and so are
     the additions, none of them a cord of the cover."""
     n = len(cover.taxa)
-    return len(cover.cords) + added == n * (n - 1) // 2
+    return len(cover) + added == n * (n - 1) // 2
 
 
 def _shelling_cords(

@@ -263,9 +263,32 @@ class PhyloTree:
             raise TreeError(f"duplicate taxon label(s) {dupes}")
         if len(leaves) < 3:
             raise TreeError(f"need at least 3 taxa, got {len(leaves)}")
+        self._adopt(adj, dict(leaf_labels), taxa)
 
+    @classmethod
+    def _born(
+        cls, adj: dict[int, dict[int, Fraction]], leaf_labels: dict[int, str]
+    ) -> "PhyloTree":
+        """The tree of an adjacency that a generator built valid by
+        construction, as the constructor would store it: positive
+        ``Fraction`` lengths under both ends, at least 3 distinct valid
+        labels on exactly the degree-1 vertices, the rest of degree 3.  Only
+        the index walk runs, which still refuses a disconnected graph; the
+        constructor's edge, degree, length and label checks are skipped."""
+        tree = cls.__new__(cls)
+        tree._adopt(adj, leaf_labels, frozenset(leaf_labels.values()))
+        return tree
+
+    def _adopt(
+        self,
+        adj: dict[int, dict[int, Fraction]],
+        leaf_labels: dict[int, str],
+        taxa: frozenset[str],
+    ) -> None:
+        """Set the tree's state from a valid adjacency, its leaf labels and
+        their set, the first two owned by the tree from now on, and index it."""
         self._adj = adj
-        self._leaf_label = dict(leaf_labels)
+        self._leaf_label = leaf_labels
         self._label_leaf = {lab: v for v, lab in leaf_labels.items()}
         self._taxa = taxa
         self._index = _RootedIndex.walk(adj, self._label_leaf)

@@ -18,7 +18,8 @@ def test_ladder_runs_at_n20(tmp_path):
     report = json.loads(out.read_text())
     assert report["sizes"] == [20] and "parent" not in report
     rows = [(key, "20") for key in (
-        "random_binary_tree_s", "canonical_cover_s", "support_map_s",
+        "random_binary_tree_s", "canonical_cover_s", "cover_names_s",
+        "support_map_s",
         "is_triplet_cover_s", "minimalize_s", "is_minimal_s", "closure_s",
         "classify_s", "decomposition_s", "is_ample_s", "hall_type_s",
         "two_connected_s",

@@ -11,13 +11,16 @@ triple's names with ``make_triple``.  The references draw with
 support maps, byte for byte, from the same random draws, and leave each
 generator in the same state.
 
-The generated covers are born with their sorted taxa and neighbour masks;
-each must hold exactly what a cover built from its names would build.
+The generated covers are born as their sorted taxa and neighbour masks,
+without names: each must hold exactly the masks its reference names build,
+and name its cords only when they are read, as those names.  The generated
+trees are born from their adjacency without the constructor's checks, and
+each must equal the tree the constructor builds from its edges.
 """
 
 import random
 from fractions import Fraction
-from itertools import islice
+from itertools import islice, product
 
 import pytest
 
@@ -33,14 +36,18 @@ from tricover import (
     support_map,
 )
 from tricover.covers import _bits, _check_same_taxa, _neighbour_masks
+from tricover.errors import TreeError
 from tricover.jsonio import cover_to_json, dumps_canonical
 from tricover.lab import (
+    FIXTURE_PREDICATES,
     balanced_chooser,
     default_taxa,
+    enumerate_binary_trees,
     exhaustive_instances,
     random_binary_tree,
     random_instances,
     random_rational,
+    search_fixture,
 )
 from tricover.newick import write_newick
 
@@ -119,6 +126,34 @@ def ref_support_map(tree, cover):
     return result
 
 
+def kept(names, cover):
+    """The cords among ``names`` whose bits ``cover``'s masks still hold: the
+    reference names of a cover that minimalize made from named ones."""
+    index = {x: i for i, x in enumerate(cover._taxa)}
+    return frozenset(c for c in names if cover._nbr[index[c[0]]] >> index[c[1]] & 1)
+
+
+def ref_minimalize(tree, cover):
+    """``minimalize`` of a named cover, named from ``cover``'s cords."""
+    return TripletCover(cover.taxa, kept(cover.cords, minimalize(tree, cover)))
+
+
+def ref_exhaustive_instances(n):
+    for t_index, tree in enumerate(enumerate_binary_trees(default_taxa(n))):
+        taxa = tree._index.taxa
+        choice_lists = [
+            product(*([taxa[i] for i in _bits(m)] for m in tree._component_masks(v)))
+            for v in sorted(tree.interior_vertices(), key=tree.component_triple)
+        ]
+        for a_index, triples in enumerate(product(*choice_lists)):
+            yield tree, TripletCover(tree.taxa, cord_set(triples)), {
+                "generator": "exhaustive",
+                "n": n,
+                "topology": t_index,
+                "assignment": a_index,
+            }
+
+
 def ref_random_instances(n, seed):
     base = random.Random(seed * 1_000_003 + n)
     index = 0
@@ -134,7 +169,7 @@ def ref_random_instances(n, seed):
         else:
             first = ref_canonical_cover(tree, ref_seeded_chooser(cover_seed))
             second = ref_canonical_cover(tree, ref_balanced_chooser(cover_seed + 1))
-            cover = minimalize(tree, first.add_cords(second.cords))
+            cover = ref_minimalize(tree, first.add_cords(second.cords))
         yield tree, cover, {
             "generator": "random",
             "n": n,
@@ -156,12 +191,37 @@ def cover_text(cover):
     return dumps_canonical(cover_to_json(cover))
 
 
-def assert_born(cover):
-    """The cover already holds its ``_taxa`` and ``_nbr``, equal to the ones
-    its names give."""
+def assert_born(cover, names):
+    """The cover holds its ``_taxa`` and ``_nbr``, equal to the ones its
+    reference ``names`` give, and no ``cords`` until they are read.  Its
+    length, read while it is unnamed, its equality and hash, and its names
+    once read agree with the cover those names make."""
+    assert "cords" not in vars(cover)
+    want = TripletCover.make(cover.taxa, names)
     taxa = tuple(sorted(cover.taxa))
     assert vars(cover)["_taxa"] == taxa
-    assert vars(cover)["_nbr"] == tuple(_neighbour_masks(taxa, cover.cords))
+    assert vars(cover)["_nbr"] == tuple(_neighbour_masks(taxa, want.cords))
+    assert len(cover) == len(want)
+    assert "cords" not in vars(cover)
+    assert cover == want and hash(cover) == hash(want)
+    assert vars(cover)["cords"] == want.cords
+
+
+def assert_born_minimal(tree, cover, names):
+    """``minimalize`` of ``cover``, whose reference names are ``names``, is
+    born unnamed and names the cords it keeps."""
+    minimal = minimalize(tree, cover)
+    assert_born(minimal, kept(names, minimal))
+
+
+def assert_born_tree(tree, labels):
+    """The generated tree equals the one the checking constructor builds
+    from its edges and ``labels``."""
+    want = PhyloTree(tree.edges(), labels)
+    assert tree._adj == want._adj
+    assert tree._leaf_label == want._leaf_label
+    assert tree._taxa == want._taxa
+    assert tree._index == want._index
 
 
 def assert_same_tree(got, want):
@@ -179,9 +239,9 @@ def assert_same_covers(tree, seed, kinds=tuple(CHOOSERS)):
         make, make_ref = CHOOSERS[kind]
         got = canonical_cover(tree, make(seed))
         want = ref_canonical_cover(tree, make_ref(seed))
+        assert_born_minimal(tree, got, want.cords)
+        assert_born(got, want.cords)
         assert cover_text(got) == cover_text(want), (kind, tree.n_taxa, seed)
-        assert_born(got)
-        assert_born(minimalize(tree, got))
         assert_same_support(tree, got)
 
 
@@ -239,15 +299,18 @@ def test_random_instances_match(n):
         for (tree, cover, info), (ref_tree, ref_cover, ref_info) in islice(pairs, 30):
             assert info == ref_info
             assert_same_tree(tree, ref_tree)
+            assert_born(cover, ref_cover.cords)
             assert cover_text(cover) == cover_text(ref_cover), info
-            assert_born(cover)
             assert_same_support(tree, cover)
 
 
 @pytest.mark.parametrize("n", [4, 5, 6])
 def test_exhaustive_instances_match(n):
     seen = set()
-    for tree, cover, info in exhaustive_instances(n):
+    pairs = zip(exhaustive_instances(n), ref_exhaustive_instances(n), strict=True)
+    for (tree, cover, info), (_, ref_cover, ref_info) in pairs:
+        assert info == ref_info
+        assert_born(cover, ref_cover.cords)
         assert_same_support(tree, cover)
         if info["topology"] not in seen:
             seen.add(info["topology"])
@@ -271,19 +334,83 @@ def test_renamed_trees_match(n):
         assert_same_covers(tree, seed)
         first = canonical_cover(tree, seeded_chooser(seed))
         second = canonical_cover(tree, balanced_chooser(seed + 1))
-        union = minimalize(tree, first.add_cords(second.cords))
-        assert_born(union)
-        assert_same_support(tree, union)
+        named = first.add_cords(second.cords)
+        assert_born_minimal(tree, named, named.cords)
+        assert_same_support(tree, minimalize(tree, named))
 
 
 @pytest.mark.parametrize("n", range(3, 25))
 def test_pool_covers_are_born_with_their_masks(n):
     # Every chooser cover of the pool's trees, each minimalized, and each
-    # pool cover minimalized again, hold the masks their names give.
+    # pool cover minimalized again, hold the masks their reference names
+    # give and name their cords only when read.
     for seed in range(5):
-        for tree, cover, info in islice(random_instances(n, seed), 30):
-            assert_born(minimalize(tree, cover))
-            for make, _ in CHOOSERS.values():
+        pairs = zip(random_instances(n, seed), ref_random_instances(n, seed))
+        for (tree, cover, info), (_, ref_cover, _) in islice(pairs, 30):
+            assert_born_minimal(tree, cover, ref_cover.cords)
+            for make, make_ref in CHOOSERS.values():
                 chosen = canonical_cover(tree, make(info["index"]))
-                assert_born(chosen)
-                assert_born(minimalize(tree, chosen))
+                names = ref_canonical_cover(tree, make_ref(info["index"])).cords
+                assert_born_minimal(tree, chosen, names)
+                assert_born(chosen, names)
+
+
+def test_a_missed_search_names_no_cover():
+    # Every fixture predicate runs on every instance and none is taken, so
+    # the search generates its whole budget, exhaustive and random; naming
+    # a cover's cords is left to whoever reads them, and here nobody does.
+    seen = []
+
+    def every_target_then_miss(tree, cover):
+        for predicate in FIXTURE_PREDICATES.values():
+            predicate(tree, cover)
+        seen.append(cover)
+        return False
+
+    # All 540 exhaustive covers at n = 5, then the random stream at n = 7,
+    # which never runs out, and a second search on the stream at n = 12.
+    for ns, budget in (([5, 7], 900), ([12], 300)):
+        seen.clear()
+        assert search_fixture(every_target_then_miss, ns, budget, 3) is None
+        assert len(seen) == budget
+        assert {len(cover.taxa) for cover in seen} == set(ns)
+        assert not [cover for cover in seen if "cords" in vars(cover)]
+
+
+@pytest.mark.parametrize("n", [*range(3, 25), 64, 320, 1000])
+def test_born_trees_equal_constructed_ones(n, made):
+    labels = dict(enumerate(default_taxa(n)))
+    for seed in range(5 if n < 320 else 2):
+        tree = random_binary_tree(n, seed)
+        assert_born_tree(tree, labels)
+        ref_random_binary_tree(n, seed)
+        assert made[-2].getstate() == made[-1].getstate()
+
+
+@pytest.mark.parametrize("n", [4, 5, 6])
+def test_enumerated_trees_equal_constructed_ones(n):
+    names = default_taxa(n)
+    trees = list(enumerate_binary_trees(reversed(names)))
+    assert len(trees) == {4: 3, 5: 15, 6: 105}[n]
+    for tree in trees:
+        assert_born_tree(tree, dict(enumerate(names)))
+        assert set(tree.edges()) == {(u, v, 1) for u, v, _ in tree.edges()}
+
+
+def test_born_refuses_a_disconnected_graph():
+    # Three 3-leaf stars and a K4 of degree-3 vertices: 15 edges on 16
+    # vertices, leaves of degree 1 and the rest of degree 3, so the
+    # constructor's count and degree checks pass and only the walk, from
+    # the first star, finds the graph disconnected.
+    edges = [(3 * k + i, 9 + k, 1) for k in range(3) for i in range(3)]
+    edges += [(u, v, 1) for u in range(12, 16) for v in range(u + 1, 16)]
+    labels = {v: default_taxa(9)[v] for v in range(9)}
+    with pytest.raises(TreeError) as constructed:
+        PhyloTree(edges, labels)
+    adj = {}
+    for u, v, q in edges:
+        adj.setdefault(u, {})[v] = Fraction(q)
+        adj.setdefault(v, {})[u] = Fraction(q)
+    with pytest.raises(TreeError) as born:
+        PhyloTree._born(adj, labels)
+    assert str(born.value) == str(constructed.value) == "graph is not connected"

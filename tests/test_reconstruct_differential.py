@@ -46,7 +46,8 @@ from tricover import (
     seeded_chooser,
     write_newick,
 )
-from tricover.jsonio import tree_to_json
+from tricover import cli
+from tricover.jsonio import save_cover, save_distances, tree_to_json
 from tricover.lab import random_binary_tree
 
 reconstruct_module = sys.modules["tricover.reconstruct"]
@@ -587,6 +588,31 @@ def test_fewer_pendants_and_no_distance_matrix(monkeypatch):
     ref_reconstruct(cover, dist)
     assert pendants[0] < REF_PENDANTS[0]
     assert pendants[0] <= 400
+
+
+def test_cli_reconstruct_builds_no_log_fraction(monkeypatch, tmp_path):
+    # The same n = 96 instance through the CLI: the replay gives each of the
+    # tree's 2n - 3 edges its length through _Table.value, and the cherry
+    # log, which the CLI never reads, adds none (it took two per peel).
+    n = 96
+    tree, cover, dist = instance(n, 7, True)
+    cover_path, dist_path = tmp_path / "cover.json", tmp_path / "dist.json"
+    out_path = tmp_path / "tree.nwk"
+    save_cover(cover, cover_path)
+    save_distances(dist, dist_path)
+    values = [0]
+    one_value = reconstruct_module._Table.value
+
+    def counted_value(table, scaled):
+        values[0] += 1
+        return one_value(table, scaled)
+
+    monkeypatch.setattr(reconstruct_module._Table, "value", counted_value)
+    argv = ["reconstruct", "--cover", str(cover_path), "--dist", str(dist_path),
+            "--out", str(out_path)]
+    assert cli.main(argv) == 0
+    assert out_path.read_text(encoding="utf-8") == write_newick(tree) + "\n"
+    assert values[0] <= 2 * n - 3
 
 
 HASH_SEED_REPRO = """

@@ -1,8 +1,8 @@
 #!/usr/bin/env python3
-"""Layer ladder: time ``random_binary_tree``, ``canonical_cover``,
-``support_map``, ``is_triplet_cover``, ``minimalize``, ``is_minimal``,
-``cord_closure``, ``classify``, ``decomposition_from_section``,
-``is_ample``, ``is_hall_type``, ``is_two_connected``, ``parse_newick``,
+"""Layer ladder: time ``random_binary_tree``, ``canonical_cover``, the
+first read of a cover's names, ``support_map``, ``is_triplet_cover``,
+``minimalize``, ``is_minimal``, ``cord_closure``, ``classify``,
+``decomposition_from_section``, ``is_ample``, ``is_hall_type``, ``is_two_connected``, ``parse_newick``,
 ``cover_from_json``, ``distances_from_json``, ``dumps_canonical``, ``reconstruct``,
 ``write_newick``, ``PartialDistances.from_tree``, ``PhyloTree.isomorphic`` and the CLI
 ``reconstruct`` at several n, and the
@@ -23,7 +23,9 @@ first ``INSTANCES_TAKEN`` items of ``random_instances(INSTANCES_N, 1)``,
 whatever the sizes, and is keyed by that n, as is ``fixture_search``: one
 ``search_fixture`` per target of ``FIXTURE_PREDICATES`` at that n, seed 1
 and a budget of ``FIXTURE_BUDGET`` instances.  ``canonical_cover`` builds
-the chooser cover with a fresh chooser each run;
+the chooser cover with a fresh chooser each run; ``cover_names`` times
+``sorted(cover.cords)`` on a fresh chooser cover, built untimed, so that
+naming a cover's cords shows wherever it happens, at birth or first read;
 ``support_map``, ``is_triplet_cover``, ``minimalize`` and ``is_minimal`` run
 on the chooser cover, ``cover_from_json`` on its JSON payload,
 ``distances_from_json`` on the JSON payload of its distances from the tree,
@@ -147,8 +149,18 @@ def measure(src: Path, sizes: list[int], repeats: int, workdir: Path) -> dict:
         """Time ``fn(tree, c)`` with ``c`` a fresh copy of ``cover``."""
         return best(lambda: fn(tree, TripletCover(cover.taxa, cover.cords)))[0]
 
+    def first_read(make, read):
+        """Time ``read(x)`` on a fresh ``x = make()`` per run, built untimed."""
+        times = []
+        for _ in range(repeats):
+            fresh = make()
+            start = time.perf_counter()
+            read(fresh)
+            times.append(time.perf_counter() - start)
+        return round(min(times), 6)
+
     out = {"random_binary_tree_s": {}, "random_instances_s": {}, "fixture_search_s": {},
-           "canonical_cover_s": {}, "support_map_s": {}, "is_triplet_cover_s": {},
+           "canonical_cover_s": {}, "cover_names_s": {}, "support_map_s": {}, "is_triplet_cover_s": {},
            "minimalize_s": {}, "is_minimal_s": {}, "closure_s": {},
            "classify_s": {}, "decomposition_s": {}, "is_ample_s": {}, "hall_type_s": {},
            "two_connected_s": {}, "parse_newick_s": {}, "cover_load_s": {},
@@ -170,6 +182,10 @@ def measure(src: Path, sizes: list[int], repeats: int, workdir: Path) -> dict:
         out["random_binary_tree_s"][n], tree = best(random_binary_tree, n, SEED)
         out["canonical_cover_s"][n], chooser_cover = best(
             lambda: canonical_cover(tree, seeded_chooser(SEED))
+        )
+        out["cover_names_s"][n] = first_read(
+            lambda: canonical_cover(tree, seeded_chooser(SEED)),
+            lambda fresh: sorted(fresh.cords),
         )
         cover = minimalize(tree, chooser_cover)
         out["support_map_s"][n] = on_fresh(support_map, tree, chooser_cover)
@@ -299,6 +315,7 @@ def main(argv=None) -> int:
         f"for each fixture target at n = {INSTANCES_N}, seed {SEED} and budget "
         f"{FIXTURE_BUDGET} (fixture_search, keyed by {INSTANCES_N}), canonical_cover(tree, "
         f"seeded_chooser({SEED})) for canonical_cover, support_map, "
+        "sorted(cover.cords) on a fresh one (cover_names), "
         "is_triplet_cover, minimalize and is_minimal, cover_from_json on its "
         "JSON payload, distances_from_json on its distances' payload, "
         "dumps_canonical of both payloads (json_dump), "
