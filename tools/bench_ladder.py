@@ -2,7 +2,8 @@
 """Layer ladder: time ``random_binary_tree``, ``canonical_cover``, the
 first read of a cover's names, ``support_map``, ``is_triplet_cover``,
 ``minimalize``, ``is_minimal``, ``cord_closure``, ``classify``,
-``decomposition_from_section``, ``is_ample``, ``is_hall_type``, ``is_two_connected``, ``parse_newick``,
+``decomposition_from_section``, ``is_ample``, ``is_hall_type``,
+``is_two_connected``, ``parse_newick``,
 ``cover_from_json``, ``distances_from_json``, ``dumps_canonical``, ``reconstruct``,
 ``write_newick``, ``PartialDistances.from_tree``, ``PhyloTree.isomorphic`` and the CLI
 ``reconstruct`` at several n, and the
@@ -160,7 +161,8 @@ def measure(src: Path, sizes: list[int], repeats: int, workdir: Path) -> dict:
         return round(min(times), 6)
 
     out = {"random_binary_tree_s": {}, "random_instances_s": {}, "fixture_search_s": {},
-           "canonical_cover_s": {}, "cover_names_s": {}, "support_map_s": {}, "is_triplet_cover_s": {},
+           "canonical_cover_s": {}, "cover_names_s": {}, "support_map_s": {},
+           "is_triplet_cover_s": {},
            "minimalize_s": {}, "is_minimal_s": {}, "closure_s": {},
            "classify_s": {}, "decomposition_s": {}, "is_ample_s": {}, "hall_type_s": {},
            "two_connected_s": {}, "parse_newick_s": {}, "cover_load_s": {},
