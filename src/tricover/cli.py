@@ -27,7 +27,6 @@ from .covers import (
     seeded_chooser,
 )
 from .errors import (
-    CapacityError,
     CoverError,
     NewickError,
     NotRealizableError,
@@ -38,7 +37,7 @@ from .errors import (
 )
 from .newick import parse_newick, write_newick
 from .reconstruct import PartialDistances, reconstruct
-from .shelling import _closure, _reaches_every_pair, verify_shelling
+from .shelling import _forced_steps, _reaches_every_pair, verify_shelling
 
 _FORMAT_ERRORS = (NewickError, TreeError, CoverError, OSError, ValueError)
 
@@ -112,7 +111,7 @@ def _cmd_shell(args) -> int:
     tree = _load_tree(args.tree)
     cover = jsonio.load_cover(args.cover)
     _cover_masks(tree, cover, "shell")
-    _, steps = _closure(tree, cover)
+    steps = tuple(_forced_steps(tree, cover))
     payload = jsonio.shelling_to_json(steps)
     payload["shellable"] = _reaches_every_pair(cover, len(steps))
     if not payload["shellable"]:
@@ -297,9 +296,6 @@ def main(argv=None) -> int:
         return 2
     except _FORMAT_ERRORS as exc:
         print(f"error: {exc}", file=sys.stderr)
-        return 1
-    except CapacityError as exc:
-        print(f"capacity: {exc}", file=sys.stderr)
         return 1
 
 

@@ -297,22 +297,16 @@ def _triple_name(taxa: tuple[str, ...], t: int) -> Triple:
     return taxa[a], taxa[b], taxa[c]
 
 
-def _named(taxa: tuple[str, ...], support: SupportMasks) -> SupportMap:
-    """The names view of a mask support: the same vertices in the same
-    order, each with its triples as sorted taxon tuples."""
-    return {
-        v: frozenset([_triple_name(taxa, t) for t in found])
-        for v, found in support.items()
-    }
-
-
 def support_map(tree: PhyloTree, cover: TripletCover) -> SupportMap:
     """The support of every interior vertex, keyed in sorted vertex order:
     all triples, one leaf per component of the tree minus the vertex, whose
     three pairs are cords.  It names the triples that
     :func:`_support_masks` finds."""
-    support = _support_masks(tree, cover)
-    return _named(cover._taxa, support)
+    taxa = cover._taxa
+    return {
+        v: frozenset([_triple_name(taxa, t) for t in found])
+        for v, found in _support_masks(tree, cover).items()
+    }
 
 
 def is_triplet_cover(tree: PhyloTree, cover: TripletCover) -> bool:

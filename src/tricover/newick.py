@@ -162,11 +162,6 @@ def parse_newick(text: str) -> PhyloTree:
     return PhyloTree(edges, labels)
 
 
-def format_length(value: Fraction) -> str:
-    """Exact textual form: "3" for integers, "7/2" otherwise."""
-    return str(value)
-
-
 def write_newick(tree: PhyloTree) -> str:
     """Canonical Newick: rooted at the interior vertex adjacent to the least
     taxon, children ordered by their least descendant taxon.
@@ -184,7 +179,7 @@ def write_newick(tree: PhyloTree) -> str:
         up = parent[v]
         label = labels.get(v)
         body = label if label is not None else f"({inner.pop(v)})"
-        text = f"{body}:{format_length(adj[v][up])}"
+        text = f"{body}:{str(adj[v][up])}"
         m = mask[v]
         low = m & -m
         other = waiting.pop(up, None)
@@ -194,4 +189,4 @@ def write_newick(tree: PhyloTree) -> str:
             inner[up] = f"{other[1]},{text}"
         else:
             inner[up] = f"{text},{other[1]}"
-    return f"({labels[least]}:{format_length(adj[least][root])},{inner[root]});"
+    return f"({labels[least]}:{str(adj[least][root])},{inner[root]});"

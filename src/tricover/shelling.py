@@ -231,14 +231,6 @@ def _shelling_cords(
     return True, [(taxa[a], taxa[b]) for a, b in added]
 
 
-def _closure(
-    tree: PhyloTree, cover: TripletCover
-) -> tuple[frozenset[Cord], tuple[ShellingStep, ...]]:
-    """:func:`cord_closure` for a cover already known to be a triplet cover."""
-    steps = tuple(_forced_steps(tree, cover))
-    return cover.cords | {step.cord for step in steps}, steps
-
-
 def cord_closure(
     tree: PhyloTree, cover: TripletCover
 ) -> tuple[frozenset[Cord], tuple[ShellingStep, ...]]:
@@ -249,17 +241,8 @@ def cord_closure(
     least valid witness pair.
     """
     _cover_masks(tree, cover, "cord closure")
-    return _closure(tree, cover)
-
-
-def _shellable(
-    tree: PhyloTree, cover: TripletCover
-) -> tuple[bool, tuple[ShellingStep, ...] | None]:
-    """:func:`is_shellable` for a cover already known to be a triplet cover."""
-    _, steps = _closure(tree, cover)
-    if _reaches_every_pair(cover, len(steps)):
-        return True, steps
-    return False, None
+    steps = tuple(_forced_steps(tree, cover))
+    return cover.cords | {step.cord for step in steps}, steps
 
 
 def is_shellable(
@@ -268,7 +251,10 @@ def is_shellable(
     """Whether the closure reaches every pair (3-taxon covers qualify
     outright); returns the witness step sequence when it does."""
     _cover_masks(tree, cover, "is_shellable")
-    return _shellable(tree, cover)
+    steps = tuple(_forced_steps(tree, cover))
+    if _reaches_every_pair(cover, len(steps)):
+        return True, steps
+    return False, None
 
 
 def verify_shelling(tree: PhyloTree, cover: TripletCover, steps) -> None:

@@ -11,8 +11,8 @@ of the three components obtained by deleting the vertex.
 from __future__ import annotations
 
 import re
-from collections import deque
 from fractions import Fraction
+from itertools import combinations
 from math import lcm
 from typing import Iterable, NamedTuple
 
@@ -420,26 +420,13 @@ class PhyloTree:
         return [(min(a, b), max(a, b)) for a, b in zip(path, path[1:])]
 
     def distance_matrix(self) -> dict[tuple[str, str], Fraction]:
-        """All leaf-to-leaf distances, keyed by sorted taxon pairs.
+        """All leaf-to-leaf distances, keyed by sorted taxon pairs in
+        lexicographic order, read from :meth:`scaled_distances`.
 
         No library code calls it; it stays because perfbench's traced round
         trip, which the test suite runs, times it."""
-        matrix: dict[tuple[str, str], Fraction] = {}
-        for x in sorted(self._taxa):
-            # One BFS per leaf; accumulate path lengths.
-            start = self.leaf(x)
-            acc: dict[int, Fraction] = {start: Fraction(0)}
-            queue = deque([start])
-            while queue:
-                w = queue.popleft()
-                for nbr, q in self._adj[w].items():
-                    if nbr not in acc:
-                        acc[nbr] = acc[w] + q
-                        queue.append(nbr)
-            for y in sorted(self._taxa):
-                if x < y:
-                    matrix[(x, y)] = acc[self.leaf(y)]
-        return matrix
+        scale, scaled = self.scaled_distances(combinations(self._index.taxa, 2))
+        return {pair: Fraction(d, scale) for pair, d in scaled.items()}
 
     # -- components ------------------------------------------------------
 

@@ -18,13 +18,14 @@ from tricover import (
     required_cords,
     verify_counting,
 )
-from tricover.covers import SupportMap, _cover_masks, _named
+from tricover.covers import SupportMap, _cover_masks, support_map
 
 
 def cover_support(tree, cover, op: str) -> SupportMap:
     """The support map, for a triplet cover only: otherwise raises
     :class:`NotTripletCoverError` naming the least unsupported vertex."""
-    return _named(cover._taxa, _cover_masks(tree, cover, op))
+    _cover_masks(tree, cover, op)
+    return support_map(tree, cover)
 
 
 def reference_decompose(tree, cover) -> tuple[int, str | None, str]:

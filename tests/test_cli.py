@@ -5,13 +5,24 @@ import os
 import shutil
 import subprocess
 import sys
-from itertools import islice
 
 import pytest
 
-from tricover import CoverError, cli, jsonio, parse_newick, shelling
+from tricover import (
+    CoverError,
+    canonical_cover,
+    cli,
+    cord_closure,
+    jsonio,
+    minimalize,
+    parse_newick,
+    seeded_chooser,
+    shelling,
+    write_newick,
+)
 from tricover.cli import main
 from tricover.covers import TripletCover
+from tricover.lab import random_binary_tree
 from tricover.reconstruct import PartialDistances
 
 FIG_NEWICK = "((a:1,b:1):1,c:1,(d:1,e:1):1);\n"
@@ -576,37 +587,34 @@ def test_shell_and_verify_pipeline(fig_files, tmp_path, capsys):
     assert "rejected" in capsys.readouterr().err
 
 
-def test_shell_non_shellable_runs_closure_once(fig_files, tmp_path, monkeypatch):
-    # No non-shellable cover is known at test sizes, so the stream of forced
-    # additions is cut off after its first step: the closure then stalls with
-    # a one-step prefix, exactly as it would on a non-shellable cover.
-    tree_path, cover_path = fig_files
+def test_shell_non_shellable_runs_closure_once(tmp_path, monkeypatch):
+    # The first cover of test_nonshellable_witnesses.py: a minimal sparse
+    # cover at n = 100 whose closure stalls after 58 additions.
+    tree = random_binary_tree(100, 1007)
+    cover = minimalize(tree, canonical_cover(tree, seeded_chooser(6)))
+    tree_path, cover_path, out = (
+        tmp_path / "tree.nwk", tmp_path / "cover.json", tmp_path / "shell.json"
+    )
+    tree_path.write_text(write_newick(tree) + "\n", encoding="utf-8")
+    jsonio.save_cover(cover, cover_path)
     real_steps = shelling._forced_steps
-    real_closure = shelling._closure
-    found = []
-    closures = []
+    runs = []
 
-    def first_step_only(*args):
-        for step in islice(real_steps(*args), 1):
-            found.append(step)
-            yield step
+    def counted_steps(*args):
+        runs.append(args)
+        return real_steps(*args)
 
-    def counted_closure(*args):
-        closures.append(args)
-        return real_closure(*args)
-
-    monkeypatch.setattr(shelling, "_forced_steps", first_step_only)
     for module in (shelling, cli):
-        monkeypatch.setattr(module, "_closure", counted_closure)
-    out = tmp_path / "prefix.json"
+        monkeypatch.setattr(module, "_forced_steps", counted_steps)
     code = main(["shell", "--tree", str(tree_path), "--cover", str(cover_path),
                  "--json", str(out)])
     assert code == 0
-    assert len(closures) == 1
-    payload = json.loads(out.read_text())
+    assert len(runs) == 1
+    payload = json.loads(out.read_text(encoding="utf-8"))
     assert payload["shellable"] is False
-    assert payload["stalled_after"] == 1
-    assert payload["steps"] == jsonio.shelling_to_json(found[:1])["steps"]
+    assert payload["stalled_after"] == 58
+    _, steps = cord_closure(tree, cover)
+    assert payload["steps"] == jsonio.shelling_to_json(steps)["steps"]
 
 
 def test_fixtures_minimum_target(tmp_path):

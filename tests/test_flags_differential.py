@@ -24,7 +24,7 @@ from tricover import (
     support_map,
 )
 from tricover.covers import unsupported_vertex
-from tricover.shelling import _shellable
+from tricover.shelling import is_shellable
 from tricover.lab import (
     FIXTURE_PREDICATES,
     basic_flags,
@@ -67,7 +67,7 @@ def reference_sparse_not_shellable(tree, cover):
     return (
         support is not None
         and reference_sparse(cover, support)
-        and not _shellable(tree, cover)[0]
+        and not is_shellable(tree, cover)[0]
     )
 
 
@@ -81,7 +81,7 @@ def reference_sparse_shellable_not_ample(tree, cover):
         return False
     if is_ample(frozenset().union(*support.values()))[0]:
         return False
-    return _shellable(tree, cover)[0]
+    return is_shellable(tree, cover)[0]
 
 
 REFERENCE_PREDICATES = {
@@ -104,7 +104,7 @@ def reference_basic_flags(tree, cover):
         flags["is_minimal"] = required_cords(support) == cover.cords
         flags["is_minimum"] = len(cover) == 2 * len(cover.taxa) - 3
         flags["is_sparse"] = reference_sparse(cover, support)
-        flags["is_shellable"] = _shellable(tree, cover)[0]
+        flags["is_shellable"] = is_shellable(tree, cover)[0]
     return flags
 
 

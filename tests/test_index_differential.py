@@ -34,7 +34,6 @@ from tricover import (
     write_newick,
 )
 from tricover.lab import default_taxa, enumerate_binary_trees, random_binary_tree
-from tricover.newick import format_length
 from tricover.tree import _quote, make_quartet
 
 from components_reference import components_without
@@ -139,7 +138,7 @@ def ref_write_newick(tree):
     (root,) = (w for w in tree.neighbors(tree.leaf(least)))
 
     def render(v, parent):
-        length = format_length(tree.edge_length(parent, v))
+        length = str(tree.edge_length(parent, v))
         if tree.is_leaf(v):
             label = tree.label(v)
             return label, f"{label}:{length}"

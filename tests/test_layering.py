@@ -95,3 +95,15 @@ def test_private_definitions_have_a_package_caller():
         if not users.get(name, set()) - {place}
     ]
     assert unused == []
+
+
+def test_package_has_no_assert_statement():
+    """Invariants raise typed exceptions: ``python -O`` drops ``assert``
+    statements, so none may decide an answer."""
+    found = [
+        f"{path.stem}:{node.lineno}"
+        for path in sorted(PACKAGE.glob("*.py"))
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8")))
+        if isinstance(node, ast.Assert)
+    ]
+    assert found == []

@@ -21,6 +21,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from distances_reference import distances_from_json as reference_distances
+from test_index_differential import single_edits
 from tricover import (
     PartialDistances,
     canonical_cover,
@@ -224,6 +225,18 @@ def test_each_file_loads_or_is_refused_in_one_line(workdir, kind, data):
     else:
         assert code in codes
         assert err.count("\n") <= 1 and len(err) < MAX_ERROR + 40, err
+
+
+def test_record_newick_single_edits_load_or_are_refused(workdir):
+    # Every one-character edit of the record's Newick text, the rest of the
+    # record kept: the text reaches the parser and the tree checks inside a
+    # record, not only as a whole-text sample.
+    path = workdir / "edited-record.json"
+    loaded = set()
+    for text in single_edits(BASES["record"]["newick"]):
+        path.write_text(json.dumps({**BASES["record"], "newick": text}))
+        loaded.add(load_outcome("record", path)[0])
+    assert loaded == {"ok", "error"}
 
 
 def new_refusal(payload):
